@@ -213,14 +213,18 @@ def cmd_invariants(args) -> int:
             prof = topology.reduced_homology(c)
             out["betti"] = list(prof.betti)
             out["torsion"] = list(prof.torsion)
-        elif item == "numbers" and inst.system is not None:
+        elif item == "numbers":
+            if inst.system is None:
+                raise ValidationError("invariant 'numbers' needs a matroid system")
             w = inst.weights.get("w", RatVec.ones(inst.system.n))
             nums = polytopes.matroidal_numbers(inst.system, w)
             out["nu_w"] = str(nums.nu)
             out["nu_star_w"] = str(nums.nu_star)
             out["tau_star_w"] = str(nums.tau_star)
             out["tau_w"] = str(nums.tau)
-        elif item == "hyper_numbers" and inst.hypergraph is not None:
+        elif item == "hyper_numbers":
+            if inst.hypergraph is None:
+                raise ValidationError("invariant 'hyper_numbers' needs a hypergraph")
             w = inst.weights.get("w")
             nums = polytopes.hyper_numbers(inst.hypergraph, w)
             out["hyper_nu_w"] = str(nums.nu)

@@ -58,7 +58,7 @@ def chi(c: Complex, return_cover: bool = False):
         lower = max(1, -(-c.n // c.rank()))
     if best == lower:
         if return_cover:
-            return best, [_mask(f) for f in best_cover]
+            return best, list(best_cover)
         return best
 
     cover_by = [[f for f in faces if (f >> v) & 1] for v in range(c.n)]
@@ -83,10 +83,6 @@ def chi(c: Complex, return_cover: bool = False):
     if return_cover:
         return best, best_cover
     return best
-
-
-def _mask(f: int) -> int:
-    return f
 
 
 def _delta_r_ceil(c: Complex) -> int:

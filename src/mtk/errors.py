@@ -35,3 +35,7 @@ class ParseError(MtkError):
 
 class ValidationError(MtkError):
     """An instance file parsed but violates a structural invariant."""
+
+
+class CertificateError(MtkError):
+    """An exact certificate or cross-check of a computed value failed."""

@@ -103,9 +103,6 @@ class XRat:
             return XRat(_FIN, Fraction(0))
         return self
 
-    def is_finite(self) -> bool:
-        return self.kind == _FIN
-
     def finite_value(self) -> Fraction:
         if self.kind != _FIN:
             raise ValueError(f"not a finite value: {self}")
@@ -133,7 +130,3 @@ def xmax(values) -> XRat:
             best = v
     return best
 
-
-def eta_str(v) -> str:
-    """Render an eta value (int or math.inf)."""
-    return "inf" if v == INF else str(v)

@@ -1,9 +1,25 @@
 """Exact rational linear programming.
 
-Dense two-phase simplex over fractions with Bland's anti-cycling rule.
-Every Optimal result is certified post hoc: primal feasibility, dual
-feasibility, and equality of the two objective values are re-checked
-exactly before the result is returned.
+One dense simplex core over fractions, with Bland's anti-cycling rule,
+serves both entry points: `solve` for general problems and
+`solve_max_slack` for the packing form max c.x, Ax <= b, x >= 0.  The
+core puts the problem in standard form (free variables split, one slack
+per inequality, rows with a negative right-hand side negated), runs
+phase I only when some row has no +1 slack to start the basis from, and
+then runs phase II.
+
+Primal and dual are both read off the final tableau.  Every original
+row i owns one column equal to e_i: its +1 slack, or else its
+artificial.  The reduced-cost row is c - y.A over all columns, so y_i
+is minus the reduced cost of that column, with the row's negation and
+the sense undone.  A row that phase I drops as redundant combines
+equality rows only, whose duals are free, and the reduced-cost row
+still prices every column, so the same y is a dual of the whole
+problem.
+
+Every optimal result is certified by `certify`: primal feasibility,
+dual feasibility and strong duality are re-checked exactly, and a
+failure raises CertificateError, also under `python -O`.
 
 Dual sign convention. For sense "min": y_i >= 0 on ">=" rows,
 y_i <= 0 on "<=" rows, free on "==" rows, and sum_i y_i a_ij <= c_j for
@@ -15,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import CertificateError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -111,20 +129,12 @@ def _run_simplex(
         _pivot(tableau, basis, r, col)
 
 
-def solve(p: LPProblem) -> LPResult:
-    """Exact two-phase simplex; Optimal results are certified."""
-    n = len(p.c)
+def _simplex(p: LPProblem) -> LPResult:
+    """The simplex core behind `solve` and `solve_max_slack`."""
     minimize = p.sense == "min"
-    # Split free variables; record the standardized column layout.
-    col_of_var: list[tuple[int, int]] = []  # (pos column, neg column or -1)
-    std_cols = 0
-    for j in range(n):
-        if p.nonneg[j]:
-            col_of_var.append((std_cols, -1))
-            std_cols += 1
-        else:
-            col_of_var.append((std_cols, std_cols + 1))
-            std_cols += 2
+    # Standard form: a free variable x_j becomes two columns (+x, -x).
+    split = not all(p.nonneg)
+    nstruct = std_cols = sum(1 if ok else 2 for ok in p.nonneg)
     slack_of_row: list[int] = []
     for _, rel, _ in p.rows:
         if rel == "==":
@@ -132,115 +142,107 @@ def solve(p: LPProblem) -> LPResult:
         else:
             slack_of_row.append(std_cols)
             std_cols += 1
+    # A row whose slack is +1 after negation starts the basis from it;
+    # every other row gets an artificial column.
+    flips = [1 if rhs >= 0 else -1 for _, _, rhs in p.rows]
+    unit_col: list[int] = []  # the e_i column of each row
+    ncols = std_cols
+    for (_, rel, _), s, flip in zip(p.rows, slack_of_row, flips):
+        if s >= 0 and (rel == "<=") == (flip > 0):
+            unit_col.append(s)
+        else:
+            unit_col.append(ncols)
+            ncols += 1
 
-    m = len(p.rows)
-    flips: list[int] = []
-    amat: list[list[Fraction]] = []
-    bvec: list[Fraction] = []
-    for i, (coeffs, rel, rhs) in enumerate(p.rows):
-        row = [ZERO] * std_cols
-        for j in range(n):
-            pos, neg = col_of_var[j]
-            row[pos] = coeffs[j]
-            if neg >= 0:
-                row[neg] = -coeffs[j]
-        if slack_of_row[i] >= 0:
-            row[slack_of_row[i]] = ONE if rel == "<=" else -ONE
-        flip = 1 if rhs >= 0 else -1
+    tableau = []
+    for (coeffs, rel, rhs), s, flip, u in zip(p.rows, slack_of_row, flips, unit_col):
+        if split:
+            row = []
+            for a, ok in zip(coeffs, p.nonneg):
+                row.append(a)
+                if not ok:
+                    row.append(-a)
+        else:
+            row = list(coeffs)
+        row += [ZERO] * (ncols - nstruct)
+        row.append(rhs)
+        if s >= 0:
+            row[s] = ONE if rel == "<=" else -ONE
         if flip < 0:
             row = [-v for v in row]
-            rhs = -rhs
-        flips.append(flip)
-        amat.append(row)
-        bvec.append(rhs)
-
-    cost = [ZERO] * std_cols
-    for j in range(n):
-        cj = p.c[j] if minimize else -p.c[j]
-        pos, neg = col_of_var[j]
-        cost[pos] += cj
-        if neg >= 0:
-            cost[neg] -= cj
-
-    # Phase I: artificial basis (reuse a +1 slack when possible).
-    basis: list[int] = []
-    art_cols: list[int] = []
-    total = std_cols
-    for i in range(m):
-        s = slack_of_row[i]
-        if s >= 0 and amat[i][s] == ONE:
-            basis.append(s)
-        else:
-            basis.append(total)
-            art_cols.append(total)
-            total += 1
-    tableau = []
-    for i in range(m):
-        row = amat[i] + [ZERO] * (total - std_cols) + [bvec[i]]
-        if basis[i] >= std_cols:
-            row[basis[i]] = ONE
+        row[u] = ONE
         tableau.append(row)
+    basis = list(unit_col)
+    m = len(basis)
 
-    ncols = total
-    survivors = list(range(m))
-    if art_cols:
-        art_set = set(art_cols)
+    cost = [ZERO] * (ncols + 1)
+    col = 0
+    for cj, ok in zip(p.c, p.nonneg):
+        cj = cj if minimize else -cj
+        cost[col] = cj
+        col += 1
+        if not ok:
+            cost[col] = -cj
+            col += 1
+
+    if ncols > std_cols:
+        # Phase I: minimize the sum of the artificials.
         phase1 = [ZERO] * (ncols + 1)
-        for a in art_cols:
+        for a in range(std_cols, ncols):
             phase1[a] = ONE
-        tableau.append(phase1)
         for i in range(m):
-            if basis[i] in art_set:
-                tableau[-1] = [
-                    x - y for x, y in zip(tableau[-1], tableau[i])
-                ]
+            if basis[i] >= std_cols:
+                phase1 = [x - y for x, y in zip(phase1, tableau[i])]
+        tableau.append(phase1)
         _run_simplex(tableau, basis, ncols, ncols)
-        if -tableau[-1][ncols] > 0:
+        if tableau[-1][ncols] < 0:
             return LPResult(status="infeasible")
         tableau.pop()
-        # Drive leftover artificials out of the basis.
-        drop_rows = set()
+        # Drive leftover artificials out of the basis; a row with no
+        # standard column left is redundant and is dropped.
+        keep = []
         for i in range(m):
-            if basis[i] in art_set:
-                piv_col = -1
-                for j in range(std_cols):
-                    if tableau[i][j]:
-                        piv_col = j
-                        break
-                if piv_col >= 0:
-                    _pivot(tableau, basis, i, piv_col)
-                else:
-                    drop_rows.add(i)
-        if drop_rows:
-            tableau = [r for i, r in enumerate(tableau) if i not in drop_rows]
-            basis = [b for i, b in enumerate(basis) if i not in drop_rows]
-            survivors = [s for i, s in enumerate(survivors) if i not in drop_rows]
+            if basis[i] >= std_cols:
+                piv_col = next((j for j in range(std_cols) if tableau[i][j]), -1)
+                if piv_col < 0:
+                    continue
+                _pivot(tableau, basis, i, piv_col)
+            keep.append(i)
+        if len(keep) < m:
+            tableau = [tableau[i] for i in keep]
+            basis = [basis[i] for i in keep]
             m = len(basis)
 
     # Phase II.
-    obj = cost + [ZERO] * (ncols - std_cols) + [ZERO]
-    tableau.append(obj)
+    obj = cost
     for i in range(m):
-        f = tableau[-1][basis[i]]
+        f = obj[basis[i]]
         if f:
-            tableau[-1] = [x - f * y for x, y in zip(tableau[-1], tableau[i])]
+            obj = [x - f * y for x, y in zip(obj, tableau[i])]
+    tableau.append(obj)
     if not _run_simplex(tableau, basis, ncols, std_cols):
         return LPResult(status="unbounded")
 
     xstd = [ZERO] * std_cols
     for i in range(m):
-        if basis[i] < std_cols:
-            xstd[basis[i]] = tableau[i][ncols]
+        xstd[basis[i]] = tableau[i][ncols]
     primal = []
-    for j in range(n):
-        pos, neg = col_of_var[j]
-        primal.append(xstd[pos] - (xstd[neg] if neg >= 0 else ZERO))
-
-    dual = _recover_dual(p, amat, cost, basis, flips, survivors, minimize)
-    value = sum((cj * xj for cj, xj in zip(p.c, primal)), ZERO)
+    col = 0
+    for ok in p.nonneg:
+        if ok:
+            primal.append(xstd[col])
+            col += 1
+        else:
+            primal.append(xstd[col] - xstd[col + 1])
+            col += 2
+    red = tableau[-1]
+    dual = []
+    for u, flip in zip(unit_col, flips):
+        d = red[u]
+        dual.append(-d if (flip > 0) == minimize else d)
     result = LPResult(
         status="optimal",
-        objective=value,
+        objective=sum((cj * xj for cj, xj in zip(p.c, primal) if xj), ZERO),
         primal=tuple(primal),
         dual=tuple(dual),
     )
@@ -248,73 +250,9 @@ def solve(p: LPProblem) -> LPResult:
     return result
 
 
-def _recover_dual(p, amat, cost, basis, flips, survivors, minimize):
-    """Solve B^T y = c_B over the surviving rows, then undo row flips.
-
-    Rows dropped as redundant in phase I keep dual value 0.
-    """
-    m = len(basis)
-    mat = [
-        [amat[s][basis[j]] for s in survivors] + [cost[basis[j]]]
-        for j in range(m)
-    ]
-    y = _gauss_solve(mat, m)
-    full = [ZERO] * len(p.rows)
-    for i, s in enumerate(survivors):
-        full[s] = y[i]
-    out = []
-    for i in range(len(p.rows)):
-        v = full[i] * flips[i]
-        out.append(v if minimize else -v)
-    return out
-
-
-def _gauss_solve(mat: list[list[Fraction]], n: int) -> list[Fraction]:
-    """Solve an n x n rational system given as [A | b] rows (mutates mat)."""
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col]), None)
-        if piv is None:
-            # Singular: the basis matrix should never be singular; a zero
-            # column can only arise with a zero dual component.
-            continue
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = ONE / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return [mat[i][n] if mat[i][i] else ZERO for i in range(n)]
-
-
-def certify(p: LPProblem, res: LPResult) -> None:
-    """Exact post-hoc optimality check; raises AssertionError on failure."""
-    assert res.status == "optimal"
-    x = res.primal
-    y = res.dual
-    assert x is not None and y is not None
-    minimize = p.sense == "min"
-    for j, ok in enumerate(p.nonneg):
-        if ok:
-            assert x[j] >= 0, "primal negativity"
-    for (coeffs, rel, rhs), yi in zip(p.rows, y):
-        lhs = sum((a * b for a, b in zip(coeffs, x)), ZERO)
-        if rel == "<=":
-            assert lhs <= rhs, "primal infeasible (<=)"
-            assert (yi <= 0) if minimize else (yi >= 0), "dual sign (<=)"
-        elif rel == ">=":
-            assert lhs >= rhs, "primal infeasible (>=)"
-            assert (yi >= 0) if minimize else (yi <= 0), "dual sign (>=)"
-        else:
-            assert lhs == rhs, "primal infeasible (==)"
-    for j in range(len(p.c)):
-        red = p.c[j] - sum((y[i] * p.rows[i][0][j] for i in range(len(p.rows))), ZERO)
-        if p.nonneg[j]:
-            assert (red >= 0) if minimize else (red <= 0), "dual infeasible"
-        else:
-            assert red == 0, "dual infeasible (free var)"
-    dual_obj = sum((yi * row[2] for yi, row in zip(y, p.rows)), ZERO)
-    assert dual_obj == res.objective, "strong duality failed"
+def solve(p: LPProblem) -> LPResult:
+    """Exact two-phase simplex; Optimal results are certified."""
+    return _simplex(p)
 
 
 def solve_max_slack(
@@ -322,36 +260,56 @@ def solve_max_slack(
     bvec: list[Fraction],
     cvec: list[Fraction],
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Fast path: max c.x s.t. Ax <= b, x >= 0 with b >= 0.
+    """max c.x s.t. Ax <= b, x >= 0, on Fraction rows with b >= 0.
 
-    Starts from the slack basis (no phase I).  Returns
-    (value, x, y) with y the exact dual (y >= 0, y.A >= c, y.b = value).
-    Raises ValueError on an unbounded problem.
+    Every row starts the basis from its slack, so the core skips phase
+    I.  Returns (value, x, y) with y the certified dual (y >= 0,
+    y.A >= c, y.b = value).  Raises ValueError on an unbounded problem.
     """
-    m = len(amat)
-    n = len(cvec)
-    ncols = n + m
-    tableau = []
-    for i in range(m):
-        row = list(amat[i]) + [ZERO] * m + [bvec[i]]
-        row[n + i] = ONE
-        tableau.append(row)
-    basis = list(range(n, n + m))
-    tableau.append([-c for c in cvec] + [ZERO] * m + [ZERO])
-    if not _run_simplex(tableau, basis, ncols, ncols):
-        raise ValueError("unbounded")
-    x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][ncols]
-    obj = tableau[-1]
-    y = [obj[n + i] for i in range(m)]
-    value = sum((c * v for c, v in zip(cvec, x)), ZERO)
-    # Exact certificates: feasibility both sides plus strong duality.
-    for i in range(m):
-        assert sum((a * v for a, v in zip(amat[i], x)), ZERO) <= bvec[i]
-        assert y[i] >= 0
-    for j in range(n):
-        assert sum((y[i] * amat[i][j] for i in range(m)), ZERO) >= cvec[j]
-    assert sum((yi * bi for yi, bi in zip(y, bvec)), ZERO) == value
-    return value, x, y
+    rows = tuple((tuple(a), "<=", b) for a, b in zip(amat, bvec))
+    res = _simplex(LPProblem("max", tuple(cvec), rows, (True,) * len(cvec)))
+    if res.status != "optimal":
+        raise ValueError(res.status)
+    return res.objective, list(res.primal), list(res.dual)
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificateError(what)
+
+
+def certify(p: LPProblem, res: LPResult) -> None:
+    """Exact post-hoc optimality check; raises CertificateError on failure."""
+    _require(res.status == "optimal", f"not an optimal result: {res.status}")
+    x = res.primal
+    y = res.dual
+    _require(
+        x is not None and y is not None and len(x) == len(p.c) and len(y) == len(p.rows),
+        "certificate dimension mismatch",
+    )
+    minimize = p.sense == "min"
+    for j, ok in enumerate(p.nonneg):
+        if ok:
+            _require(x[j] >= 0, "primal negativity")
+    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    ya = [ZERO] * len(p.c)
+    for (coeffs, rel, rhs), yi in zip(p.rows, y):
+        lhs = sum((coeffs[j] * xj for j, xj in support), ZERO)
+        if rel == "<=":
+            _require(lhs <= rhs, "primal infeasible (<=)")
+            _require((yi <= 0) if minimize else (yi >= 0), "dual sign (<=)")
+        elif rel == ">=":
+            _require(lhs >= rhs, "primal infeasible (>=)")
+            _require((yi >= 0) if minimize else (yi <= 0), "dual sign (>=)")
+        else:
+            _require(lhs == rhs, "primal infeasible (==)")
+        if yi:
+            ya = [s + yi * a for s, a in zip(ya, coeffs)]
+    for cj, s, ok in zip(p.c, ya, p.nonneg):
+        red = cj - s
+        if ok:
+            _require((red >= 0) if minimize else (red <= 0), "dual infeasible")
+        else:
+            _require(red == 0, "dual infeasible (free var)")
+    dual_obj = sum((yi * row[2] for yi, row in zip(y, p.rows)), ZERO)
+    _require(dual_obj == res.objective, "strong duality failed")

@@ -18,6 +18,7 @@ from .core import (
     _antichain_max,
     bit_count,
     iter_bits,
+    iter_submasks,
     mask_of,
     matching_complex,
     min_nonfaces,
@@ -95,9 +96,6 @@ class Matroid:
             ):
                 out.append(s)
         return Hypergraph(self.n, out)
-
-    def bases(self) -> list[int]:
-        return [f for f in self.to_complex().maximal_faces]
 
     def to_complex(self) -> Complex:
         if (1 << self.n) > ENUMERATION_CAP:
@@ -293,10 +291,6 @@ class RestrictionMatroid(Matroid):
         return f"RestrictionMatroid({self.inner!r}, u={self.u:#b})"
 
 
-def dual(m: Matroid) -> Matroid:
-    return DualMatroid(m)
-
-
 def contract_matroid(m: Matroid, x: int) -> Matroid:
     return ContractionMatroid(m, x)
 
@@ -361,7 +355,7 @@ class MatroidSystem:
         """Rank of s in the intersection complex (size of a largest common
         independent subset of s), by brute force over submasks."""
         best = 0
-        for sub in _submasks_desc(s):
+        for sub in iter_submasks(s):
             if bit_count(sub) > best and all(
                 m.is_independent(sub) for m in self.matroids
             ):
@@ -387,15 +381,6 @@ class MatroidSystem:
             isinstance(m, GenPartitionMatroid) and m.is_partition()
             for m in self.matroids
         )
-
-
-def _submasks_desc(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def max_common_independent(m1: Matroid, m2: Matroid) -> int:
@@ -546,11 +531,7 @@ def _enumerate_matroid_coverages(c: Complex, nonfaces: list[int]) -> list[int]:
                     cov |= 1 << j
             coverages.add(cov)
     # Drop dominated coverage profiles.
-    out = []
-    for cov in sorted(coverages, key=bit_count, reverse=True):
-        if not any(cov & ~kept == 0 for kept in out):
-            out.append(cov)
-    return out
+    return _antichain_max(list(coverages))
 
 
 def _is_basis_family(fam: list[int], idx: dict[int, int], fam_bits: int) -> bool:
@@ -590,65 +571,6 @@ def matdim_exact(c: Complex, cap_n: int = 6) -> int:
     coverages = _enumerate_matroid_coverages(c, nonfaces)
     target = (1 << len(nonfaces)) - 1
     return _min_cover(coverages, target)
-
-
-def matdim_gen_partition(c: Complex, cap_n: int = 6) -> int | None:
-    """matdim restricted to generalized partition matroid candidates.
-
-    Exploratory only; returns None when no cover exists.
-    """
-    if c.n > cap_n:
-        raise CapExceeded(f"search limited to n <= {cap_n}")
-    nf = min_nonfaces(c)
-    if not nf.edges:
-        return 1
-    nonfaces = list(nf.edges)
-    coverages: set[int] = set()
-    for parts in _set_partitions(c.n):
-        for caps in itertools.product(*[range(bit_count(p) + 1) for p in parts]):
-            m = GenPartitionMatroid(c.n, parts, caps)
-            if not all(m.is_independent(f) for f in c.maximal_faces):
-                continue
-            cov = 0
-            for j, nfm in enumerate(nonfaces):
-                if not m.is_independent(nfm):
-                    cov |= 1 << j
-            coverages.add(cov)
-    kept = []
-    for cov in sorted(coverages, key=bit_count, reverse=True):
-        if not any(cov & ~k == 0 for k in kept):
-            kept.append(cov)
-    target = (1 << len(nonfaces)) - 1
-    if not kept or mask_of_union(kept) != target:
-        return None
-    return _min_cover(kept, target)
-
-
-def _set_partitions(n: int):
-    """All partitions of [0, n) into non-empty masks."""
-    if n == 0:
-        yield []
-        return
-    first = 1 << 0
-    rest = list(range(1, n))
-    for sub_bits in range(1 << len(rest)):
-        block = first | mask_of(rest[i] for i in iter_bits(sub_bits))
-        remaining = [v for i, v in enumerate(rest) if not (sub_bits >> i) & 1]
-        for tail in _set_partitions_over(remaining):
-            yield [block] + tail
-
-
-def _set_partitions_over(elems: list[int]):
-    if not elems:
-        yield []
-        return
-    first = 1 << elems[0]
-    rest = elems[1:]
-    for sub_bits in range(1 << len(rest)):
-        block = first | mask_of(rest[i] for i in iter_bits(sub_bits))
-        remaining = [v for i, v in enumerate(rest) if not (sub_bits >> i) & 1]
-        for tail in _set_partitions_over(remaining):
-            yield [block] + tail
 
 
 def _min_cover(coverages: list[int], target: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Hypergraph, bit_count, iter_bits
-from .errors import CapExceeded
+from .errors import CapExceeded, CertificateError
 from .extval import INF
 
 GAME_EXHAUSTIVE_EDGES = 12
@@ -155,7 +155,8 @@ def frugal_certificate(h: Hypergraph):
         if is_dominating(h, mask) and bit_count(mask) - p == value:
             target = (mask, p)
             break
-    assert target is not None
+    if target is None:
+        raise CertificateError(f"no dominating mask attains {value}")
     mask, p = target
     seq: list[int] = []
     while p > 0:
@@ -173,7 +174,7 @@ def frugal_certificate(h: Hypergraph):
             if found:
                 break
         else:
-            raise AssertionError("certificate reconstruction failed")
+            raise CertificateError("certificate reconstruction failed")
     seq.reverse()
     total = 0
     seen = 0
@@ -293,7 +294,8 @@ def delete_contract_certificate(h: Hypergraph, strategy: str = "auto"):
             if val == target:
                 chosen = (cur, orig, move)
                 break
-        assert chosen is not None
+        if chosen is None:
+            raise CertificateError(f"no offered move attains {target}")
         cur, orig, move = chosen
         if move == "delete":
             edges = tuple((c, o) for c, o in edges if c != cur)
@@ -312,7 +314,8 @@ def delete_contract_certificate(h: Hypergraph, strategy: str = "auto"):
             bit_count(e & ~_union_prefix(seq, i)) - 1 for i, e in enumerate(seq)
         ),
     )
-    assert certificate.value == bound
+    if certificate.value != bound:
+        raise CertificateError(f"replayed value {certificate.value} != {bound}")
     return bound, certificate
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .core import Complex, Hypergraph, bit_count, iter_bits
 from .coloring import chi_star
-from .errors import CapExceeded, DomainError, EmptyEdge, Infeasible
+from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infeasible
 from .extval import INF
 from .lp import LPProblem, solve, solve_max_slack
 from .matroid import Matroid, MatroidSystem
@@ -177,7 +177,8 @@ def _psi_p(c: Complex, h: RatVec):
         coeffs = [ONE if (f >> v) & 1 else ZERO for f in faces]
         rows.append((coeffs, ">=", h[v]))
     res = solve(LPProblem.make("min", [ONE] * len(faces), rows))
-    assert res.status == "optimal"
+    if res.status != "optimal":
+        raise Infeasible("covering LP " + res.status)
     return res.objective
 
 
@@ -405,13 +406,13 @@ def _tight_rank_at_least(normals, common: int, need: int) -> bool:
 # -- ratios ---------------------------------------------------------------
 
 
-def ratio(b: PolytopeRef, a: PolytopeRef, check_rq_theorem: bool = True):
+def ratio(b: PolytopeRef, a: PolytopeRef):
     """B:A = least t with tA containing B; max of the A-gauge over B's
     vertices.
 
     For (B, A) = (R, Q) the value is recomputed through the restricted
     matching/cover identity max over U of nu*(L_U) / nu(L_U), and the
-    two routes must agree.
+    two routes must agree (CertificateError otherwise).
     """
     if b.n != a.n:
         raise DomainError("dimension mismatch")
@@ -425,13 +426,13 @@ def ratio(b: PolytopeRef, a: PolytopeRef, check_rq_theorem: bool = True):
         if g > best:
             best = g
     if (
-        check_rq_theorem
-        and b.kind == "R"
+        b.kind == "R"
         and a.kind == "Q"
         and a.complex_ == b.system.intersection_complex()
     ):
         via = ratio_rq_via_matchings(b.system)
-        assert via == best, f"ratio routes disagree: {best} vs {via}"
+        if via != best:
+            raise CertificateError(f"ratio routes disagree: {best} vs {via}")
     return best
 
 
@@ -567,7 +568,8 @@ def matroidal_numbers(system: MatroidSystem, w: RatVec) -> MatroidalNumbers:
         raise DomainError("weights must be non-negative")
     ns = nu_star_w(system, w)
     ts = tau_star_w(system, w)
-    assert ns == ts, f"LP duality violated: {ns} != {ts}"
+    if ns != ts:
+        raise CertificateError(f"LP duality violated: {ns} != {ts}")
     return MatroidalNumbers(
         nu=nu_w(system, w),
         nu_star=ns,
@@ -707,7 +709,8 @@ def hyper_numbers(h: Hypergraph, w: RatVec | None = None) -> HypergraphNumbers:
         raise DomainError("weights must be non-negative")
     ns = hyper_nu_star_w(h, w)
     ts = hyper_tau_star_w(h, w)
-    assert ns == ts, f"LP duality violated: {ns} != {ts}"
+    if ns != ts:
+        raise CertificateError(f"LP duality violated: {ns} != {ts}")
     return HypergraphNumbers(
         nu=hyper_nu_w(h, w),
         nu_star=ns,

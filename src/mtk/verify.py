@@ -7,8 +7,10 @@ are sorted before emission.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -25,7 +27,7 @@ from .core import (
     matching_complex,
     min_nonfaces,
 )
-from .errors import CapExceeded, Uncolorable
+from .errors import CapExceeded, CertificateError, Uncolorable
 from .extval import INF, XRat
 from .matroid import (
     DualMatroid,
@@ -243,7 +245,8 @@ def suite_sharpness(rng=None, q_values=(2, 3)) -> list[VerificationRecord]:
         inst = constructions.canned("q_k", q=q)
         h, system = inst.hypergraph, inst.system
         mc = matching_complex(h)
-        assert mc == system.intersection_complex()
+        if mc != system.intersection_complex():
+            raise CertificateError(f"{inst.provenance}: M(H) is not the intersection")
         rec = topology.expansions(mc)
         k = inst.expected["k"]
         records.append(
@@ -1136,20 +1139,25 @@ def run_suite(name: str, seed: int = 0, scale: str = "cli", **overrides):
     """Run a named suite deterministically; returns sorted records.
 
     Overrides a suite does not accept (e.g. max_n on a deterministic
-    suite) are dropped silently, so caps can be applied to "all".
+    suite) are left out, so caps can be applied to "all"; the ones no
+    named suite accepts are reported on stderr.
     """
     if name == "all":
-        out = []
-        for key in sorted(SUITES):
-            out.extend(run_suite(key, seed=seed, scale=scale, **overrides))
-        return out
-    if name not in SUITES:
+        names = sorted(SUITES)
+    elif name in SUITES:
+        names = [name]
+    else:
         raise KeyError(name)
-    fn = SUITES[name]
-    kwargs = dict(CLI_PROFILES.get(name, {})) if scale == "cli" else {}
-    import inspect
-
-    accepted = set(inspect.signature(fn).parameters)
-    kwargs.update({k: v for k, v in overrides.items() if k in accepted})
-    rng = random.Random(seed)
-    return fn(rng, **kwargs)
+    accepted = {key: set(inspect.signature(SUITES[key]).parameters) for key in names}
+    ignored = set(overrides).difference(*accepted.values())
+    if ignored:
+        print(
+            f"warning: suite {name!r} ignores {', '.join(sorted(ignored))}",
+            file=sys.stderr,
+        )
+    out = []
+    for key in names:
+        kwargs = dict(CLI_PROFILES.get(key, {})) if scale == "cli" else {}
+        kwargs.update({k: v for k, v in overrides.items() if k in accepted[key]})
+        out.extend(SUITES[key](random.Random(seed), **kwargs))
+    return out

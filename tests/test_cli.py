@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mtk import verify
 from mtk.cli import (
     instance_from_dict,
     instance_to_dict,
@@ -122,3 +123,33 @@ def test_cli_suite_seed_changes_instances(capsys):
     assert main(["verify", "abm", "--seed", "2", "--report", "jsonl"]) == 0
     b = capsys.readouterr().out
     assert a != b
+
+
+def test_cli_invariants_names_the_missing_input(tmp_path, capsys):
+    path = tmp_path / "complex.json"
+    path.write_text('{"complex": {"n": 2, "maximal_faces": [[0], [1]]}}')
+    assert main(["invariants", str(path), "--what", "numbers"]) == 2
+    assert "'numbers' needs a matroid system" in capsys.readouterr().err
+    assert main(["invariants", str(path), "--what", "hyper_numbers"]) == 2
+    assert "'hyper_numbers' needs a hypergraph" in capsys.readouterr().err
+
+
+def test_cli_verify_names_ignored_overrides(capsys):
+    assert main(["verify", "matdim", "--seed", "1", "--max-n", "5"]) == 0
+    assert "suite 'matdim' ignores max_n" in capsys.readouterr().err
+
+
+def test_run_all_names_only_overrides_no_suite_accepts(monkeypatch, capsys):
+    seen = {}
+
+    def capped(rng, max_n=9):
+        seen["max_n"] = max_n
+        return []
+
+    def fixed(rng=None):
+        return []
+
+    monkeypatch.setattr(verify, "SUITES", {"capped": capped, "fixed": fixed})
+    assert verify.run_suite("all", max_n=3, max_k=2) == []
+    assert seen == {"max_n": 3}
+    assert capsys.readouterr().err.strip() == "warning: suite 'all' ignores max_k"

@@ -1,10 +1,14 @@
 """The exact rational simplex."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from mtk.lp import LPProblem, solve, solve_max_slack
+from mtk.lp import LPProblem, certify, solve, solve_max_slack
 
 F = Fraction
 
@@ -36,10 +40,25 @@ def test_equalities_free_vars_and_duals():
     assert dual_obj == r.objective
 
 
+def _dual_objective(p, r):
+    return sum((yi * rhs for yi, (_, _, rhs) in zip(r.dual, p.rows)), F(0))
+
+
 def test_redundant_rows():
     p = LPProblem.make("min", [1, 1], [([1, 1], "==", 2), ([2, 2], "==", 4)])
     r = solve(p)
     assert r.status == "optimal" and r.objective == 2
+    # phase I drops one row; the dual read off the tableau still covers it
+    assert len(r.dual) == 2 and _dual_objective(p, r) == r.objective
+    # the dropped row may come first, be negated, or sit among inequalities
+    for sense, rows in [
+        ("max", [([2, 2], "==", 4), ([1, 1], "==", 2), ([1, 0], "<=", 1)]),
+        ("min", [([-1, -1], "==", -2), ([3, 3], "==", 6), ([0, 1], ">=", 1)]),
+    ]:
+        p = LPProblem.make(sense, [1, 2], rows)
+        r = solve(p)
+        assert r.status == "optimal" and _dual_objective(p, r) == r.objective
+        certify(p, r)
 
 
 def _brute_optimum(sense, c, rows, n):
@@ -153,3 +172,27 @@ def test_solve_max_slack_agrees_with_general_path():
             )
         )
         assert r.status == "optimal" and r.objective == value
+        assert x == list(r.primal) and y == list(r.dual)
+
+
+def test_certify_raises_under_optimize_flag():
+    # assert statements vanish under -O; certificates must not
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from mtk.errors import CertificateError\n"
+        "from mtk.lp import LPProblem, LPResult, certify, solve\n"
+        "assert False, 'asserts are live'\n"
+        "p = LPProblem.make('max', [1, 1], [([1, 0], '<=', 1), ([0, 1], '<=', 1)])\n"
+        "r = solve(p)\n"
+        "bad = LPResult(r.status, r.objective + 1, r.primal, r.dual)\n"
+        "try:\n"
+        "    certify(p, bad)\n"
+        "except CertificateError as e:\n"
+        "    print('raised:', e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised: strong duality failed"

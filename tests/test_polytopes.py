@@ -103,10 +103,14 @@ def _brute_vertices(rows, n):
         e = [F(0)] * n
         e[v] = F(-1)
         normals.append((tuple(e), F(0)))
+    # A repeated normal only adds singular or dominated combinations:
+    # keep its smallest right-hand side.
+    tightest: dict[tuple, F] = {}
     for mask, r in rows:
-        normals.append(
-            (tuple(F(1) if (mask >> v) & 1 else F(0) for v in range(n)), F(r))
-        )
+        normal = tuple(F(1) if (mask >> v) & 1 else F(0) for v in range(n))
+        if normal not in tightest or r < tightest[normal]:
+            tightest[normal] = F(r)
+    normals.extend(tightest.items())
     out = set()
     for combo in itertools.combinations(range(len(normals)), n):
         mat = [list(normals[i][0]) + [normals[i][1]] for i in combo]
@@ -181,7 +185,7 @@ def test_ratio_rq_theorem_small_random():
         k = rng.randint(2, 3)
         system = rand_system(rng, n, k, loopless=False)
         c = system.intersection_complex()
-        # ratio() asserts the two routes agree internally
+        # ratio() raises CertificateError unless the two routes agree
         val = ratio(PolytopeRef.R(system), PolytopeRef.Q(c))
         assert val >= 1 or val == 0
 
