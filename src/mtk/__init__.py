@@ -10,7 +10,6 @@ hypergraph matching/cover numbers.
 from .core import (
     Complex,
     Hypergraph,
-    SubsetMask,
     contract,
     independence_complex,
     induced,
@@ -104,7 +103,6 @@ __all__ = [
     "MatroidSystem",
     "PolytopeRef",
     "RatVec",
-    "SubsetMask",
     "UniformMatroid",
     "VerificationRecord",
     "XRat",

@@ -18,7 +18,6 @@ from . import coloring, polytopes, topology, verify
 from .constructions import Instance, canned
 from .core import Complex, Hypergraph, iter_bits, mask_of
 from .errors import MtkError, ParseError, Unsupported, ValidationError
-from .extval import INF
 from .matroid import (
     ExplicitMatroid,
     GenPartitionMatroid,
@@ -181,12 +180,6 @@ def _main_complex(inst: Instance) -> Complex:
     raise ValidationError("instance holds no complex, system, or hypergraph")
 
 
-def _fmt_val(v) -> str:
-    if v == INF:
-        return "inf"
-    return str(v)
-
-
 def cmd_invariants(args) -> int:
     inst = parse_instance(args.file)
     c = _main_complex(inst)
@@ -195,7 +188,7 @@ def cmd_invariants(args) -> int:
     out = {}
     for item in what:
         if item == "eta_h":
-            out["eta_h"] = _fmt_val(topology.eta_h(c))
+            out["eta_h"] = str(topology.eta_h(c))
         elif item == "chi":
             out["chi"] = str(coloring.chi(c))
         elif item == "chi_star":
@@ -311,7 +304,7 @@ def cmd_ratio(args) -> int:
         print(f"unknown pair {args.pair!r}; use e.g. R:P, R:Q, Q:P", file=sys.stderr)
         return 2
     val = polytopes.ratio(refs[bname], refs[aname])
-    print(_fmt_val(val))
+    print(val)
     return 0
 
 

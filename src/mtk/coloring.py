@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import Complex, bit_count, iter_bits
 from .errors import CapExceeded, Infeasible, Uncolorable
-from .extval import INF, XRat, xmax
+from .extval import INF, XRat, max_ratio
 from .lp import solve_max_slack
 from .matroid import (
     GenPartitionMatroid,
@@ -53,7 +53,7 @@ def chi(c: Complex, return_cover: bool = False):
 
     # Root lower bound (the simplicial expansion number, cheap sizes only).
     if (1 << c.n) <= (1 << 16):
-        lower = _delta_r_ceil(c)
+        lower = max_ratio(c.rank_of, full).ceil()
     else:
         lower = max(1, -(-c.n // c.rank()))
     if best == lower:
@@ -85,35 +85,13 @@ def chi(c: Complex, return_cover: bool = False):
     return best
 
 
-def _delta_r_ceil(c: Complex) -> int:
-    best = Fraction(0)
-    for s in range(1, 1 << c.n):
-        r = c.rank_of(s)
-        if r == 0:
-            raise Uncolorable("some element lies in no face")
-        v = Fraction(bit_count(s), r)
-        if v > best:
-            best = v
-    return -((-best.numerator) // best.denominator)
-
-
 def delta_rank(m: Matroid, h=None, sub: int | None = None) -> XRat:
     """max over non-empty S of h[S]/rank(S); the matroid expansion number.
 
     With h = None the all-ones weighting is used; sub restricts the
     enumeration to subsets of the given mask.
     """
-    universe = m.full if sub is None else sub
-    vals = [XRat.of(0)]
-    s = universe
-    while s:
-        if h is None:
-            num = bit_count(s)
-        else:
-            num = sum((h[v] for v in iter_bits(s)), ZERO)
-        vals.append(XRat.ratio(num, m.rank(s)))
-        s = (s - 1) & universe
-    return xmax(vals)
+    return max_ratio(m.rank, m.full if sub is None else sub, h)
 
 
 def chi_matroid(m: Matroid) -> int:

@@ -15,42 +15,6 @@ from .errors import CapExceeded, EmptyEdge
 FACE_CAP = 1 << 20
 
 
-class SubsetMask(int):
-    """A subset of [0, n) with bitset semantics.
-
-    Behaves as a plain int (hashable, cheap), with set-style helpers on
-    top.  Bitwise operators return ints; wrap with SubsetMask() where
-    the distinction matters.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, items: Iterable[int]) -> "SubsetMask":
-        m = 0
-        for i in items:
-            if i < 0:
-                raise ValueError("negative element index")
-            m |= 1 << i
-        return cls(m)
-
-    def members(self) -> list[int]:
-        return list(iter_bits(self))
-
-    @property
-    def size(self) -> int:
-        return self.bit_count()
-
-    def contains(self, i: int) -> bool:
-        return (self >> i) & 1 == 1
-
-    def issubset(self, other: int) -> bool:
-        return self & ~other == 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SubsetMask({{{', '.join(map(str, self.members()))}}})"
-
-
 def mask_of(items: Iterable[int]) -> int:
     m = 0
     for i in items:

@@ -1,8 +1,15 @@
-"""Rationals extended with +infinity and a positive infinitesimal.
+"""Rationals extended with +infinity and a positive infinitesimal, and
+the one ratio sweep.
 
 The conventions follow the expansion-number arithmetic: 0/inf = 0,
 ceil(c/inf) = 1 for c > 0 (so c/inf is kept as a positive
-infinitesimal EPS), and c/0 = inf for c > 0.
+infinitesimal EPS), and c/0 = inf for c > 0.  INF is the only infinite
+value mtk builds; test for it with `x is INF`.
+
+max_ratio is the one sweep for max over S of h(S)/den(S): the root
+bound of chi, the matroid expansion number delta_rank, the expansion
+numbers of a complex, and the gauges (hence membership) of the rank
+polytopes Q and R all go through it.
 """
 
 from __future__ import annotations
@@ -10,17 +17,28 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-INF = math.inf
-
 _FIN, _EPS, _INF = 0, 1, 2
 
 
-class XRat:
-    __slots__ = ("kind", "value")
+def _finite_key(v):
+    # EPS sits strictly between 0 and every positive fraction.
+    return (1, v, 0) if v > 0 else (0, v, 0)
 
-    def __init__(self, kind: int, value: Fraction):
+
+class XRat:
+    __slots__ = ("kind", "value", "_key")
+
+    def __init__(self, kind: int, value):
+        value = Fraction(value)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
+        if kind == _INF:
+            key = (2, 0, 0)
+        elif kind == _EPS:
+            key = (0, 0, 1)
+        else:
+            key = _finite_key(value)
+        object.__setattr__(self, "_key", key)
 
     def __setattr__(self, *a):
         raise AttributeError("XRat is immutable")
@@ -29,66 +47,45 @@ class XRat:
     def of(x) -> "XRat":
         if isinstance(x, XRat):
             return x
-        if x == INF:
-            return XRat(_INF, Fraction(0))
-        return XRat(_FIN, Fraction(x))
+        return XRat(_FIN, x)
 
     @staticmethod
     def eps() -> "XRat":
-        return XRat(_EPS, Fraction(0))
-
-    @staticmethod
-    def inf() -> "XRat":
-        return XRat(_INF, Fraction(0))
-
-    @staticmethod
-    def ratio(numer, denom) -> "XRat":
-        """numer/denom with the extended conventions (numer >= 0)."""
-        numer = Fraction(numer)
-        if denom == INF:
-            return XRat(_FIN, Fraction(0)) if numer == 0 else XRat(_EPS, Fraction(0))
-        denom = Fraction(denom)
-        if denom == 0:
-            return XRat(_FIN, Fraction(0)) if numer == 0 else XRat(_INF, Fraction(0))
-        return XRat(_FIN, numer / denom)
+        return XRat(_EPS, 0)
 
     # -- ordering ----------------------------------------------------
-
-    def _key(self):
-        # EPS sits strictly between 0 and every positive fraction.
-        if self.kind == _INF:
-            return (2, Fraction(0), 0)
-        if self.kind == _EPS:
-            return (0, Fraction(0), 1)
-        v = self.value
-        if v > 0:
-            return (1, v, 0)
-        return (0, v, 0) if v < 0 else (0, Fraction(0), 0)
+    # Finite values compare and hash like the int or Fraction they hold;
+    # anything that is not a rational is NotImplemented.
 
     def __eq__(self, other):
-        return self._key() == XRat.of(other)._key()
+        k = _key_of(other)
+        return NotImplemented if k is None else self._key == k
 
     def __lt__(self, other):
-        return self._key() < XRat.of(other)._key()
+        k = _key_of(other)
+        return NotImplemented if k is None else self._key < k
 
     def __le__(self, other):
-        return self._key() <= XRat.of(other)._key()
+        k = _key_of(other)
+        return NotImplemented if k is None else self._key <= k
 
     def __gt__(self, other):
-        return self._key() > XRat.of(other)._key()
+        k = _key_of(other)
+        return NotImplemented if k is None else self._key > k
 
     def __ge__(self, other):
-        return self._key() >= XRat.of(other)._key()
+        k = _key_of(other)
+        return NotImplemented if k is None else self._key >= k
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.value) if self.kind == _FIN else hash(self._key)
 
     # -- arithmetic helpers -----------------------------------------
 
     def ceil(self):
-        """Ceiling as int, or math.inf."""
+        """Ceiling as int, or INF."""
         if self.kind == _INF:
-            return INF
+            return self
         if self.kind == _EPS:
             return 1
         return -((-self.value.numerator) // self.value.denominator)
@@ -100,7 +97,7 @@ class XRat:
         if self.kind == _FIN:
             return XRat(_FIN, self.value * c)
         if c == 0:
-            return XRat(_FIN, Fraction(0))
+            return XRat(_FIN, 0)
         return self
 
     def finite_value(self) -> Fraction:
@@ -119,14 +116,49 @@ class XRat:
         return f"XRat({self})"
 
 
-def xmax(values) -> XRat:
-    """Maximum of an iterable of XRat/Fraction values (at least one)."""
-    vals = [XRat.of(v) for v in values]
-    if not vals:
-        raise ValueError("empty maximum")
-    best = vals[0]
-    for v in vals[1:]:
-        if v > best:
-            best = v
-    return best
+def _key_of(x):
+    if isinstance(x, XRat):
+        return x._key
+    if isinstance(x, (int, Fraction)):
+        return _finite_key(x)
+    return None
 
+
+INF = XRat(_INF, 0)
+
+
+def max_ratio(den, universe: int, h=None) -> XRat:
+    """max over non-empty S within the mask universe of h(S)/den(S).
+
+    den(S) is a non-negative int or INF; h gives a non-negative int or
+    Fraction weight per element, and None counts |S|.  0/d = 0,
+    c/INF = EPS and c/0 = INF; the sweep returns INF at the first S with
+    h(S) > 0 = den(S), and never calls den on an S with h(S) = 0.
+    Subset sums are built incrementally over the submasks, as integers
+    over the weights' common denominator.
+    """
+    scale = 1
+    if h is not None:
+        scale = math.lcm(*(v.denominator for v in h))
+        weights = [v.numerator * (scale // v.denominator) for v in h]
+        sums = [0] * (universe + 1)
+    best_num, best_den, eps = 0, 1, False
+    s = universe & -universe
+    while s:
+        if h is None:
+            num = s.bit_count()
+        else:
+            low = s & -s
+            num = sums[s] = sums[s ^ low] + weights[low.bit_length() - 1]
+        if num:
+            d = den(s)
+            if d is INF:
+                eps = True
+            elif d == 0:
+                return INF
+            elif num * best_den > best_num * d:
+                best_num, best_den = num, d
+        s = (s - universe) & universe
+    if best_num:
+        return XRat(_FIN, Fraction(best_num, best_den * scale))
+    return XRat.eps() if eps else XRat(_FIN, 0)

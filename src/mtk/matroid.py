@@ -111,12 +111,6 @@ class Matroid:
             self._flats_memo = sorted({self.span(s) for s in range(1 << self.n)})
         return self._flats_memo
 
-    def oracle_equal(self, other: "Matroid") -> bool:
-        """Exhaustive rank comparison (small ground sets only)."""
-        if self.n != other.n:
-            return False
-        return all(self.rank(s) == other.rank(s) for s in range(1 << self.n))
-
 
 class UniformMatroid(Matroid):
     kind = "uniform"
@@ -444,22 +438,6 @@ def max_common_independent(m1: Matroid, m2: Matroid) -> int:
             node = parent[node]
         for v in path:
             cur ^= 1 << v
-
-
-def brute_max_common_independent(m1: Matroid, m2: Matroid) -> int:
-    best = 0
-    for s in range(1 << m1.n):
-        if bit_count(s) > best and m1.is_independent(s) and m2.is_independent(s):
-            best = bit_count(s)
-    return best
-
-
-def min_rank_partition(m1: Matroid, m2: Matroid) -> int:
-    """min over partitions (X, V - X) of rank1(X) + rank2(V - X)."""
-    full = m1.full
-    return min(
-        m1.rank(x) + m2.rank(full & ~x) for x in range(full + 1)
-    )
 
 
 # -- matdim --------------------------------------------------------------

@@ -27,15 +27,7 @@ class FrugalSequence:
     value: int
 
     def __post_init__(self):
-        seen = 0
-        total = 0
-        for e in self.edges:
-            new = e & ~seen
-            if bit_count(new) <= 1:
-                raise ValueError("sequence is not frugal")
-            total += bit_count(new) - 1
-            seen |= e
-        if total != self.value:
+        if _frugal_value(self.edges) != self.value:
             raise ValueError("value does not match the edge sequence")
 
     def union(self) -> int:
@@ -43,6 +35,20 @@ class FrugalSequence:
         for e in self.edges:
             out |= e
         return out
+
+
+def _frugal_value(edges) -> int:
+    """|union| - |edges| of a frugal edge sequence; ValueError when some
+    edge adds fewer than two new vertices."""
+    seen = 0
+    total = 0
+    for e in edges:
+        new = bit_count(e & ~seen)
+        if new <= 1:
+            raise ValueError("sequence is not frugal")
+        total += new - 1
+        seen |= e
+    return total
 
 
 def is_dominating(h: Hypergraph, union_mask: int) -> bool:
@@ -147,7 +153,7 @@ def _frugal_steps(h: Hypergraph) -> dict[int, int]:
 def frugal_certificate(h: Hypergraph):
     """A frugal dominating sequence attaining gamma_e_hyper, or None."""
     value = gamma_e_hyper(h)
-    if value == INF:
+    if value is INF:
         return None
     steps = _frugal_steps(h)
     target = None
@@ -176,12 +182,7 @@ def frugal_certificate(h: Hypergraph):
         else:
             raise CertificateError("certificate reconstruction failed")
     seq.reverse()
-    total = 0
-    seen = 0
-    for e in seq:
-        total += bit_count(e & ~seen) - 1
-        seen |= e
-    return FrugalSequence(edges=tuple(seq), value=total)
+    return FrugalSequence(edges=tuple(seq), value=_frugal_value(seq))
 
 
 # -- the delete/contract game ---------------------------------------------
@@ -256,9 +257,8 @@ def delete_contract_certificate(h: Hypergraph, strategy: str = "auto"):
         deleted = tuple((c, o) for c, o in edges if c != cur)
         del_val, _, _ = value(vmask, deleted)
         con_val, _, _ = value(vmask & ~cur, _contract_edges(edges, cur))
-        gain = bit_count(cur) - 1
-        con_total = con_val if con_val == INF else con_val + gain
-        if del_val <= con_total:
+        con_total = con_val if con_val is INF else con_val + bit_count(cur) - 1
+        if con_total is INF or (del_val is not INF and del_val <= con_total):
             return del_val, "delete"
         return con_total, "contract"
 
@@ -269,13 +269,13 @@ def delete_contract_certificate(h: Hypergraph, strategy: str = "auto"):
         best = None
         for cur, orig in offers:
             val, _ = _branch(vmask, edges, cur, orig)
-            if best is None or val > best:
+            if best is None or best is not INF and (val is INF or val > best):
                 best = val
         return best
 
     start = (full, tuple((e, e) for e in h.edges))
     bound, vmask, edges = value(*start)
-    if bound == INF or bound == 0:
+    if bound is INF or bound == 0:
         return bound, None
 
     # Replay the optimal line of play to emit the contracted sequence.
@@ -302,25 +302,8 @@ def delete_contract_certificate(h: Hypergraph, strategy: str = "auto"):
         else:
             seq.append(orig)
             vmask &= ~cur
-            seen: dict[int, int] = {}
-            for c, o in edges:
-                rem = c & ~cur
-                if rem and rem not in seen:
-                    seen[rem] = o
-            edges = tuple(seen.items())
-    certificate = FrugalSequence(
-        edges=tuple(seq),
-        value=sum(
-            bit_count(e & ~_union_prefix(seq, i)) - 1 for i, e in enumerate(seq)
-        ),
-    )
+            edges = _contract_edges(edges, cur)
+    certificate = FrugalSequence(edges=tuple(seq), value=_frugal_value(seq))
     if certificate.value != bound:
         raise CertificateError(f"replayed value {certificate.value} != {bound}")
     return bound, certificate
-
-
-def _union_prefix(seq: list[int], i: int) -> int:
-    out = 0
-    for e in seq[:i]:
-        out |= e
-    return out

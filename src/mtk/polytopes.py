@@ -14,7 +14,7 @@ from fractions import Fraction
 from .core import Complex, Hypergraph, bit_count, iter_bits
 from .coloring import chi_star
 from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infeasible
-from .extval import INF
+from .extval import INF, XRat, max_ratio
 from .lp import LPProblem, solve, solve_max_slack
 from .matroid import Matroid, MatroidSystem
 from .topology import SUBSET_CAP
@@ -118,50 +118,33 @@ def member(z: PolytopeRef, x: RatVec) -> bool:
             return chi_star(z.complex_, list(x)) <= 1
         except Infeasible:
             return False
-    if z.kind == "Q":
-        return _q_member_complex(z.complex_, x)
-    if z.kind == "R":
-        return all(_q_member_matroid(m, x) for m in z.system)
-    raise ValueError(f"unknown polytope kind {z.kind!r}")
-
-
-def _subset_sums(x: RatVec) -> list[Fraction]:
-    n = len(x)
-    if (1 << n) > SUBSET_CAP:
-        raise CapExceeded("too many subsets for membership enumeration")
-    sums = [ZERO] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        sums[s] = sums[s ^ low] + x[low.bit_length() - 1]
-    return sums
-
-
-def _q_member_complex(c: Complex, x: RatVec) -> bool:
-    sums = _subset_sums(x)
-    return all(sums[s] <= c.rank_of(s) for s in range(1, len(sums)))
-
-
-def _q_member_matroid(m: Matroid, x: RatVec) -> bool:
-    sums = _subset_sums(x)
-    return all(sums[s] <= m.rank(s) for s in range(1, len(sums)))
+    return psi(z, x) <= 1
 
 
 # -- gauge ----------------------------------------------------------------
 
 
-def psi(z: PolytopeRef, h: RatVec):
-    """Gauge: least t with h/t in Z (0 for h = 0, inf when unreachable)."""
+def psi(z: PolytopeRef, h: RatVec) -> XRat:
+    """Gauge: least t with h/t in Z (0 for h = 0, INF when unreachable).
+
+    On Q and R this is max over S of h(S)/r(S), the largest over the
+    system's matroids on R.
+    """
     if not h.is_nonnegative():
         raise DomainError("gauge arguments live in the non-negative orthant")
+    if len(h) != z.n:
+        raise DomainError("dimension mismatch")
     if all(v == 0 for v in h):
-        return ZERO
+        return XRat.of(0)
     if z.kind == "P":
         return _psi_p(z.complex_, h)
+    if (1 << z.n) > SUBSET_CAP:
+        raise CapExceeded("too many subsets for the gauge sweep")
+    full = (1 << z.n) - 1
     if z.kind == "Q":
-        return _psi_q_rank(lambda s: z.complex_.rank_of(s), z.n, h)
+        return max_ratio(z.complex_.rank_of, full, h)
     if z.kind == "R":
-        vals = [_psi_q_rank(m.rank, z.n, h) for m in z.system]
-        return INF if any(v == INF for v in vals) else max(vals)
+        return max(max_ratio(m.rank, full, h) for m in z.system)
     raise ValueError(f"unknown polytope kind {z.kind!r}")
 
 
@@ -179,23 +162,7 @@ def _psi_p(c: Complex, h: RatVec):
     res = solve(LPProblem.make("min", [ONE] * len(faces), rows))
     if res.status != "optimal":
         raise Infeasible("covering LP " + res.status)
-    return res.objective
-
-
-def _psi_q_rank(rank, n: int, h: RatVec):
-    sums = _subset_sums(h)
-    best = ZERO
-    for s in range(1, 1 << n):
-        hs = sums[s]
-        if hs == 0:
-            continue
-        r = rank(s)
-        if r == 0:
-            return INF
-        v = hs / r
-        if v > best:
-            best = v
-    return best
+    return XRat.of(res.objective)
 
 
 # -- vertex enumeration ---------------------------------------------------
@@ -213,6 +180,17 @@ def _reduced_rows_matroid(m: Matroid) -> list[tuple[int, int]]:
         rows.setdefault(b, m.rank(b))
         rows[b] = min(rows[b], m.rank(b))
     return sorted(rows.items())
+
+
+def _system_rows(system: MatroidSystem) -> list[tuple[int, int]]:
+    """(mask, rank) rows cutting R(L): every matroid's reduced rows, with
+    the least rank kept per mask."""
+    merged: dict[int, int] = {}
+    for m in system:
+        for mask, r in _reduced_rows_matroid(m):
+            if mask not in merged or r < merged[mask]:
+                merged[mask] = r
+    return sorted(merged.items())
 
 
 def _reduced_rows_complex(c: Complex) -> list[tuple[int, int]]:
@@ -254,14 +232,7 @@ def vertices(z: PolytopeRef, cap_n: int = 8) -> list[RatVec]:
     if z.kind == "Q":
         rows = _reduced_rows_complex(z.complex_)
     else:
-        rows = []
-        for m in z.system:
-            rows.extend(_reduced_rows_matroid(m))
-        merged: dict[int, int] = {}
-        for mask, r in rows:
-            if mask not in merged or r < merged[mask]:
-                merged[mask] = r
-        rows = sorted(merged.items())
+        rows = _system_rows(z.system)
     return [RatVec(v) for v in _dd_vertices(z.n, rows)]
 
 
@@ -406,7 +377,7 @@ def _tight_rank_at_least(normals, common: int, need: int) -> bool:
 # -- ratios ---------------------------------------------------------------
 
 
-def ratio(b: PolytopeRef, a: PolytopeRef):
+def ratio(b: PolytopeRef, a: PolytopeRef) -> XRat:
     """B:A = least t with tA containing B; max of the A-gauge over B's
     vertices.
 
@@ -416,15 +387,11 @@ def ratio(b: PolytopeRef, a: PolytopeRef):
     """
     if b.n != a.n:
         raise DomainError("dimension mismatch")
-    best = ZERO
+    best = XRat.of(0)
     for v in vertices(b):
-        if all(x == 0 for x in v):
-            continue
-        g = psi(a, v)
-        if g == INF:
+        best = max(best, psi(a, v))
+        if best is INF:
             return INF
-        if g > best:
-            best = g
     if (
         b.kind == "R"
         and a.kind == "Q"
@@ -457,18 +424,11 @@ def ratio_rq_via_matchings(system: MatroidSystem):
 
 def nu_star_w(system: MatroidSystem, w: RatVec) -> Fraction:
     """LP max w.x over R(L), solved on the reduced constraint rows."""
-    rows = []
-    for m in system:
-        rows.extend(_reduced_rows_matroid(m))
-    merged: dict[int, int] = {}
-    for mask, r in rows:
-        if mask not in merged or r < merged[mask]:
-            merged[mask] = r
-    amat = []
-    bvec = []
-    for mask, r in sorted(merged.items()):
-        amat.append([ONE if (mask >> v) & 1 else ZERO for v in range(system.n)])
-        bvec.append(Fraction(r))
+    rows = _system_rows(system)
+    amat = [
+        [ONE if (mask >> v) & 1 else ZERO for v in range(system.n)] for mask, _ in rows
+    ]
+    bvec = [Fraction(r) for _, r in rows]
     value, _, _ = solve_max_slack(amat, bvec, list(w))
     return value
 

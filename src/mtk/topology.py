@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .core import Complex, bit_count, iter_bits
 from .errors import CapExceeded
-from .extval import INF, XRat, xmax
+from .extval import INF, XRat, max_ratio
 
 HOMOLOGY_FACE_CAP = 1 << 20
 SUBSET_CAP = 1 << 20
@@ -209,34 +209,21 @@ def expansions(
     if h is not None and len(h) != c.n:
         raise ValueError("weight vector length mismatch")
     cache: dict[int, object] = {}
-    d_r = [XRat.of(0)]
-    d_eta = [XRat.of(0)]
-    d_bar = [XRat.of(0)]
-    d_h = [XRat.of(0)]
-    for s in range(1, 1 << c.n):
-        size = bit_count(s)
-        rank_s = c.rank_of(s)
-        eta_s = _eta_of_induced(c, s, cache, homology_cap)
-        ebar = rank_s if eta_s == INF else min(eta_s, rank_s)
-        d_r.append(XRat.ratio(size, rank_s))
-        d_eta.append(XRat.ratio(size, eta_s))
-        d_bar.append(XRat.ratio(size, ebar))
-        if h is not None:
-            hs = sum((h[v] for v in iter_bits(s)), Fraction(0))
-            d_h.append(XRat.ratio(hs, ebar))
-    rec_r = xmax(d_r)
-    rec_eta = xmax(d_eta)
-    rec_bar = xmax(d_bar)
-    rec_h = rec_bar if h is None else xmax(d_h)
-    return ExpansionRecord(delta_r=rec_r, delta_eta=rec_eta, delta=rec_bar, delta_h=rec_h)
 
+    def eta(s: int):
+        return _eta_of_induced(c, s, cache, homology_cap)
 
-def delta_r(c: Complex, subset_cap: int = SUBSET_CAP) -> XRat:
-    """Simplicial expansion number alone (no homology)."""
-    if (1 << c.n) > subset_cap:
-        raise CapExceeded("too many subsets for expansion enumeration")
-    return xmax(
-        XRat.ratio(bit_count(s), c.rank_of(s)) for s in range(1, 1 << c.n)
+    def eta_bar(s: int):
+        eta_s, rank_s = eta(s), c.rank_of(s)
+        return rank_s if eta_s is INF else min(eta_s, rank_s)
+
+    full = (1 << c.n) - 1
+    d_bar = max_ratio(eta_bar, full)
+    return ExpansionRecord(
+        delta_r=max_ratio(c.rank_of, full),
+        delta_eta=max_ratio(eta, full),
+        delta=d_bar,
+        delta_h=d_bar if h is None else max_ratio(eta_bar, full, h),
     )
 
 
@@ -269,7 +256,7 @@ def topological_hall_check(
         for i in iter_bits(imask):
             union |= subsets[i]
         eta = _eta_of_induced(c, union, cache, homology_cap)
-        if eta != INF and eta < bit_count(imask):
+        if eta is not INF and eta < bit_count(imask):
             hypothesis = False
             break
     witness = _rainbow_face(c, subsets)

@@ -69,22 +69,12 @@ class VerificationRecord:
         return json.dumps(payload, sort_keys=True)
 
 
-def _fmt(x) -> str:
-    if x == INF:
-        return "inf"
-    if isinstance(x, XRat):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    return str(x)
-
-
 def _rec(claim, instance, lhs, rhs, relation, ok, witness=None) -> VerificationRecord:
     return VerificationRecord(
         claim=claim,
         instance=instance,
-        lhs=_fmt(lhs),
-        rhs=_fmt(rhs),
+        lhs=str(lhs),
+        rhs=str(rhs),
         relation=relation,
         verdict="holds" if ok else "violated",
         witness=witness,
@@ -335,9 +325,9 @@ def _boundary_point(system: MatroidSystem, rng) -> RatVec | None:
     if all(v == 0 for v in d):
         return None
     g = polytopes.psi(PolytopeRef.R(system), d)
-    if g == INF or g == 0:
+    if g is INF or g == 0:
         return None
-    return RatVec([v / g for v in d])
+    return RatVec([v / g.finite_value() for v in d])
 
 
 def suite_edmonds_k2(
@@ -554,8 +544,8 @@ def suite_meshulam(
                 eta,
                 gamma,
                 ">=",
-                _ge_ext(eta, gamma),
-                None if _ge_ext(eta, gamma) else _payload(hypergraph=g),
+                eta >= gamma,
+                None if eta >= gamma else _payload(hypergraph=g),
             )
         )
         gm_checks += _append_genmeshulam(records, g, f"graph#{t}", per_edge_cap=24)
@@ -571,12 +561,12 @@ def suite_meshulam(
                 eta,
                 gamma,
                 ">=",
-                _ge_ext(eta, gamma),
-                None if _ge_ext(eta, gamma) else _payload(hypergraph=h),
+                eta >= gamma,
+                None if eta >= gamma else _payload(hypergraph=h),
             )
         )
         bound, seq = meshulam.delete_contract_certificate(h)
-        ok = _ge_ext(eta, bound) and _ge_ext(bound, gamma)
+        ok = eta >= bound >= gamma
         if seq is not None:
             ok = ok and meshulam.is_dominating(h, seq.union()) and seq.value == bound
         records.append(
@@ -584,7 +574,7 @@ def suite_meshulam(
                 "thm:hyperMeshulam/game",
                 f"hyper#{t}(n={n},e={len(h.edges)})",
                 bound,
-                f"[{_fmt(gamma)},{_fmt(eta)}]",
+                f"[{gamma},{eta}]",
                 "sandwich",
                 ok,
             )
@@ -603,14 +593,6 @@ def suite_meshulam(
     return sorted(records, key=lambda r: (r.claim, r.instance))
 
 
-def _ge_ext(a, b) -> bool:
-    if b == INF:
-        return a == INF
-    if a == INF:
-        return True
-    return a >= b
-
-
 def _append_genmeshulam(records, h: Hypergraph, tag, per_edge_cap) -> int:
     """eta(I(H)) >= min(eta(I(H-e)), eta(I(H/e)) + |e| - 1) per minimal e."""
     checks = 0
@@ -624,10 +606,10 @@ def _append_genmeshulam(records, h: Hypergraph, tag, per_edge_cap) -> int:
         contracted, _ = contract(h, e)
         eta_con = _eta_ih(contracted)
         add = bit_count(e) - 1
-        branch = INF if eta_con == INF else eta_con + add
+        branch = INF if eta_con is INF else eta_con + add
         rhs = min(eta_minus, branch)
         checks += 1
-        if not _ge_ext(lhs, rhs):
+        if not lhs >= rhs:
             bad = _payload(hypergraph=h, extra={"edge": sorted(iter_bits(e))})
             break
     records.append(
@@ -653,7 +635,7 @@ def suite_abm(rng, count=200, max_edges=9) -> list[VerificationRecord]:
         h = rand_hypergraph(rng, n, max_edges, min_size=k, max_size=k)
         eta = topology.eta_h(matching_complex(h))
         nu_star = polytopes.hyper_nu_star_w(h, RatVec.ones(len(h.edges)))
-        ok = eta == INF or Fraction(eta) * k >= nu_star
+        ok = eta is INF or eta * k >= nu_star
         records.append(
             _rec(
                 "thm:abm",
@@ -1010,14 +992,9 @@ def suite_ratio_rq(rng, count=50, max_n=6, max_k=3) -> list[VerificationRecord]:
         tag = f"#{t}(n={n},k={k})"
         via_vertices = ZERO
         for v in polytopes.vertices(PolytopeRef.R(system)):
-            if all(x == 0 for x in v):
-                continue
-            g = polytopes.psi(PolytopeRef.Q(c), v)
-            if g == INF:
-                via_vertices = INF
+            via_vertices = max(via_vertices, polytopes.psi(PolytopeRef.Q(c), v))
+            if via_vertices is INF:
                 break
-            if g > via_vertices:
-                via_vertices = g
         via_thm = polytopes.ratio_rq_via_matchings(system)
         records.append(
             _rec(
@@ -1029,7 +1006,7 @@ def suite_ratio_rq(rng, count=50, max_n=6, max_k=3) -> list[VerificationRecord]:
                 via_vertices == via_thm,
             )
         )
-        if k == 3 and via_vertices != INF:
+        if k == 3 and via_vertices is not INF:
             records.append(
                 _rec("ryser3/RQ<=2", tag, via_vertices, 2, "<=", via_vertices <= 2)
             )

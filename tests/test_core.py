@@ -7,7 +7,6 @@ import pytest
 from mtk.core import (
     Complex,
     Hypergraph,
-    SubsetMask,
     contract,
     independence_complex,
     induced,
@@ -25,15 +24,6 @@ def edges_as_sets(h):
     return {frozenset(iter_bits(e)) for e in h.edges}
 
 
-def test_subset_mask_basics():
-    m = SubsetMask.of([0, 2, 5])
-    assert m.size == 3
-    assert m.members() == [0, 2, 5]
-    assert m.contains(2) and not m.contains(1)
-    assert SubsetMask.of([0, 1]).issubset(mask_of([0, 1, 2]))
-    assert mask_of([3]) == 8
-
-
 def test_hypergraph_dedup_and_bounds():
     h = Hypergraph(3, [[0, 1], [1, 0], [2]])
     assert len(h.edges) == 2
@@ -43,6 +33,7 @@ def test_hypergraph_dedup_and_bounds():
 
 def test_induced_keeps_contained_edges():
     h = Hypergraph(3, [[0, 1], [1, 2]])
+    assert mask_of([0, 1]) == 3 and mask_of([3]) == 8
     got, new_to_old = induced(h, mask_of([0, 1]))
     assert edges_as_sets(got) == {frozenset({0, 1})}
     assert new_to_old == [0, 1]

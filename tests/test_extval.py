@@ -1,0 +1,125 @@
+"""Extended rationals and the one ratio sweep, against a brute-force oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from mtk.core import Complex, bit_count, iter_bits
+from mtk.extval import INF, XRat, max_ratio
+from mtk.verify import _rand_matroid_once, rand_weights
+
+KINDS = ["uniform", "partition", "gen_partition", "graphic", "dual"]
+
+
+def brute_max_ratio(den, universe, h=None) -> str:
+    """str of max over non-empty S within universe of h(S)/den(S), case
+    by case: "inf" for some h(S) > 0 = den(S), "0+" when every positive
+    h(S) meets den(S) = INF."""
+    best, eps = Fraction(0), False
+    for s in range(1, universe + 1):
+        if s & ~universe:
+            continue
+        if h is None:
+            num = Fraction(bit_count(s))
+        else:
+            num = sum((Fraction(h[v]) for v in iter_bits(s)), Fraction(0))
+        if num == 0:
+            continue
+        d = den(s)
+        if d is INF:
+            eps = True
+        elif d == 0:
+            return "inf"
+        else:
+            best = max(best, num / d)
+    if best == 0 and eps:
+        return "0+"
+    return str(best)
+
+
+def _cases(rng, n):
+    """(h, universe) pairs: all-ones, Fraction and int weights, zero
+    weights, and a proper sub-universe."""
+    full = (1 << n) - 1
+    sub = rng.randrange(1, full + 1) if n > 1 else full
+    weights = list(rand_weights(rng, n))
+    ints = [rng.randint(0, 3) for _ in range(n)]
+    return [
+        (None, full),
+        (weights, full),
+        (ints, full),
+        ([0] * n, full),
+        (None, sub),
+        (weights, sub),
+    ]
+
+
+def test_xrat_keeps_the_equality_contract():
+    assert XRat.of(1) == Fraction(1) == 1
+    assert len({XRat.of(1), Fraction(1), 1}) == 1
+    assert hash(XRat.of(Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert XRat.of(1) != "inf" and not XRat.of(1) == "1"
+    assert INF != "inf" and INF == XRat.of(INF)
+    with pytest.raises(TypeError):
+        XRat.of(1) < "inf"
+    assert 0 < XRat.eps() < Fraction(1, 10**9) < INF
+    assert str(INF) == "inf" and INF.ceil() is INF
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_ratio_matches_brute_force_on_matroids(kind):
+    rng = random.Random(KINDS.index(kind))
+    for n in range(1, 9):
+        for _ in range(3):
+            m = _rand_matroid_once(rng, n, kind)
+            for h, universe in _cases(rng, n):
+                got = max_ratio(m.rank, universe, h)
+                assert str(got) == brute_max_ratio(m.rank, universe, h), (m.kind, h)
+
+
+def test_max_ratio_on_complexes_with_loops_is_inf():
+    rng = random.Random(3)
+    seen_inf = 0
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        loop = rng.randrange(n)
+        others = [v for v in range(n) if v != loop]
+        faces = [rng.sample(others, rng.randint(1, len(others))) for _ in range(3)]
+        c = Complex(n, faces)
+        for h, universe in _cases(rng, n):
+            got = max_ratio(c.rank_of, universe, h)
+            want = brute_max_ratio(c.rank_of, universe, h)
+            assert str(got) == want
+            seen_inf += want == "inf"
+    assert seen_inf > 0
+
+
+def test_max_ratio_with_infinite_denominators():
+    rng = random.Random(4)
+    for n in range(1, 7):
+        m = _rand_matroid_once(rng, n, "uniform")
+
+        def all_inf(s):
+            return INF
+
+        def small_inf(s):
+            return INF if bit_count(s) <= 2 else m.rank(s)
+
+        for den in (all_inf, small_inf):
+            for h, universe in _cases(rng, n):
+                got = max_ratio(den, universe, h)
+                assert str(got) == brute_max_ratio(den, universe, h)
+        assert max_ratio(all_inf, (1 << n) - 1) == XRat.eps()
+        assert max_ratio(all_inf, (1 << n) - 1, [0] * n) == 0
+
+
+def test_max_ratio_skips_den_where_h_vanishes():
+    calls = []
+
+    def den(s):
+        calls.append(s)
+        return 1
+
+    assert max_ratio(den, 0b111, [0, Fraction(1, 2), 0]) == Fraction(1, 2)
+    assert all(s & 0b010 for s in calls)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mtk.constructions import canned
 from mtk.core import Complex, Hypergraph, iter_bits
 from mtk.errors import DomainError
 from mtk.extval import INF
@@ -24,6 +25,7 @@ from mtk.polytopes import (
 from mtk.verify import rand_matroid, rand_system, rand_weights, rand_weights_unit
 
 F = Fraction
+ONE = F(1)
 
 
 def test_ratvec_basics():
@@ -57,6 +59,37 @@ def test_containment_chain_p_q_r():
         assert (not in_p or in_q) and (not in_q or in_r)
 
 
+def _direct_member(ranks, x) -> bool:
+    """x(S) <= r(S) for every non-empty S and every rank function given."""
+    return all(x.sum_over(s) <= r(s) for r in ranks for s in range(1, 1 << len(x)))
+
+
+def test_member_q_and_r_match_the_direct_rank_check():
+    rng = random.Random(57)
+    # R:Q = 2 on the truncated plane, so some of its R-vertices lie outside Q.
+    systems = [canned("truncated_plane", q=2).system]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        systems.append(rand_system(rng, n, rng.randint(1, 3), loopless=False))
+    seen = set()
+    for system in systems:
+        n = system.n
+        c = system.intersection_complex()
+        d = RatVec([F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)])
+        points = [d, *vertices(PolytopeRef.R(system))]
+        g = psi(PolytopeRef.R(system), d)
+        if g is not INF and g != 0:
+            for t in (F(7, 8), ONE, F(9, 8)):
+                points.append(RatVec([v * t / g.finite_value() for v in d]))
+        for x in points:
+            want_q = _direct_member([c.rank_of], x)
+            want_r = _direct_member([m.rank for m in system], x)
+            assert member(PolytopeRef.Q(c), x) == want_q
+            assert member(PolytopeRef.R(system), x) == want_r
+            seen.add((want_q, want_r))
+    assert {(True, True), (False, True), (False, False)} <= seen
+
+
 def test_psi_examples():
     assert psi(PolytopeRef.P(Complex(3, [[0, 1, 2]])), RatVec.ones(3)) == 1
     sing = Complex(4, [[0], [1], [2], [3]])
@@ -64,6 +97,9 @@ def test_psi_examples():
     assert psi(PolytopeRef.P(sing), RatVec.zeros(4)) == 0
     # unreachable direction
     assert psi(PolytopeRef.P(Complex(2, [[0]])), RatVec([0, 1])) == INF
+    for z in (PolytopeRef.P(sing), PolytopeRef.Q(sing)):
+        with pytest.raises(DomainError):
+            psi(z, RatVec([1, 1, 1, 1, 5]))
 
 
 def test_psi_p_equals_chi_star():
@@ -209,7 +245,6 @@ def test_ratio_rp_bounded_by_k():
 
 def test_q_without_p_witness_forces_ratio_above_one():
     # w in Q(C) - P(C) certifies Q:P > 1; the P-gauge of w quantifies it
-    from mtk.constructions import canned
     from mtk.coloring import chi_star
 
     inst = canned("PnotQpartition")

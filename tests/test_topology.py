@@ -136,7 +136,7 @@ def test_expansion_eps_and_infinity():
     assert rec.delta_eta.ceil() == 1
     # vertex in no face: rank 0 denominator gives infinity
     rec = expansions(Complex(2, [[0]]))
-    assert rec.delta_r == XRat.inf()
+    assert rec.delta_r is INF
 
 
 def test_homology_euler_characteristic_consistency():
