@@ -49,12 +49,10 @@ from .matroid import (
     MatroidSystem,
     UniformMatroid,
     check_matroid_axioms,
-    contract_matroid,
     matdim_exact,
     matdim_upper,
     max_common_independent,
     nc_matroid,
-    restrict_matroid,
 )
 from .meshulam import (
     FrugalSequence,
@@ -117,7 +115,6 @@ __all__ = [
     "chi_matroid",
     "chi_star",
     "contract",
-    "contract_matroid",
     "delete_contract_certificate",
     "eta_h",
     "expansions",
@@ -143,7 +140,6 @@ __all__ = [
     "q_k",
     "ratio",
     "reduced_homology",
-    "restrict_matroid",
     "run_suite",
     "solve",
     "topological_hall_check",

@@ -226,10 +226,10 @@ def cmd_invariants(args) -> int:
             out["hyper_tau_w"] = str(nums.tau)
             out["w_star"] = str(nums.w_star)
         elif item == "matdim":
-            from .matroid import matdim_exact, matdim_upper
+            from .matroid import MATDIM_MAX_N, matdim_exact, matdim_upper
 
             out["matdim_upper"] = str(matdim_upper(c)[0])
-            if c.n <= 6:
+            if c.n <= MATDIM_MAX_N:
                 out["matdim_exact"] = str(matdim_exact(c))
         else:
             raise Unsupported(f"unknown invariant {item!r}")
@@ -350,9 +350,6 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, Unsupported) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except MtkError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Complex, Hypergraph, bit_count, induced, iter_bits, mask_of
+from .core import Complex, Hypergraph, bit_count, complex_of, induced, iter_bits, mask_of
 from .errors import DomainError, Unsupported
 from .matroid import GenPartitionMatroid, MatroidSystem
 from .polytopes import RatVec
@@ -257,12 +257,7 @@ def _canned_ab(a: int, m: int) -> Instance:
 def _canned_md_lower(n: int) -> Instance:
     special = n - 1
     half = n // 2
-    faces = [
-        s
-        for s in range(1 << n)
-        if bit_count(s) <= half or not (s >> special) & 1
-    ]
-    c = Complex(n, faces)
+    c = complex_of(n, lambda s: bit_count(s) <= half or not (s >> special) & 1)
     from math import comb
 
     return Instance(
@@ -280,12 +275,7 @@ def _canned_lambda(k: int) -> Instance:
         v.extend([Fraction(1, i)] * i)
     n = len(v)
     vec = RatVec(v)
-    faces = [
-        s
-        for s in range(1 << n)
-        if vec.sum_over(s) <= 1
-    ]
-    c = Complex(n, faces)
+    c = complex_of(n, lambda s: vec.sum_over(s) <= 1)
     vv = sum((x * x for x in vec), Fraction(0))
     return Instance(
         provenance=f"lambdaPnotQ(k={k})",

@@ -3,6 +3,11 @@
 Subsets of the ground set [0, n) are stored as integer bitmasks
 (element i is present iff bit i is set).  All values are immutable and
 every operation is pure.
+
+complex_of is the one builder of a complex from a membership test: it
+sweeps all 2^n subsets, and independence_complex, the matroid complex
+and the intersection complex of a matroid system all go through it.
+SWEEP_CAP bounds every 2^n sweep in mtk.
 """
 
 from __future__ import annotations
@@ -11,8 +16,16 @@ from collections.abc import Iterable, Iterator
 
 from .errors import CapExceeded, EmptyEdge
 
-# Full face enumeration is refused above this many faces.
-FACE_CAP = 1 << 20
+# Every sweep over all subsets, and full face enumeration, is refused
+# above this many sets.
+SWEEP_CAP = 1 << 20
+
+
+def check_sweep(n: int) -> None:
+    """Refuse, with CapExceeded, a sweep over the 2^n subsets of n elements
+    above SWEEP_CAP."""
+    if (1 << n) > SWEEP_CAP:
+        raise CapExceeded(f"2^{n} subsets exceed the sweep cap {SWEEP_CAP}")
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -44,10 +57,7 @@ def iter_submasks(mask: int) -> Iterator[int]:
 
 
 def _coerce_masks(edges: Iterable[int | Iterable[int]]) -> list[int]:
-    out = []
-    for e in edges:
-        out.append(e if isinstance(e, int) else mask_of(e))
-    return out
+    return [e if isinstance(e, int) else mask_of(e) for e in edges]
 
 
 class Hypergraph:
@@ -156,14 +166,12 @@ class Complex:
     __slots__ = ("n", "maximal_faces")
 
     def __init__(self, n: int, faces: Iterable[int | Iterable[int]] = ()):
-        masks = _coerce_masks(faces)
+        maximal = _antichain_max(_coerce_masks(faces)) or [0]
         full = (1 << n) - 1
-        for f in masks:
+        # A face outside [0, n) lies in a maximal face outside it too.
+        for f in maximal:
             if f & ~full:
                 raise ValueError(f"face {bin(f)} not within ground set of size {n}")
-        maximal = _antichain_max(masks)
-        if not maximal:
-            maximal = [0]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "maximal_faces", tuple(sorted(maximal)))
 
@@ -200,20 +208,16 @@ class Complex:
     def rank(self) -> int:
         return max(bit_count(f) for f in self.maximal_faces)
 
-    def dim(self) -> int:
-        """Dimension: largest face size minus one (-1 for the void point)."""
-        return self.rank() - 1
-
-    def faces(self, cap: int = FACE_CAP) -> list[int]:
-        """All faces, ascending as masks.  Raises CapExceeded if too many."""
+    def faces(self) -> list[int]:
+        """All faces, ascending as masks.  Raises CapExceeded above
+        SWEEP_CAP faces."""
         seen = {0}
         for f in self.maximal_faces:
-            if (1 << bit_count(f)) > cap:
-                raise CapExceeded(f"face enumeration beyond cap {cap}")
+            check_sweep(bit_count(f))
             for sub in iter_submasks(f):
                 seen.add(sub)
-                if len(seen) > cap:
-                    raise CapExceeded(f"face enumeration beyond cap {cap}")
+                if len(seen) > SWEEP_CAP:
+                    raise CapExceeded(f"face enumeration beyond cap {SWEEP_CAP}")
         return sorted(seen)
 
     def induced(self, s: int) -> tuple["Complex", list[int]]:
@@ -221,10 +225,6 @@ class Complex:
         old_to_new, new_to_old = _relabel_map(s)
         faces = [_relabel_mask(f & s, old_to_new) for f in self.maximal_faces]
         return Complex(len(new_to_old), faces), new_to_old
-
-    def restriction(self, s: int) -> "Complex":
-        """Induced subcomplex on s, keeping the original indexing and n."""
-        return Complex(self.n, [f & s for f in self.maximal_faces])
 
 
 def _antichain_max(masks: list[int]) -> list[int]:
@@ -237,14 +237,12 @@ def _antichain_max(masks: list[int]) -> list[int]:
     return out
 
 
-def _antichain_min(masks: list[int]) -> list[int]:
-    """Containment-minimal elements of the given list."""
-    uniq = sorted(set(masks), key=bit_count)
-    out: list[int] = []
-    for m in uniq:
-        if not any(kept & ~m == 0 for kept in out):
-            out.append(m)
-    return out
+def complex_of(n: int, member) -> Complex:
+    """The complex of the subsets s of [0, n) with member(s), by one sweep
+    over all 2^n subsets; member must be closed under taking subsets.
+    Raises CapExceeded above SWEEP_CAP subsets, before calling member."""
+    check_sweep(n)
+    return Complex(n, [s for s in range(1 << n) if member(s)])
 
 
 def min_nonfaces(c: Complex) -> Hypergraph:
@@ -253,8 +251,7 @@ def min_nonfaces(c: Complex) -> Hypergraph:
     A non-face is minimal iff all its one-element-smaller subsets are
     faces, so a single sweep over all subsets suffices.
     """
-    if (1 << c.n) > FACE_CAP:
-        raise CapExceeded("ground set too large for non-face enumeration")
+    check_sweep(c.n)
     out = []
     for s in range(1, 1 << c.n):
         if c.is_face(s):
@@ -282,15 +279,10 @@ def independence_complex(h: Hypergraph) -> Complex:
     void complex {∅}... which the Complex type cannot represent (∅ is
     always a face), so an empty edge raises EmptyEdge.
     """
-    if any(e == 0 for e in h.edges):
+    edges = h.edges
+    if any(e == 0 for e in edges):
         raise EmptyEdge("independence complex undefined with an empty edge")
-    if (1 << h.n) > FACE_CAP:
-        raise CapExceeded("ground set too large for independence enumeration")
-    ind = []
-    for s in range(1 << h.n):
-        if not any(e & ~s == 0 for e in h.edges):
-            ind.append(s)
-    return Complex(h.n, _antichain_max(ind))
+    return complex_of(h.n, lambda s: all(e & ~s for e in edges))
 
 
 def matching_complex(h: Hypergraph) -> Complex:

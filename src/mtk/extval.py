@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .core import check_sweep
+
 _FIN, _EPS, _INF = 0, 1, 2
 
 
@@ -135,8 +137,10 @@ def max_ratio(den, universe: int, h=None) -> XRat:
     c/INF = EPS and c/0 = INF; the sweep returns INF at the first S with
     h(S) > 0 = den(S), and never calls den on an S with h(S) = 0.
     Subset sums are built incrementally over the submasks, as integers
-    over the weights' common denominator.
+    over the weights' common denominator.  Raises CapExceeded above
+    SWEEP_CAP subsets, before calling den.
     """
+    check_sweep(universe.bit_count())
     scale = 1
     if h is not None:
         scale = math.lcm(*(v.denominator for v in h))

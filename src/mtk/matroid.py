@@ -17,15 +17,18 @@ from .core import (
     Hypergraph,
     _antichain_max,
     bit_count,
+    check_sweep,
+    complex_of,
     iter_bits,
-    iter_submasks,
     mask_of,
     matching_complex,
     min_nonfaces,
 )
 from .errors import CapExceeded
 
-ENUMERATION_CAP = 1 << 22
+# check_matroid_axioms and matdim_exact are refused above these ground-set sizes.
+AXIOMS_MAX_N = 12
+MATDIM_MAX_N = 6
 
 
 class Matroid:
@@ -85,29 +88,15 @@ class Matroid:
 
     def circuits(self) -> Hypergraph:
         """All containment-minimal dependent sets."""
-        if (1 << self.n) > ENUMERATION_CAP:
-            raise CapExceeded("ground set too large for circuit enumeration")
-        out = []
-        for s in range(1, 1 << self.n):
-            if self.is_independent(s):
-                continue
-            if all(
-                self.is_independent(s & ~(1 << v)) for v in iter_bits(s)
-            ):
-                out.append(s)
-        return Hypergraph(self.n, out)
+        return min_nonfaces(self.to_complex())
 
     def to_complex(self) -> Complex:
-        if (1 << self.n) > ENUMERATION_CAP:
-            raise CapExceeded("ground set too large for base enumeration")
-        ind = [s for s in range(1 << self.n) if self.is_independent(s)]
-        return Complex(self.n, _antichain_max(ind))
+        return complex_of(self.n, self.is_independent)
 
     def flats(self) -> list[int]:
         """All closed sets, by one span computation per subset."""
         if self._flats_memo is None:
-            if (1 << self.n) > ENUMERATION_CAP:
-                raise CapExceeded("ground set too large for flat enumeration")
+            check_sweep(self.n)
             self._flats_memo = sorted({self.span(s) for s in range(1 << self.n)})
         return self._flats_memo
 
@@ -285,22 +274,14 @@ class RestrictionMatroid(Matroid):
         return f"RestrictionMatroid({self.inner!r}, u={self.u:#b})"
 
 
-def contract_matroid(m: Matroid, x: int) -> Matroid:
-    return ContractionMatroid(m, x)
-
-
-def restrict_matroid(m: Matroid, u: int) -> Matroid:
-    return RestrictionMatroid(m, u)
-
-
-def check_matroid_axioms(c: Complex, cap_n: int = 12) -> bool:
+def check_matroid_axioms(c: Complex) -> bool:
     """True iff c is a matroid: downward-closed (built in) plus exchange.
 
     Uses the equivalent condition that every induced subcomplex is pure:
     all maximal faces of c[U] have size rank(U) for every U.
     """
-    if c.n > cap_n:
-        raise CapExceeded(f"axiom check limited to n <= {cap_n}")
+    if c.n > AXIOMS_MAX_N:
+        raise CapExceeded(f"axiom check limited to n <= {AXIOMS_MAX_N}")
     for u in range(1 << c.n):
         target = c.rank_of(u)
         # Greedy from every maximal-face trace; purity fails iff some
@@ -345,36 +326,13 @@ class MatroidSystem:
     def __len__(self):
         return self.k
 
-    def rank_intersection(self, s: int) -> int:
-        """Rank of s in the intersection complex (size of a largest common
-        independent subset of s), by brute force over submasks."""
-        best = 0
-        for sub in iter_submasks(s):
-            if bit_count(sub) > best and all(
-                m.is_independent(sub) for m in self.matroids
-            ):
-                best = bit_count(sub)
-        return best
-
     def intersection_complex(self) -> Complex:
-        if (1 << self.n) > ENUMERATION_CAP:
-            raise CapExceeded("ground set too large to materialize intersection")
-        ind = [
-            s
-            for s in range(1 << self.n)
-            if all(m.is_independent(s) for m in self.matroids)
-        ]
-        return Complex(self.n, _antichain_max(ind))
+        ms = self.matroids
+        return complex_of(self.n, lambda s: all(m.is_independent(s) for m in ms))
 
     def restricted(self, u: int) -> "MatroidSystem":
         """The system L_U: every matroid restricted to u (loops outside)."""
         return MatroidSystem([RestrictionMatroid(m, u) for m in self.matroids])
-
-    def is_partition_system(self) -> bool:
-        return all(
-            isinstance(m, GenPartitionMatroid) and m.is_partition()
-            for m in self.matroids
-        )
 
 
 def max_common_independent(m1: Matroid, m2: Matroid) -> int:
@@ -532,14 +490,14 @@ def _is_basis_family(fam: list[int], idx: dict[int, int], fam_bits: int) -> bool
     return True
 
 
-def matdim_exact(c: Complex, cap_n: int = 6) -> int:
-    """Least k with c an intersection of k matroids (n <= cap_n).
+def matdim_exact(c: Complex) -> int:
+    """Least k with c an intersection of k matroids (n <= MATDIM_MAX_N).
 
     Searches a set cover of the minimal non-faces by candidate matroids
     containing c.
     """
-    if c.n > cap_n:
-        raise CapExceeded(f"matdim_exact limited to n <= {cap_n}")
+    if c.n > MATDIM_MAX_N:
+        raise CapExceeded(f"matdim_exact limited to n <= {MATDIM_MAX_N}")
     nf = min_nonfaces(c)
     if not nf.edges:
         return 1

@@ -17,10 +17,12 @@ from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infea
 from .extval import INF, XRat, max_ratio
 from .lp import LPProblem, solve, solve_max_slack
 from .matroid import Matroid, MatroidSystem
-from .topology import SUBSET_CAP
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Vertex enumeration of Q and R is refused above this ground-set size.
+VERTICES_MAX_N = 8
 
 
 class RatVec:
@@ -138,8 +140,6 @@ def psi(z: PolytopeRef, h: RatVec) -> XRat:
         return XRat.of(0)
     if z.kind == "P":
         return _psi_p(z.complex_, h)
-    if (1 << z.n) > SUBSET_CAP:
-        raise CapExceeded("too many subsets for the gauge sweep")
     full = (1 << z.n) - 1
     if z.kind == "Q":
         return max_ratio(z.complex_.rank_of, full, h)
@@ -215,7 +215,7 @@ def _reduced_rows_complex(c: Complex) -> list[tuple[int, int]]:
     return sorted(rows.items())
 
 
-def vertices(z: PolytopeRef, cap_n: int = 8) -> list[RatVec]:
+def vertices(z: PolytopeRef) -> list[RatVec]:
     """All vertices of the polytope.
 
     P-kind: the face indicator vectors (exactly the vertices of a
@@ -227,8 +227,8 @@ def vertices(z: PolytopeRef, cap_n: int = 8) -> list[RatVec]:
             RatVec([ONE if (f >> v) & 1 else ZERO for v in range(z.n)])
             for f in z.complex_.faces()
         ]
-    if z.n > cap_n:
-        raise CapExceeded(f"vertex enumeration limited to n <= {cap_n}")
+    if z.n > VERTICES_MAX_N:
+        raise CapExceeded(f"vertex enumeration limited to n <= {VERTICES_MAX_N}")
     if z.kind == "Q":
         rows = _reduced_rows_complex(z.complex_)
     else:
@@ -405,10 +405,11 @@ def ratio(b: PolytopeRef, a: PolytopeRef) -> XRat:
 
 def ratio_rq_via_matchings(system: MatroidSystem):
     """max over U of nu*(L_U) : nu(L_U) (0/0 skipped, x/0 infinite)."""
+    c = system.intersection_complex()
     best = ZERO
     for u in range(1, 1 << system.n):
         nu_star = nu_star_w(system.restricted(u), RatVec.ones(system.n))
-        nu = Fraction(system.rank_intersection(u))
+        nu = Fraction(c.rank_of(u))
         if nu == 0:
             if nu_star > 0:
                 return INF
@@ -454,16 +455,11 @@ def tau_star_w(system: MatroidSystem, w: RatVec) -> Fraction:
 
 
 def nu_w(system: MatroidSystem, w: RatVec) -> Fraction:
-    """Max weight of a common independent set, brute force."""
-    if (1 << system.n) > SUBSET_CAP:
-        raise CapExceeded("ground set too large for brute force")
-    best = ZERO
-    for s in range(1 << system.n):
-        if all(m.is_independent(s) for m in system):
-            val = w.sum_over(s)
-            if val > best:
-                best = val
-    return best
+    """Max weight of a common independent set: for w >= 0 a maximal one,
+    so the best maximal face of the intersection complex."""
+    if not w.is_nonnegative():
+        raise DomainError("weights must be non-negative")
+    return max(w.sum_over(f) for f in system.intersection_complex().maximal_faces)
 
 
 def tau_w(system: MatroidSystem, w: RatVec) -> Fraction:

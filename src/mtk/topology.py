@@ -15,9 +15,6 @@ from .core import Complex, bit_count, iter_bits
 from .errors import CapExceeded
 from .extval import INF, XRat, max_ratio
 
-HOMOLOGY_FACE_CAP = 1 << 20
-SUBSET_CAP = 1 << 20
-
 
 def snf_diagonal(mat: list[list[int]]) -> list[int]:
     """Diagonal of an integer diagonalization of mat (unimodular ops).
@@ -105,14 +102,9 @@ class HomologyProfile:
     betti: tuple[int, ...]
     torsion: tuple[bool, ...]
 
-    def is_zero(self, i: int) -> bool:
-        if i >= len(self.betti):
-            return True
-        return self.betti[i] == 0 and not self.torsion[i]
 
-
-def _faces_by_size(c: Complex, cap: int) -> list[list[int]]:
-    faces = c.faces(cap)
+def _faces_by_size(c: Complex) -> list[list[int]]:
+    faces = c.faces()
     top = max(bit_count(f) for f in faces)
     by = [[] for _ in range(top + 1)]
     for f in faces:
@@ -132,47 +124,38 @@ def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
     return mat
 
 
-def reduced_homology(c: Complex, cap: int = HOMOLOGY_FACE_CAP) -> HomologyProfile:
-    by = _faces_by_size(c, cap)
+def _homology_by_dim(c: Complex):
+    """Yield (free rank, torsion flag) of the reduced homology in each
+    dimension i = 0 .. rank(c) - 1, from one SNF per boundary map."""
+    by = _faces_by_size(c)
     top = len(by) - 1  # largest face size; dims run 0..top-1
-    if top == 0:
-        return HomologyProfile(betti=(), torsion=())
-    ranks = [0] * (top + 2)  # ranks[d] = rank of boundary map size d -> d-1
-    tors = [False] * (top + 2)
-    ranks[1] = 1 if by[1] else 0  # augmentation row of ones
-    for d in range(2, top + 1):
-        diag = snf_diagonal(_boundary_matrix(by[d - 1], by[d]))
-        ranks[d] = sum(1 for v in diag if v)
-        tors[d] = any(abs(v) > 1 for v in diag)
-    betti = []
-    torsion = []
-    for i in range(top):  # dimension i = faces of size i+1
-        ni = len(by[i + 1])
-        betti.append(ni - ranks[i + 1] - ranks[i + 2])
-        torsion.append(tors[i + 2])
-    return HomologyProfile(betti=tuple(betti), torsion=tuple(torsion))
-
-
-def eta_h(c: Complex, cap: int = HOMOLOGY_FACE_CAP):
-    """1 + least i with nonzero reduced homology; inf if none; 0 if no
-    vertices.  Early-exits dimension by dimension."""
-    by = _faces_by_size(c, cap)
-    top = len(by) - 1
-    if top == 0:
-        return 0
     rank_lower = 1  # rank of the augmentation map (one vertex at least)
-    for i in range(top):
-        ni = len(by[i + 1])
+    for i in range(top):  # dimension i = faces of size i+1
         if i + 2 <= top:
             diag = snf_diagonal(_boundary_matrix(by[i + 1], by[i + 2]))
             rank_upper = sum(1 for v in diag if v)
             torsion = any(abs(v) > 1 for v in diag)
         else:
-            rank_upper = 0
-            torsion = False
-        if ni - rank_lower - rank_upper > 0 or torsion:
-            return i + 1
+            rank_upper, torsion = 0, False
+        yield len(by[i + 1]) - rank_lower - rank_upper, torsion
         rank_lower = rank_upper
+
+
+def reduced_homology(c: Complex) -> HomologyProfile:
+    dims = list(_homology_by_dim(c))
+    return HomologyProfile(
+        betti=tuple(b for b, _ in dims), torsion=tuple(t for _, t in dims)
+    )
+
+
+def eta_h(c: Complex):
+    """1 + least i with nonzero reduced homology; inf if none; 0 if no
+    vertices.  Early-exits dimension by dimension."""
+    if c.rank() == 0:
+        return 0
+    for i, (betti, torsion) in enumerate(_homology_by_dim(c)):
+        if betti > 0 or torsion:
+            return i + 1
     return INF
 
 
@@ -184,34 +167,27 @@ class ExpansionRecord:
     delta_h: XRat
 
 
-def _eta_of_induced(c: Complex, s: int, cache: dict[int, object], cap: int):
+def _eta_of_induced(c: Complex, s: int, cache: dict[int, object]):
     v = cache.get(s)
     if v is None:
         sub, _ = c.induced(s)
-        v = eta_h(sub, cap)
+        v = eta_h(sub)
         cache[s] = v
     return v
 
 
-def expansions(
-    c: Complex,
-    h: tuple[Fraction, ...] | None = None,
-    subset_cap: int = SUBSET_CAP,
-    homology_cap: int = HOMOLOGY_FACE_CAP,
-) -> ExpansionRecord:
+def expansions(c: Complex, h: tuple[Fraction, ...] | None = None) -> ExpansionRecord:
     """Exact expansion numbers, with eta taken homologically (eta_h).
 
     delta_r uses rank only; delta and delta_h use min(eta_h, rank);
     h = None means the all-ones weighting, for which delta_h == delta.
     """
-    if (1 << c.n) > subset_cap:
-        raise CapExceeded("too many subsets for expansion enumeration")
     if h is not None and len(h) != c.n:
         raise ValueError("weight vector length mismatch")
     cache: dict[int, object] = {}
 
     def eta(s: int):
-        return _eta_of_induced(c, s, cache, homology_cap)
+        return _eta_of_induced(c, s, cache)
 
     def eta_bar(s: int):
         eta_s, rank_s = eta(s), c.rank_of(s)
@@ -234,11 +210,7 @@ class HallRecord:
     witness: tuple[int, ...] | None  # chosen vertex per index, or None
 
 
-def topological_hall_check(
-    c: Complex,
-    subsets: list[int],
-    homology_cap: int = HOMOLOGY_FACE_CAP,
-) -> HallRecord:
+def topological_hall_check(c: Complex, subsets: list[int]) -> HallRecord:
     """Check the homological Hall hypothesis and search for a rainbow face.
 
     Hypothesis: eta_h(C[union of V_i, i in I]) >= |I| for every
@@ -255,7 +227,7 @@ def topological_hall_check(
         union = 0
         for i in iter_bits(imask):
             union |= subsets[i]
-        eta = _eta_of_induced(c, union, cache, homology_cap)
+        eta = _eta_of_induced(c, union, cache)
         if eta is not INF and eta < bit_count(imask):
             hypothesis = False
             break

@@ -8,6 +8,7 @@ are sorted before emission.
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import random
 import sys
@@ -181,17 +182,11 @@ def rand_hypergraph(rng, n, max_edges, min_size=1, max_size=4) -> Hypergraph:
     avail = [
         (size, tuple(combo))
         for size in range(min_size, min(max_size, n) + 1)
-        for combo in _combos(range(n), size)
+        for combo in itertools.combinations(range(n), size)
     ]
     count = rng.randint(1, min(max_edges, len(avail)))
     chosen = rng.sample(avail, count)
     return Hypergraph(n, [mask_of(c) for _, c in chosen])
-
-
-def _combos(pool, size):
-    import itertools
-
-    return itertools.combinations(pool, size)
 
 
 def rand_kpartite(rng, k, part_size_max, max_edges) -> tuple[Hypergraph, tuple[int, ...]]:
@@ -720,7 +715,6 @@ def suite_seymour(rng, count=100, max_n=8, max_k=3) -> list[VerificationRecord]:
     records = []
     sat = 0
     wit_checked = 0
-    t = 0
     tries = 0
     while sat < count and tries < count * 40:
         tries += 1
@@ -771,7 +765,6 @@ def suite_seymour(rng, count=100, max_n=8, max_k=3) -> list[VerificationRecord]:
                         {"t": sorted(iter_bits(res.t_mask))},
                     )
                 )
-        t += 1
     records.append(
         _rec(
             "seymour/counts",

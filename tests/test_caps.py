@@ -1,0 +1,139 @@
+"""Every 2^n sweep refuses above SWEEP_CAP before doing any work, each
+ground-set limit refuses one element past its value, and every exported
+name resolves."""
+
+import pytest
+
+import mtk
+from mtk.coloring import delta_rank
+from mtk.core import (
+    SWEEP_CAP,
+    Complex,
+    Hypergraph,
+    complex_of,
+    independence_complex,
+    min_nonfaces,
+)
+from mtk.errors import CapExceeded
+from mtk.matroid import (
+    AXIOMS_MAX_N,
+    MATDIM_MAX_N,
+    Matroid,
+    MatroidSystem,
+    UniformMatroid,
+    check_matroid_axioms,
+    matdim_exact,
+)
+from mtk.polytopes import VERTICES_MAX_N, PolytopeRef, RatVec, nu_w, psi, vertices
+from mtk.topology import expansions
+
+N = 21  # the least ground-set size whose 2^n subsets exceed SWEEP_CAP
+
+
+def test_n_is_the_first_size_past_the_cap():
+    assert (1 << (N - 1)) <= SWEEP_CAP < (1 << N)
+
+
+class TripwireMatroid(Matroid):
+    """A matroid whose rank oracle must never be called."""
+
+    kind = "tripwire"
+
+    def _rank(self, s):
+        raise AssertionError("rank oracle called past the sweep cap")
+
+
+class TripwireComplex(Complex):
+    """A complex whose membership and rank must never be asked."""
+
+    def is_face(self, s):
+        raise AssertionError("is_face called past the sweep cap")
+
+    def rank_of(self, s):
+        raise AssertionError("rank_of called past the sweep cap")
+
+
+class CountingEdges(tuple):
+    """Edge tuple that counts how often it is iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        CountingEdges.reads += 1
+        return super().__iter__()
+
+
+def _member(s):
+    raise AssertionError("member called past the sweep cap")
+
+
+def test_complex_of_refuses_past_the_cap():
+    with pytest.raises(CapExceeded):
+        complex_of(N, _member)
+    # one element less is swept in full
+    assert complex_of(N - 1, lambda s: s == 0) == Complex(N - 1)
+
+
+def test_independence_complex_refuses_past_the_cap():
+    h = Hypergraph(N, [[0, 1]])
+    object.__setattr__(h, "edges", CountingEdges(h.edges))
+    CountingEdges.reads = 0
+    with pytest.raises(CapExceeded):
+        independence_complex(h)
+    assert CountingEdges.reads <= 1  # only the empty-edge check
+
+
+def test_min_nonfaces_and_faces_refuse_past_the_cap():
+    with pytest.raises(CapExceeded):
+        min_nonfaces(TripwireComplex(N, [[0, 1]]))
+    with pytest.raises(CapExceeded):
+        Complex(N, [range(N)]).faces()
+
+
+def test_matroid_sweeps_refuse_past_the_cap():
+    m = TripwireMatroid(N)
+    with pytest.raises(CapExceeded):
+        m.to_complex()
+    with pytest.raises(CapExceeded):
+        m.flats()
+    with pytest.raises(CapExceeded):
+        m.circuits()
+    with pytest.raises(CapExceeded):
+        delta_rank(m)
+    system = MatroidSystem([m, TripwireMatroid(N)])
+    with pytest.raises(CapExceeded):
+        system.intersection_complex()
+    with pytest.raises(CapExceeded):
+        nu_w(system, RatVec.ones(N))
+
+
+def test_ratio_sweeps_on_a_complex_refuse_past_the_cap():
+    c = TripwireComplex(N, [[0, 1]])
+    with pytest.raises(CapExceeded):
+        psi(PolytopeRef.Q(c), RatVec.ones(N))
+    with pytest.raises(CapExceeded):
+        expansions(c)
+
+
+def test_ground_set_limits_refuse_one_past_their_value():
+    at = UniformMatroid(2, AXIOMS_MAX_N).to_complex()
+    assert check_matroid_axioms(at)
+    with pytest.raises(CapExceeded):
+        check_matroid_axioms(Complex(AXIOMS_MAX_N + 1, [[0, 1]]))
+
+    assert matdim_exact(UniformMatroid(2, MATDIM_MAX_N).to_complex()) == 1
+    with pytest.raises(CapExceeded):
+        matdim_exact(Complex(MATDIM_MAX_N + 1, [[0, 1]]))
+
+    box = Complex(VERTICES_MAX_N, [range(VERTICES_MAX_N)])
+    assert len(vertices(PolytopeRef.Q(box))) == 1 << VERTICES_MAX_N
+    with pytest.raises(CapExceeded):
+        vertices(PolytopeRef.Q(Complex(VERTICES_MAX_N + 1, [[0, 1]])))
+    system = MatroidSystem([UniformMatroid(1, VERTICES_MAX_N + 1)])
+    with pytest.raises(CapExceeded):
+        vertices(PolytopeRef.R(system))
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mtk.__all__ if not hasattr(mtk, name)]
+    assert missing == []

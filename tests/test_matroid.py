@@ -6,6 +6,7 @@ import pytest
 
 from mtk.core import Complex, bit_count, iter_bits, mask_of, min_nonfaces
 from mtk.matroid import (
+    ContractionMatroid,
     DualMatroid,
     ExplicitMatroid,
     GenPartitionMatroid,
@@ -13,7 +14,6 @@ from mtk.matroid import (
     MatroidSystem,
     UniformMatroid,
     check_matroid_axioms,
-    contract_matroid,
     matdim_exact,
     matdim_upper,
     max_common_independent,
@@ -87,7 +87,7 @@ def test_dual_and_contraction():
         m = rand_matroid(rng, rng.randint(2, 6), loopless=False)
         assert oracle_equal(DualMatroid(DualMatroid(m)), m)
     tri = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
-    contracted = contract_matroid(tri, mask_of([0, 1]))
+    contracted = ContractionMatroid(tri, mask_of([0, 1]))
     assert contracted.rank(mask_of([2])) == 0  # remaining edge is a loop
 
 

@@ -7,10 +7,15 @@ from fractions import Fraction
 import pytest
 
 from mtk.constructions import canned
-from mtk.core import Complex, Hypergraph, iter_bits
+from mtk.core import Complex, Hypergraph, bit_count, iter_bits, iter_submasks
 from mtk.errors import DomainError
 from mtk.extval import INF
-from mtk.matroid import GenPartitionMatroid, MatroidSystem, UniformMatroid
+from mtk.matroid import (
+    GenPartitionMatroid,
+    MatroidSystem,
+    RestrictionMatroid,
+    UniformMatroid,
+)
 from mtk.polytopes import (
     PolytopeRef,
     RatVec,
@@ -18,14 +23,22 @@ from mtk.polytopes import (
     hyper_numbers,
     matroidal_numbers,
     member,
+    nu_w,
     psi,
     ratio,
     vertices,
 )
-from mtk.verify import rand_matroid, rand_system, rand_weights, rand_weights_unit
+from mtk.verify import (
+    _rand_matroid_once,
+    rand_matroid,
+    rand_system,
+    rand_weights,
+    rand_weights_unit,
+)
 
 F = Fraction
 ONE = F(1)
+KINDS = ["uniform", "partition", "gen_partition", "graphic", "dual"]
 
 
 def test_ratvec_basics():
@@ -293,6 +306,51 @@ def test_matroidal_numbers_chain_and_duality():
         assert nums.tau_star <= k * nums.nu
         if k == 2:
             assert nums.nu == nums.nu_star
+
+
+def brute_nu_w(system, w):
+    """Max weight of a common independent set, over all 2^n subsets."""
+    best = F(0)
+    for s in range(1 << system.n):
+        if all(m.is_independent(s) for m in system):
+            best = max(best, w.sum_over(s))
+    return best
+
+
+def brute_rank_intersection(system, s):
+    """Size of a largest common independent subset of s, over its submasks."""
+    best = 0
+    for sub in iter_submasks(s):
+        if bit_count(sub) > best and all(m.is_independent(sub) for m in system):
+            best = bit_count(sub)
+    return best
+
+
+def _systems_with_loops(rng, count):
+    """Seeded systems, n <= 7, cycling through the five matroid kinds; in
+    every other system the first matroid gets a loop by restriction."""
+    kinds = itertools.cycle(KINDS)
+    for t in range(count):
+        n = rng.randint(1, 7)
+        ms = [_rand_matroid_once(rng, n, next(kinds)) for _ in range(rng.randint(1, 3))]
+        if t % 2:
+            ms[0] = RestrictionMatroid(ms[0], ms[0].full & ~(1 << rng.randrange(n)))
+        yield MatroidSystem(ms)
+
+
+def test_nu_w_and_intersection_rank_match_the_brute_force_sweeps():
+    rng = random.Random(62)
+    with_loops = 0
+    for system in _systems_with_loops(rng, 60):
+        with_loops += any(m.loops() for m in system)
+        for w in (RatVec.ones(system.n), rand_weights(rng, system.n)):
+            assert nu_w(system, w) == brute_nu_w(system, w)
+        c = system.intersection_complex()
+        for u in range(1 << system.n):
+            assert c.rank_of(u) == brute_rank_intersection(system, u)
+    assert with_loops >= 30
+    with pytest.raises(DomainError):
+        nu_w(system, RatVec([F(-1)] + [F(1)] * (system.n - 1)))
 
 
 def test_tau_w_matches_direct_brute_force():

@@ -160,6 +160,33 @@ def test_homology_euler_characteristic_consistency():
         assert euler == betti_sum
 
 
+def test_eta_h_is_one_plus_the_first_nonzero_homology_dimension():
+    rng = random.Random(27)
+    c4 = Hypergraph(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+    hollow = Complex(3, [[0, 1], [1, 2], [0, 2]])
+    cases = [Complex(3), Complex(3, [[0, 1, 2]]), hollow, matching_complex(c4)]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        cases.append(Complex(
+            n,
+            [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 6))],
+        ))
+    seen = set()
+    for c in cases:
+        prof = reduced_homology(c)
+        nonzero = [
+            i for i, (b, t) in enumerate(zip(prof.betti, prof.torsion)) if b or t
+        ]
+        if c.rank() == 0:
+            assert eta_h(c) == 0
+        elif nonzero:
+            assert eta_h(c) == 1 + nonzero[0]
+        else:
+            assert eta_h(c) is INF
+        seen.add(eta_h(c))
+    assert {0, 1, 2, INF} <= seen
+
+
 def test_chi_star_bounded_by_weighted_expansion():
     # chi*(C, h) <= Delta(C, h) on small random complexes
     from mtk.coloring import chi_star
