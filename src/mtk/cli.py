@@ -277,7 +277,11 @@ def cmd_gen(args) -> int:
     params = {}
     for kv in args.param or []:
         key, _, val = kv.partition("=")
-        params[key] = int(val)
+        try:
+            params[key] = int(val)
+        except ValueError:
+            print(f"--param {key!r} needs an integer value: {key}=<int>", file=sys.stderr)
+            return 2
     inst = canned(args.name, **params)
     payload = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True)
     if args.output:

@@ -186,41 +186,51 @@ def _canonical_systems(n: int, p: int, budget: int):
     yield from dfs(0, ())
 
 
-def _assignment_colorable(c: Complex, system) -> bool:
-    """Is there a coloring respecting a canonical system of lists?
+def _b_fold_colorable(c: Complex, system, b: int) -> bool:
+    """Is there a b-fold coloring respecting a canonical system of lists?
 
-    system: tuple of (vertex-mask F, multiplicity).  A coloring picks,
-    for each vertex, one color instance whose F contains it, so that
-    every instance's class is a face.
+    system: tuple of (vertex-mask F, multiplicity), one color instance
+    per unit of multiplicity.  Each vertex takes b distinct instances
+    whose F contains it, and every instance's class must be a face.
+    Instances of one group whose classes agree are interchangeable, so
+    at each pick only the first of them is tried.
     """
-    instances: list[list[int]] = []  # per group: class masks, len = mult
-    groups: list[int] = []
-    for fmask, mult in system:
-        groups.append(fmask)
-        instances.append([0] * mult)
+    groups = [fmask for fmask, _ in system]
+    classes = [[0] * mult for _, mult in system]
     n = c.n
 
-    def dfs(v: int) -> bool:
-        if v == n:
-            return True
+    def pick(v: int, g: int, i: int, left: int) -> bool:
+        """Give v its remaining `left` instances, from (g, i) onwards."""
+        if left == 0:
+            return v + 1 == n or pick(v + 1, 0, 0, b)
         bit = 1 << v
-        for gi, fmask in enumerate(groups):
-            if not (fmask >> v) & 1:
+        for gi in range(g, len(groups)):
+            if not (groups[gi] >> v) & 1:
                 continue
+            inst = classes[gi]
             tried: set[int] = set()
-            for ii, cls in enumerate(instances[gi]):
+            for ii in range(i if gi == g else 0, len(inst)):
+                cls = inst[ii]
                 if cls in tried:
                     continue
                 tried.add(cls)
                 nxt = cls | bit
                 if c.is_face(nxt):
-                    instances[gi][ii] = nxt
-                    if dfs(v + 1):
+                    inst[ii] = nxt
+                    if pick(v, gi, ii + 1, left - 1):
                         return True
-                    instances[gi][ii] = cls
+                    inst[ii] = cls
         return False
 
-    return dfs(0)
+    return n == 0 or pick(0, 0, 0, b)
+
+
+def _first_uncolorable(c: Complex, p: int, b: int, budget: int):
+    """The first canonical size-p system with no b-fold coloring, or None."""
+    for system in _canonical_systems(c.n, p, budget):
+        if not _b_fold_colorable(c, system, b):
+            return system
+    return None
 
 
 def chi_list(c: Complex, p: int, budget: int = LIST_ENUM_BUDGET):
@@ -240,10 +250,8 @@ def chi_list(c: Complex, p: int, budget: int = LIST_ENUM_BUDGET):
         return True, None
     if c.n > 8 or p > 4:
         raise CapExceeded("chi_list search limited to n <= 8, p <= 4")
-    for system in _canonical_systems(c.n, p, budget):
-        if not _assignment_colorable(c, system):
-            return False, system
-    return True, None
+    bad = _first_uncolorable(c, p, 1, budget)
+    return bad is None, bad
 
 
 def chi_list_number(c: Complex, p_cap: int = 4, budget: int = LIST_ENUM_BUDGET) -> int:
@@ -365,109 +373,20 @@ def matroid_list_color(m: Matroid, lists):
 
 
 def ab_check(c: Complex, a: int, b: int, mode: str, budget: int = LIST_ENUM_BUDGET) -> bool:
-    """(a, b)-colorable or (a, b)-choosable, by exhaustive search."""
+    """(a, b)-colorable or (a, b)-choosable, by exhaustive search.
+
+    Colorable: the one system of a colors on every vertex has a b-fold
+    coloring.  Choosable: every size-a list system has one.
+    """
     if not (1 <= b <= a):
         raise ValueError("need a >= b >= 1")
     if a > 6 or b > 3 or c.n > 6:
         raise CapExceeded("ab_check limited to a <= 6, b <= 3, n <= 6")
     if mode == "colorable":
-        return _ab_colorable(c, a, b)
+        return _b_fold_colorable(c, (((1 << c.n) - 1, a),), b)
     if mode == "choosable":
-        return _ab_choosable(c, a, b, budget)
+        return _first_uncolorable(c, a, b, budget) is None
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _ab_colorable(c: Complex, a: int, b: int) -> bool:
-    """Multisets of a faces covering every vertex exactly b times."""
-    faces = c.faces()
-    full = (1 << c.n) - 1
-    if c.vertices_mask() != full and c.n > 0:
-        return False
-    deg = [b] * c.n
-
-    def dfs(i: int, slots: int) -> bool:
-        if all(d == 0 for d in deg):
-            return True  # leftover slots take the empty face
-        if i == len(faces) or slots == 0:
-            return False
-        needed = sum(deg)
-        biggest = max((bit_count(f) for f in faces[i:]), default=0)
-        if biggest == 0 or needed > slots * biggest:
-            return False
-        f = faces[i]
-        if f == 0:
-            return dfs(i + 1, slots)
-        maxmult = min(slots, min((deg[v] for v in iter_bits(f)), default=0))
-        for mult in range(maxmult, -1, -1):
-            ok = True
-            for v in iter_bits(f):
-                deg[v] -= mult
-                if deg[v] < 0:
-                    ok = False
-            if ok and dfs(i + 1, slots - mult):
-                for v in iter_bits(f):
-                    deg[v] += mult
-                return True
-            for v in iter_bits(f):
-                deg[v] += mult
-        return False
-
-    return dfs(0, a)
-
-
-def _ab_choosable(c: Complex, a: int, b: int, budget: int) -> bool:
-    for system in _canonical_systems(c.n, a, budget):
-        if not _b_fold_colorable(c, system, b):
-            return False
-    return True
-
-
-def _b_fold_colorable(c: Complex, system, b: int) -> bool:
-    """Each vertex picks b color instances; all classes must be faces."""
-    groups = [fmask for fmask, _ in system]
-    instances = [[0] * mult for _, mult in system]
-    n = c.n
-
-    def choices(v: int):
-        """Distinct (group, slot) options for v, deduped by class state."""
-        out = []
-        bit = 1 << v
-        for gi, fmask in enumerate(groups):
-            if not (fmask >> v) & 1:
-                continue
-            seen: set[int] = set()
-            for ii, cls in enumerate(instances[gi]):
-                if cls in seen:
-                    continue
-                seen.add(cls)
-                if c.is_face(cls | bit):
-                    out.append((gi, ii))
-        return out
-
-    def assign(v: int) -> bool:
-        if v == n:
-            return True
-        bit = 1 << v
-        opts = choices(v)
-
-        def pick(start: int, left: int) -> bool:
-            if left == 0:
-                return assign(v + 1)
-            for oi in range(start, len(opts)):
-                gi, ii = opts[oi]
-                cls = instances[gi][ii]
-                nxt = cls | bit
-                if not c.is_face(nxt):
-                    continue
-                instances[gi][ii] = nxt
-                if pick(oi + 1, left - 1):
-                    return True
-                instances[gi][ii] = cls
-            return False
-
-        return pick(0, b)
-
-    return assign(0)
 
 
 def chr_bounds(c: Complex, a_cap: int = 5, b_cap: int = 2, budget: int = 200_000):

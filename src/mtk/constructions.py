@@ -8,6 +8,7 @@ homogeneous coordinates), so generated instance files are reproducible.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -226,22 +227,19 @@ def canned(name: str, **params) -> Instance:
     Annotations are expectations for the verification suite, never
     trusted values: every consumer re-derives them.
     """
-    if name == "ab":
-        return _canned_ab(params.get("a", 1), params["m"])
-    if name == "md_lower":
-        return _canned_md_lower(params["n"])
-    if name == "lambdaPnotQ":
-        return _canned_lambda(params.get("k", 4))
-    if name == "PnotQpartition":
-        return _canned_pnotq_partition()
-    if name == "truncated_plane":
-        return _canned_truncated(params.get("q", 2))
-    if name == "q_k":
-        return _canned_qk(params.get("q", 2))
-    raise Unsupported(f"unknown canned instance {name!r}")
+    build = _CANNED.get(name)
+    if build is None:
+        raise Unsupported(f"unknown canned instance {name!r}")
+    signature = inspect.signature(build)
+    try:
+        signature.bind(**params)
+    except TypeError as e:
+        takes = ", ".join(signature.parameters) or "none"
+        raise Unsupported(f"canned instance {name!r}: {e} (parameters: {takes})") from None
+    return build(**params)
 
 
-def _canned_ab(a: int, m: int) -> Instance:
+def _canned_ab(m: int, a: int = 1) -> Instance:
     if not 1 <= a <= m:
         raise DomainError("need 1 <= |A| <= |B|")
     amask = mask_of(range(a))
@@ -267,7 +265,7 @@ def _canned_md_lower(n: int) -> Instance:
     )
 
 
-def _canned_lambda(k: int) -> Instance:
+def _canned_lambda(k: int = 4) -> Instance:
     if k < 2:
         raise DomainError("need k >= 2")
     v = []
@@ -305,7 +303,7 @@ def _canned_pnotq_partition() -> Instance:
     )
 
 
-def _canned_truncated(q: int) -> Instance:
+def _canned_truncated(q: int = 2) -> Instance:
     h, parts = truncated_projective_plane(q)
     k = q + 1
     system = assoc_matroids(h, parts)
@@ -325,7 +323,7 @@ def _canned_truncated(q: int) -> Instance:
     )
 
 
-def _canned_qk(q: int) -> Instance:
+def _canned_qk(q: int = 2) -> Instance:
     h, parts = q_k(q)
     system = assoc_matroids(h, parts)
     return Instance(
@@ -341,3 +339,13 @@ def _canned_qk(q: int) -> Instance:
             "max_delta_r": q,
         },
     )
+
+
+_CANNED = {
+    "ab": _canned_ab,
+    "md_lower": _canned_md_lower,
+    "lambdaPnotQ": _canned_lambda,
+    "PnotQpartition": _canned_pnotq_partition,
+    "truncated_plane": _canned_truncated,
+    "q_k": _canned_qk,
+}

@@ -15,7 +15,6 @@ from collections.abc import Iterable
 from .core import (
     Complex,
     Hypergraph,
-    _antichain_max,
     bit_count,
     check_sweep,
     complex_of,
@@ -443,7 +442,7 @@ def _enumerate_matroid_coverages(c: Complex, nonfaces: list[int]) -> list[int]:
     Matroids are enumerated by their basis families (equal-size families
     with the basis-exchange property).  Only the coverage profile of
     each matroid matters for the set-cover search, so profiles are
-    deduplicated and dominated ones dropped.
+    deduplicated; the complex they span drops the dominated ones.
     """
     n = c.n
     rank_c = c.rank()
@@ -466,8 +465,7 @@ def _enumerate_matroid_coverages(c: Complex, nonfaces: list[int]) -> list[int]:
                 if not any(nf & ~b == 0 for b in fam):
                     cov |= 1 << j
             coverages.add(cov)
-    # Drop dominated coverage profiles.
-    return _antichain_max(list(coverages))
+    return sorted(coverages)
 
 
 def _is_basis_family(fam: list[int], idx: dict[int, int], fam_bits: int) -> bool:
@@ -494,8 +492,10 @@ def matdim_exact(c: Complex) -> int:
     """Least k with c an intersection of k matroids (n <= MATDIM_MAX_N).
 
     Searches a set cover of the minimal non-faces by candidate matroids
-    containing c.
+    containing c: chi of the complex whose faces are the coverage masks.
     """
+    from .coloring import chi  # local import to avoid a cycle
+
     if c.n > MATDIM_MAX_N:
         raise CapExceeded(f"matdim_exact limited to n <= {MATDIM_MAX_N}")
     nf = min_nonfaces(c)
@@ -504,28 +504,4 @@ def matdim_exact(c: Complex) -> int:
     if check_matroid_axioms(c):
         return 1
     nonfaces = list(nf.edges)
-    coverages = _enumerate_matroid_coverages(c, nonfaces)
-    target = (1 << len(nonfaces)) - 1
-    return _min_cover(coverages, target)
-
-
-def _min_cover(coverages: list[int], target: int) -> int:
-    if mask_of_union(coverages) != target:
-        raise ValueError("no cover exists")
-    best = len(coverages)
-    order = sorted(coverages, key=bit_count, reverse=True)
-
-    def dfs(remaining: int, used: int) -> None:
-        nonlocal best
-        if remaining == 0:
-            best = min(best, used)
-            return
-        if used + 1 >= best:
-            return
-        low = next(iter_bits(remaining))
-        for cov in order:
-            if (cov >> low) & 1:
-                dfs(remaining & ~cov, used + 1)
-
-    dfs(target, 0)
-    return best
+    return chi(Complex(len(nonfaces), _enumerate_matroid_coverages(c, nonfaces)))

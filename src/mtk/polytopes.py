@@ -178,7 +178,6 @@ def _reduced_rows_matroid(m: Matroid) -> list[tuple[int, int]]:
     for v in range(m.n):
         b = 1 << v
         rows.setdefault(b, m.rank(b))
-        rows[b] = min(rows[b], m.rank(b))
     return sorted(rows.items())
 
 
@@ -239,19 +238,18 @@ def vertices(z: PolytopeRef) -> list[RatVec]:
 def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ...]]:
     """Double description for {x >= 0, x[mask] <= r}; returns vertices.
 
-    Constraint normals are 0/1 mask rows plus the nonnegativity rows.
-    The singleton rows bound the box, so the region is a polytope.
+    Constraint normals are 0/1 mask rows plus the nonnegativity rows;
+    rows hold each mask at most once.  The singleton rows bound the box,
+    so the region is a polytope.
     """
     ubs = [None] * n
     for mask, r in rows:
         if bit_count(mask) == 1:
-            v = mask.bit_length() - 1
-            r = Fraction(r)
-            if ubs[v] is None or r < ubs[v]:
-                ubs[v] = r
+            ubs[mask.bit_length() - 1] = Fraction(r)
     if any(u is None for u in ubs):
         raise ValueError("singleton bounds required for boundedness")
-    # Constraint list: index 0..n-1 nonneg (-x_v <= 0), then upper rows.
+    # Constraint list: index 0..n-1 nonneg (-x_v <= 0), then the box rows
+    # x_v <= ubs[v], then the other rows.
     normals: list[tuple[Fraction, ...]] = []
     rhss: list[Fraction] = []
     for v in range(n):
@@ -259,25 +257,13 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
         e[v] = -ONE
         normals.append(tuple(e))
         rhss.append(ZERO)
-    box_rows = []
-    other_rows = []
-    for mask, r in rows:
-        if bit_count(mask) == 1 and Fraction(r) == ubs[mask.bit_length() - 1]:
-            box_rows.append((mask, Fraction(r)))
-        else:
-            other_rows.append((mask, Fraction(r)))
-    seen_single = set()
-    dedup_box = []
-    for mask, r in box_rows:
-        if mask not in seen_single:
-            seen_single.add(mask)
-            dedup_box.append((mask, r))
-    for mask, r in dedup_box + other_rows:
+    other_rows = [(mask, Fraction(r)) for mask, r in rows if bit_count(mask) != 1]
+    for mask, r in [(1 << v, ubs[v]) for v in range(n)] + other_rows:
         normals.append(
             tuple(ONE if (mask >> v) & 1 else ZERO for v in range(n))
         )
         rhss.append(r)
-    nbox = n + len(dedup_box)
+    nbox = 2 * n
 
     # Box vertices with tight bitmasks over the first nbox constraints.
     verts: list[tuple[tuple[Fraction, ...], int]] = []

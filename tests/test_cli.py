@@ -90,6 +90,23 @@ def test_cli_ratio(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["q_k", "--param", "q"], "'q'"),
+        (["q_k", "--param", "q=x"], "'q'"),
+        (["ab"], "'m'"),
+        (["md_lower"], "'n'"),
+        (["q_k", "--param", "zz=3"], "'zz'"),
+    ],
+)
+def test_cli_gen_rejects_bad_params(argv, named, tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["gen", *argv, "-o", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_exit_codes(capsys):
     rc = main(["verify", "matdim", "--seed", "1"])
     assert rc == 0

@@ -1,14 +1,24 @@
 """Chromatic, list-chromatic, fractional computations."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from mtk.core import Complex, Hypergraph, independence_complex, matching_complex
+from mtk.core import (
+    Complex,
+    Hypergraph,
+    bit_count,
+    independence_complex,
+    iter_bits,
+    matching_complex,
+)
 from mtk.coloring import (
     Coloring,
     ListColorFailure,
+    _b_fold_colorable,
+    _canonical_systems,
     ab_check,
     chi,
     chi_list,
@@ -18,7 +28,7 @@ from mtk.coloring import (
     delta_rank,
     matroid_list_color,
 )
-from mtk.errors import Uncolorable
+from mtk.errors import CapExceeded, Uncolorable
 from mtk.extval import XRat
 from mtk.matroid import GenPartitionMatroid, GraphicMatroid, UniformMatroid
 from mtk.topology import expansions
@@ -242,3 +252,105 @@ def test_ab_choosable_implies_colorable_and_chi_star_bound():
                 cho = ab_check(c, a, b, "choosable")
                 if cho:
                     assert col
+
+
+def brute_b_fold_colorable(c, system, b):
+    """Every way for each vertex to take b of the instances covering it."""
+    groups = [fmask for fmask, mult in system for _ in range(mult)]
+    picks = [
+        itertools.combinations([j for j, f in enumerate(groups) if (f >> v) & 1], b)
+        for v in range(c.n)
+    ]
+    for choice in itertools.product(*picks):
+        classes = [0] * len(groups)
+        for v, chosen in enumerate(choice):
+            for j in chosen:
+                classes[j] |= 1 << v
+        if all(c.is_face(cls) for cls in classes):
+            return True
+    return False
+
+
+def brute_ab_colorable(c, a, b):
+    """Multisets of a faces covering every vertex exactly b times."""
+    faces = c.faces()
+    full = (1 << c.n) - 1
+    if c.vertices_mask() != full and c.n > 0:
+        return False
+    deg = [b] * c.n
+
+    def dfs(i: int, slots: int) -> bool:
+        if all(d == 0 for d in deg):
+            return True  # leftover slots take the empty face
+        if i == len(faces) or slots == 0:
+            return False
+        needed = sum(deg)
+        biggest = max((bit_count(f) for f in faces[i:]), default=0)
+        if biggest == 0 or needed > slots * biggest:
+            return False
+        f = faces[i]
+        if f == 0:
+            return dfs(i + 1, slots)
+        maxmult = min(slots, min((deg[v] for v in iter_bits(f)), default=0))
+        for mult in range(maxmult, -1, -1):
+            ok = True
+            for v in iter_bits(f):
+                deg[v] -= mult
+                if deg[v] < 0:
+                    ok = False
+            if ok and dfs(i + 1, slots - mult):
+                for v in iter_bits(f):
+                    deg[v] += mult
+                return True
+            for v in iter_bits(f):
+                deg[v] += mult
+        return False
+
+    return dfs(0, a)
+
+
+def test_full_simplex_is_ab_choosable():
+    full = Complex(3, [[0, 1, 2]])
+    for a in range(1, 5):
+        for b in range(1, min(a, 3) + 1):
+            assert ab_check(full, a, b, "choosable"), (a, b)
+    with pytest.raises(CapExceeded):
+        ab_check(full, 4, 4, "choosable")  # b <= 3 is ab_check's cap
+
+
+def test_b_fold_search_matches_brute_force_on_every_small_system():
+    cases = 0
+    for n in range(1, 4):
+        nonempty = range(1, 1 << n)
+        complexes = {
+            Complex(n, fam)
+            for r in range(len(nonempty) + 1)
+            for fam in itertools.combinations(nonempty, r)
+        }
+        for a in range(1, 4):
+            systems = list(_canonical_systems(n, a, 10**6))
+            for b in range(1, a + 1):
+                for c in complexes:
+                    for system in systems:
+                        assert _b_fold_colorable(c, system, b) == (
+                            brute_b_fold_colorable(c, system, b)
+                        ), (c, system, b)
+                        cases += 1
+    assert cases == 3038
+
+
+def test_ab_colorable_matches_face_multiset_search():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        faces = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.8:
+            faces += [[v] for v in range(n)]
+        c = Complex(n, faces)
+        for a in range(1, 7):
+            for b in range(1, min(a, 3) + 1):
+                got = ab_check(c, a, b, "colorable")
+                assert got == brute_ab_colorable(c, a, b), (c, a, b)
+                seen.add((b, got))
+    assert seen == {(b, v) for b in (1, 2, 3) for v in (True, False)}

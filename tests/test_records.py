@@ -2,8 +2,9 @@
 
 The hash is the sha256 of the suite's `mtk verify <suite> --seed 1
 --report jsonl` output.  A change that alters a record must say why and
-update the pin.  list-bounds is left out: its enumeration makes it the
-slowest suite by far.
+update the pin.  list-bounds, the slowest suite by far, is pinned with a
+smaller enumeration budget (OVERRIDES), which still leaves it checks
+that resolve and claims that the caps leave undecided.
 """
 
 import hashlib
@@ -14,10 +15,11 @@ from mtk import verify
 
 PINNED = {
     "abm": "be0ccef7f26b2ee9984bc912e2ee1341f098a64388b54218f4703e4b45134c9d",
-    "appendix-c": "8bfbb5f246f181545b9962cad627cee36f4f10de55a2e14347b2b2cf8c2e9a9e",
+    "appendix-c": "c8faa9310b5ed04b320617450310ccca55df7e871951b8145e489c1b8c6c39e9",
     "duality-chain": "eae8d2931017f6007c63831fed4392581a19629e2066ce45503b00989866ca72",
     "edmonds-k2": "8d7f5aeee98a3239b2c971fc57cf65bca55bb9a324de13e19cf02af8f9a8b375",
     "furedi-fks": "f7f6c847d8040134aacb4973612c908a9657f19716c9532786d6b21bcef04d8f",
+    "list-bounds": "4aed424e91be754890f95d4b41cd4dbe326af824f755d38636c67e772efab5d8",
     "matdim": "f7e6783320b829ca7c07d55a7d74cff0092614a6325fc299c28668c273b611fa",
     "meshulam": "848d00e0c4b3f8d9fdd52e5544e118cb622ba30035148b3d506ff26817ca6be8",
     "pq-witnesses": "9d1bc9305c3bcc75cb4aa4f63a78b87e125ddeae68ad6b13d7b2bd36b57d9e64",
@@ -29,11 +31,15 @@ PINNED = {
 }
 
 
-def test_every_suite_but_list_bounds_is_pinned():
-    assert set(PINNED) == set(verify.SUITES) - {"list-bounds"}
+OVERRIDES = {"list-bounds": dict(count=10, budget=30_000)}
+
+
+def test_every_suite_is_pinned():
+    assert set(PINNED) == set(verify.SUITES)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_records_match_pin(name):
-    text = "".join(r.to_json() + "\n" for r in verify.run_suite(name, seed=1))
+    records = verify.run_suite(name, seed=1, **OVERRIDES.get(name, {}))
+    text = "".join(r.to_json() + "\n" for r in records)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
