@@ -13,7 +13,6 @@ from .core import (
     contract,
     independence_complex,
     induced,
-    join,
     line_graph,
     matching_complex,
     min_nonfaces,
@@ -31,7 +30,6 @@ from .coloring import (
 )
 from .constructions import (
     Instance,
-    assoc_hypergraph,
     assoc_matroids,
     canned,
     projective_plane,
@@ -52,7 +50,6 @@ from .matroid import (
     matdim_exact,
     matdim_upper,
     max_common_independent,
-    nc_matroid,
 )
 from .meshulam import (
     FrugalSequence,
@@ -63,7 +60,6 @@ from .meshulam import (
 from .polytopes import (
     PolytopeRef,
     RatVec,
-    f_span,
     hyper_numbers,
     matroidal_numbers,
     member,
@@ -105,7 +101,6 @@ __all__ = [
     "VerificationRecord",
     "XRat",
     "ab_check",
-    "assoc_hypergraph",
     "assoc_matroids",
     "canned",
     "check_matroid_axioms",
@@ -118,13 +113,11 @@ __all__ = [
     "delete_contract_certificate",
     "eta_h",
     "expansions",
-    "f_span",
     "gamma_e_graph",
     "gamma_e_hyper",
     "hyper_numbers",
     "independence_complex",
     "induced",
-    "join",
     "line_graph",
     "matching_complex",
     "matdim_exact",
@@ -134,7 +127,6 @@ __all__ = [
     "max_common_independent",
     "member",
     "min_nonfaces",
-    "nc_matroid",
     "projective_plane",
     "psi",
     "q_k",

@@ -63,6 +63,8 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
         except (ValueError, TypeError) as e:
             raise ValidationError(f"{origin}: complex: {e}")
     if "matroids" in raw:
+        if not isinstance(raw["matroids"], list):
+            raise ParseError(f"{origin}: matroids must be a list")
         ms = [
             _matroid_from_dict(m, f"{origin}: matroids[{i}]")
             for i, m in enumerate(raw["matroids"])
@@ -72,11 +74,17 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
         except ValueError as e:
             raise ValidationError(f"{origin}: matroids: {e}")
     if "parts" in raw:
-        parts = tuple(mask_of(p) for p in raw["parts"])
-    for key, vals in raw.get("weights", {}).items():
+        try:
+            parts = tuple(mask_of(p) for p in raw["parts"])
+        except (ValueError, TypeError) as e:
+            raise ValidationError(f"{origin}: parts: {e}")
+    raw_weights = raw.get("weights", {})
+    if not isinstance(raw_weights, dict):
+        raise ParseError(f"{origin}: weights must be an object")
+    for key, vals in raw_weights.items():
         try:
             weights[key] = RatVec([Fraction(s) for s in vals])
-        except (ValueError, ZeroDivisionError) as e:
+        except (ValueError, TypeError, ZeroDivisionError) as e:
             raise ValidationError(f"{origin}: weights[{key}]: {e}")
     return Instance(
         provenance=raw.get("provenance", origin),
@@ -89,12 +97,16 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
 
 
 def _need(obj, name, keys, origin):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{origin}: {name} must be an object")
     for k in keys:
         if k not in obj:
             raise ParseError(f"{origin}: {name} missing field {k!r}")
 
 
 def _matroid_from_dict(m: dict, origin: str) -> Matroid:
+    if not isinstance(m, dict):
+        raise ParseError(f"{origin}: must be an object")
     kind = m.get("kind")
     try:
         if kind == "uniform":
@@ -113,7 +125,7 @@ def _matroid_from_dict(m: dict, origin: str) -> Matroid:
             )
     except KeyError as e:
         raise ParseError(f"{origin}: missing field {e}")
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         raise ValidationError(f"{origin}: {e}")
     raise ParseError(f"{origin}: unknown matroid kind {kind!r}")
 

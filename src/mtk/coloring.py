@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Complex, bit_count, iter_bits
+from .core import Complex, bit_count, check_sweep, iter_bits
 from .errors import CapExceeded, Infeasible, Uncolorable
 from .extval import INF, XRat, max_ratio
 from .lp import solve_max_slack
@@ -254,11 +254,12 @@ def chi_list(c: Complex, p: int, budget: int = LIST_ENUM_BUDGET):
     return bad is None, bad
 
 
-def chi_list_number(c: Complex, p_cap: int = 4, budget: int = LIST_ENUM_BUDGET) -> int:
+def chi_list_number(c: Complex, budget: int = LIST_ENUM_BUDGET) -> int:
     """Least p for which every size-p system is colorable.
 
-    The search space ends by p = n (the SDR shortcut), but sizes where
-    the full enumeration is needed are capped at p <= max(p_cap, 4).
+    The search starts at p = chi and ends by p = n (the SDR shortcut);
+    a size that needs the full enumeration past chi_list's caps
+    (n <= 8, p <= 4) raises CapExceeded.
     """
     p = max(1, chi(c))
     while True:
@@ -266,8 +267,6 @@ def chi_list_number(c: Complex, p_cap: int = 4, budget: int = LIST_ENUM_BUDGET) 
         if ok:
             return p
         p += 1
-        if p > max(p_cap, c.n):
-            raise CapExceeded(f"chi_list_number beyond cap {p_cap}")
 
 
 # -- constructive matroid list coloring -----------------------------------
@@ -322,8 +321,10 @@ def matroid_list_color(m: Matroid, lists):
 
     lists: per-vertex collections of color ids, all the same size.
     Returns a Coloring on success, else a ListColorFailure whose T
-    violates the Edmonds bound.
+    violates the Edmonds bound.  The failure path sweeps all 2^n sets T,
+    so n past the sweep cap is refused up front.
     """
+    check_sweep(m.n)
     lists = [sorted(set(lst)) for lst in lists]
     if len(lists) != m.n:
         raise ValueError("one list per ground element required")
@@ -387,24 +388,3 @@ def ab_check(c: Complex, a: int, b: int, mode: str, budget: int = LIST_ENUM_BUDG
     if mode == "choosable":
         return _first_uncolorable(c, a, b, budget) is None
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def chr_bounds(c: Complex, a_cap: int = 5, b_cap: int = 2, budget: int = 200_000):
-    """Bracket the choice ratio: (chi_star lower bound, best a/b found).
-
-    chr is an infimum over an infinite family, so only bounds are
-    reported; best may be None when nothing within the caps is
-    choosable.
-    """
-    lower = chi_star(c, [ONE] * c.n)
-    best = None
-    for bb in range(1, b_cap + 1):
-        for aa in range(bb, a_cap + 1):
-            try:
-                if ab_check(c, aa, bb, "choosable", budget):
-                    val = Fraction(aa, bb)
-                    if best is None or val < best:
-                        best = val
-            except CapExceeded:
-                continue
-    return lower, best

@@ -1,5 +1,5 @@
-"""Generators for the extremal instances and the partition-matroid /
-k-partite-hypergraph correspondence.
+"""Generators for the extremal instances and the partition matroids
+L(H) of a k-partite hypergraph.
 
 Projective and affine planes are built over the integers mod q for
 prime q; labeling is deterministic (points sorted by normalized
@@ -119,59 +119,12 @@ def q_k(q: int) -> tuple[Hypergraph, tuple[int, ...]]:
     return Hypergraph(affine.n, edges), tuple(sorted(removed_class))
 
 
-def hypergraph_sides(h: Hypergraph, k: int) -> tuple[int, ...] | None:
-    """Search for a k-partition with every edge transversal (small n)."""
-    if not h.is_uniform(k):
-        return None
-    side = [-1] * h.n
-    vertices = list(range(h.n))
-
-    def ok(v: int, s: int) -> bool:
-        for e in h.edges:
-            if (e >> v) & 1:
-                for u in iter_bits(e):
-                    if u != v and side[u] == s:
-                        return False
-        return True
-
-    def dfs(i: int) -> bool:
-        if i == h.n:
-            return True
-        v = vertices[i]
-        for s in range(1 if i == 0 else k):
-            if ok(v, s):
-                side[v] = s
-                if dfs(i + 1):
-                    return True
-                side[v] = -1
-        return False
-
-    if not dfs(0):
-        return None
-    parts = [0] * k
-    for v, s in enumerate(side):
-        parts[s] |= 1 << v
-    if any(p == 0 for p in parts):
-        return None
-    for e in h.edges:
-        if any(bit_count(e & p) != 1 for p in parts):
-            return None
-    return tuple(parts)
-
-
-def assoc_matroids(h: Hypergraph, parts: tuple[int, ...] | None = None) -> MatroidSystem:
+def assoc_matroids(h: Hypergraph, parts: tuple[int, ...]) -> MatroidSystem:
     """The partition matroids L(H) on E(H): each side's vertex stars.
 
-    parts: the k vertex sides; inferred by search when omitted.
+    parts: the k vertex sides, every edge a transversal of them.
     Vertices with no incident edge contribute no star.
     """
-    if parts is None:
-        sizes = {bit_count(e) for e in h.edges}
-        if len(sizes) != 1:
-            raise DomainError("edge sizes differ; pass the sides explicitly")
-        parts = hypergraph_sides(h, sizes.pop())
-        if parts is None:
-            raise DomainError("no transversal k-partition found")
     cover = 0
     for p in parts:
         if cover & p:
@@ -192,30 +145,6 @@ def assoc_matroids(h: Hypergraph, parts: tuple[int, ...] | None = None) -> Matro
                 stars.append(star)
         matroids.append(GenPartitionMatroid(m, stars, [1] * len(stars)))
     return MatroidSystem(matroids)
-
-
-def assoc_hypergraph(system: MatroidSystem) -> Hypergraph:
-    """K(L) for a system of partition matroids: vertices are the parts,
-    element v becomes the edge of parts containing v."""
-    for m in system:
-        if not isinstance(m, GenPartitionMatroid) or not m.is_partition():
-            raise Unsupported("K(L) needs partition matroids with caps 1")
-    offsets = []
-    total = 0
-    for m in system:
-        offsets.append(total)
-        total += len(m.parts)
-    edges = []
-    for v in range(system.n):
-        bit = 1 << v
-        e = 0
-        for mi, m in enumerate(system):
-            for pi, p in enumerate(m.parts):
-                if p & bit:
-                    e |= 1 << (offsets[mi] + pi)
-                    break
-        edges.append(e)
-    return Hypergraph(total, edges)
 
 
 # -- canned instances ------------------------------------------------------

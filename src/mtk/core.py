@@ -97,10 +97,6 @@ class Hypergraph:
     def is_uniform(self, k: int) -> bool:
         return all(bit_count(e) == k for e in self.edges)
 
-    def degree(self, v: int) -> int:
-        b = 1 << v
-        return sum(1 for e in self.edges if e & b)
-
 
 def _relabel_map(kept_mask: int) -> tuple[dict[int, int], list[int]]:
     """Dense re-index of the kept vertices, ascending order.
@@ -264,12 +260,6 @@ def min_nonfaces(c: Complex) -> Hypergraph:
         if minimal:
             out.append(s)
     return Hypergraph(c.n, out)
-
-
-def join(c: Complex, d: Complex) -> Complex:
-    """Join of two complexes; d's ground set is shifted up by c.n."""
-    faces = [a | (b << c.n) for a in c.maximal_faces for b in d.maximal_faces]
-    return Complex(c.n + d.n, faces)
 
 
 def independence_complex(h: Hypergraph) -> Complex:

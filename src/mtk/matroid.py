@@ -1,10 +1,10 @@
 """Matroid oracles, derived structure, and matroid intersection.
 
 Every matroid lives on the ground set [0, n).  Derived quantities all
-route through a single memoized rank oracle per instance.  Contraction
-and restriction keep the ground-set size fixed; elements outside the
-kept set become loops, which matches the convention that sets meeting
-them are dependent.
+route through a single memoized rank oracle per instance.  Restriction
+keeps the ground-set size fixed; elements outside the kept set become
+loops, which matches the convention that sets meeting them are
+dependent.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from collections.abc import Iterable
 
 from .core import (
     Complex,
-    Hypergraph,
     bit_count,
     check_sweep,
     complex_of,
@@ -85,10 +84,6 @@ class Matroid:
 
     # -- enumeration -------------------------------------------------
 
-    def circuits(self) -> Hypergraph:
-        """All containment-minimal dependent sets."""
-        return min_nonfaces(self.to_complex())
-
     def to_complex(self) -> Complex:
         return complex_of(self.n, self.is_independent)
 
@@ -145,26 +140,9 @@ class GenPartitionMatroid(Matroid):
             min(bit_count(s & p), c) for p, c in zip(self.parts, self.caps)
         )
 
-    def is_partition(self) -> bool:
-        return all(c == 1 for c in self.caps)
-
     def __repr__(self):
         ps = [sorted(iter_bits(p)) for p in self.parts]
         return f"GenPartitionMatroid(n={self.n}, parts={ps}, caps={list(self.caps)})"
-
-
-def nc_matroid(n: int, u: int) -> GenPartitionMatroid:
-    """NC(U) = sets not containing U, as a generalized partition matroid."""
-    if u == 0:
-        raise ValueError("NC(U) needs a non-empty U")
-    full = (1 << n) - 1
-    rest = full & ~u
-    parts = [u]
-    caps = [bit_count(u) - 1]
-    if rest:
-        parts.append(rest)
-        caps.append(bit_count(rest))
-    return GenPartitionMatroid(n, parts, caps)
 
 
 class GraphicMatroid(Matroid):
@@ -239,23 +217,6 @@ class DualMatroid(Matroid):
         return f"DualMatroid({self.inner!r})"
 
 
-class ContractionMatroid(Matroid):
-    """Contract the set x away; elements of x become loops."""
-
-    kind = "contraction"
-
-    def __init__(self, inner: Matroid, x: int):
-        super().__init__(inner.n)
-        self.inner = inner
-        self.x = x
-
-    def _rank(self, s: int) -> int:
-        return self.inner.rank((s & ~self.x) | self.x) - self.inner.rank(self.x)
-
-    def __repr__(self):
-        return f"ContractionMatroid({self.inner!r}, x={self.x:#b})"
-
-
 class RestrictionMatroid(Matroid):
     """Restrict to the set u; elements outside u become loops."""
 
@@ -318,6 +279,7 @@ class MatroidSystem:
         self.matroids = tuple(ms)
         self.n = n
         self.k = len(ms)
+        self._complex_memo: Complex | None = None
 
     def __iter__(self):
         return iter(self.matroids)
@@ -326,8 +288,13 @@ class MatroidSystem:
         return self.k
 
     def intersection_complex(self) -> Complex:
-        ms = self.matroids
-        return complex_of(self.n, lambda s: all(m.is_independent(s) for m in ms))
+        """The common independent sets, built by one sweep per system."""
+        if self._complex_memo is None:
+            ms = self.matroids
+            self._complex_memo = complex_of(
+                self.n, lambda s: all(m.is_independent(s) for m in ms)
+            )
+        return self._complex_memo
 
     def restricted(self, u: int) -> "MatroidSystem":
         """The system L_U: every matroid restricted to u (loops outside)."""

@@ -150,41 +150,6 @@ def _frugal_steps(h: Hypergraph) -> dict[int, int]:
     return steps
 
 
-def frugal_certificate(h: Hypergraph):
-    """A frugal dominating sequence attaining gamma_e_hyper, or None."""
-    value = gamma_e_hyper(h)
-    if value is INF:
-        return None
-    steps = _frugal_steps(h)
-    target = None
-    for mask, p in steps.items():
-        if is_dominating(h, mask) and bit_count(mask) - p == value:
-            target = (mask, p)
-            break
-    if target is None:
-        raise CertificateError(f"no dominating mask attains {value}")
-    mask, p = target
-    seq: list[int] = []
-    while p > 0:
-        for e in h.edges:
-            prev = mask & ~e
-            # e must contribute >= 2 new vertices on top of some
-            # predecessor mask prev' with prev' | e == mask.
-            found = False
-            for cand, q in steps.items():
-                if q == p - 1 and cand | e == mask and bit_count(e & ~cand) > 1:
-                    seq.append(e)
-                    mask, p = cand, q
-                    found = True
-                    break
-            if found:
-                break
-        else:
-            raise CertificateError("certificate reconstruction failed")
-    seq.reverse()
-    return FrugalSequence(edges=tuple(seq), value=_frugal_value(seq))
-
-
 # -- the delete/contract game ---------------------------------------------
 
 

@@ -59,9 +59,6 @@ class RatVec:
     def sum_over(self, mask: int) -> Fraction:
         return sum((self.values[v] for v in iter_bits(mask)), ZERO)
 
-    def total(self) -> Fraction:
-        return sum(self.values, ZERO)
-
     def dot(self, other) -> Fraction:
         return sum((a * b for a, b in zip(self.values, other)), ZERO)
 
@@ -71,14 +68,6 @@ class RatVec:
     @staticmethod
     def ones(n: int) -> "RatVec":
         return RatVec([ONE] * n)
-
-    @staticmethod
-    def zeros(n: int) -> "RatVec":
-        return RatVec([ZERO] * n)
-
-    @staticmethod
-    def parse(items) -> "RatVec":
-        return RatVec([Fraction(s) for s in items])
 
     def format(self) -> list[str]:
         return [str(v) for v in self.values]
@@ -518,27 +507,6 @@ def matroidal_numbers(system: MatroidSystem, w: RatVec) -> MatroidalNumbers:
         tau_star=ts,
         tau=tau_w(system, w),
     )
-
-
-def f_span(m: Matroid, f: RatVec) -> RatVec:
-    """The spanned weight function, by a descending threshold sweep.
-
-    f^M(v) = max over the values a of f with v in span({u : f(u) >= a}).
-    """
-    if not f.is_nonnegative():
-        raise DomainError("f must be non-negative")
-    values = sorted(set(f.values), reverse=True)
-    out: list[Fraction | None] = [None] * m.n
-    for a in values:
-        s = 0
-        for u in range(m.n):
-            if f[u] >= a:
-                s |= 1 << u
-        sp = m.span(s)
-        for v in iter_bits(sp):
-            if out[v] is None:
-                out[v] = a
-    return RatVec([x if x is not None else ZERO for x in out])
 
 
 # -- hypergraph numbers ----------------------------------------------------

@@ -15,6 +15,9 @@ from .core import Complex, bit_count, iter_bits
 from .errors import CapExceeded
 from .extval import INF, XRat, max_ratio
 
+# topological_hall_check is refused above this many sets V_i.
+HALL_MAX_SETS = 12
+
 
 def snf_diagonal(mat: list[list[int]]) -> list[int]:
     """Diagonal of an integer diagonalization of mat (unimodular ops).
@@ -219,8 +222,8 @@ def topological_hall_check(c: Complex, subsets: list[int]) -> HallRecord:
     conclusion.
     """
     m = len(subsets)
-    if m > 12:
-        raise CapExceeded("too many subsets for the Hall check")
+    if m > HALL_MAX_SETS:
+        raise CapExceeded(f"Hall check limited to {HALL_MAX_SETS} subsets")
     cache: dict[int, object] = {}
     hypothesis = True
     for imask in range(1, 1 << m):

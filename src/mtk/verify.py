@@ -293,7 +293,7 @@ def suite_sharpness(rng=None, q_values=(2, 3)) -> list[VerificationRecord]:
                 ok_m,
             )
         )
-        if system.n <= 8:
+        if system.n <= polytopes.VERTICES_MAX_N:
             c = system.intersection_complex()
             rp = polytopes.ratio(PolytopeRef.R(system), PolytopeRef.P(c))
             records.append(
@@ -646,7 +646,7 @@ def suite_abm(rng, count=200, max_edges=9) -> list[VerificationRecord]:
 
 
 def suite_list_bounds(
-    rng, count=30, max_n=6, max_k=3, p_cap=3, budget=coloring.LIST_ENUM_BUDGET
+    rng, count=30, max_n=6, max_k=3, budget=coloring.LIST_ENUM_BUDGET
 ) -> list[VerificationRecord]:
     """chi_ell against k chi, k max chi(M_i), (2k-1) max chi(M_i)."""
     records = []
@@ -673,7 +673,7 @@ def suite_list_bounds(
         ]
         chi_ell = None
         try:
-            chi_ell = coloring.chi_list_number(c, p_cap=p_cap, budget=budget)
+            chi_ell = coloring.chi_list_number(c, budget=budget)
         except CapExceeded:
             pass
         for claim, bound in bounds:
@@ -1006,7 +1006,8 @@ def suite_ratio_rq(rng, count=50, max_n=6, max_k=3) -> list[VerificationRecord]:
 
 
 def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord]:
-    """(a,b)-colorable implies chi* <= a/b; choosable implies colorable."""
+    """(a,b)-colorable implies chi* <= a/b; choosable implies colorable;
+    chi* <= chr <= the least a/b found choosable."""
     records = []
     found = 0
     for t in range(count):
@@ -1018,6 +1019,7 @@ def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord
         c = Complex(n, faces)
         star = coloring.chi_star(c, [ONE] * n)
         tag = f"#{t}(n={n})"
+        best = None  # least a/b found choosable
         for b in range(1, b_cap + 1):
             for a in range(b, a_cap + 1):
                 colorable = coloring.ab_check(c, a, b, "colorable")
@@ -1040,6 +1042,8 @@ def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord
                     except CapExceeded:
                         continue
                     if choosable:
+                        if best is None or Fraction(a, b) < best:
+                            best = Fraction(a, b)
                         records.append(
                             _rec(
                                 "appendixC/CHsubCL",
@@ -1050,6 +1054,10 @@ def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord
                                 colorable,
                             )
                         )
+        if best is not None:
+            records.append(
+                _rec("appendixC/chr_bracket", tag, star, best, "<=", star <= best)
+            )
         # (chi,1) is always colorable
         try:
             chi_c = coloring.chi(c)
@@ -1072,6 +1080,39 @@ def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord
     return sorted(records, key=lambda r: (r.claim, r.instance))
 
 
+def suite_topological_hall(rng, count=30) -> list[VerificationRecord]:
+    """Topological Hall on matroid-intersection complexes: if
+    eta_h(C[union of V_i, i in I]) >= |I| for every non-empty I, some
+    choice phi(i) in V_i has a face as its image."""
+    records = []
+    met = 0
+    for t in range(count):
+        n = rng.randint(3, 7)
+        k = rng.randint(2, 3)
+        c = rand_system(rng, n, k).intersection_complex()
+        subsets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 4))]
+        hall = topology.topological_hall_check(c, subsets)
+        met += hall.hypothesis
+        ok = hall.conclusion or not hall.hypothesis
+        records.append(
+            _rec(
+                "thm:topologicalHall",
+                f"#{t}(n={n},k={k},m={len(subsets)})",
+                f"hypothesis {'met' if hall.hypothesis else 'not met'}",
+                f"rainbow face {list(hall.witness) if hall.conclusion else 'none'}",
+                "=>",
+                ok,
+                None if ok else _payload(
+                    complex_=c, extra={"subsets": [sorted(iter_bits(s)) for s in subsets]}
+                ),
+            )
+        )
+    records.append(
+        _rec("topological-hall/counts", f"count={count}", met, count, "checked", met > 0)
+    )
+    return sorted(records, key=lambda r: (r.claim, r.instance))
+
+
 SUITES = {
     "sharpness": suite_sharpness,
     "edmonds-k2": suite_edmonds_k2,
@@ -1087,6 +1128,7 @@ SUITES = {
     "matdim": suite_matdim,
     "ratio-rq": suite_ratio_rq,
     "appendix-c": suite_appendix_c,
+    "topological-hall": suite_topological_hall,
 }
 
 # CLI-scale profiles: lighter than the acceptance-scale defaults.

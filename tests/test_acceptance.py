@@ -94,7 +94,7 @@ def test_criterion_07_abm():
 
 def test_criterion_08_list_bounds():
     rng = random.Random(108)
-    records = verify.suite_list_bounds(rng, count=30, max_n=6, max_k=3, p_cap=3)
+    records = verify.suite_list_bounds(rng, count=30, max_n=6, max_k=3)
     bad = _no_violations(records)
     done = [r for r in records if r.claim == "list-bounds/counts"]
     ok = not bad and done and done[0].verdict == "holds"

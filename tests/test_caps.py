@@ -5,7 +5,7 @@ name resolves."""
 import pytest
 
 import mtk
-from mtk.coloring import delta_rank
+from mtk.coloring import delta_rank, matroid_list_color
 from mtk.core import (
     SWEEP_CAP,
     Complex,
@@ -25,7 +25,7 @@ from mtk.matroid import (
     matdim_exact,
 )
 from mtk.polytopes import VERTICES_MAX_N, PolytopeRef, RatVec, nu_w, psi, vertices
-from mtk.topology import expansions
+from mtk.topology import HALL_MAX_SETS, expansions, topological_hall_check
 
 N = 21  # the least ground-set size whose 2^n subsets exceed SWEEP_CAP
 
@@ -97,9 +97,9 @@ def test_matroid_sweeps_refuse_past_the_cap():
     with pytest.raises(CapExceeded):
         m.flats()
     with pytest.raises(CapExceeded):
-        m.circuits()
-    with pytest.raises(CapExceeded):
         delta_rank(m)
+    with pytest.raises(CapExceeded):
+        matroid_list_color(m, [[0]] * N)
     system = MatroidSystem([m, TripwireMatroid(N)])
     with pytest.raises(CapExceeded):
         system.intersection_complex()
@@ -132,6 +132,11 @@ def test_ground_set_limits_refuse_one_past_their_value():
     system = MatroidSystem([UniformMatroid(1, VERTICES_MAX_N + 1)])
     with pytest.raises(CapExceeded):
         vertices(PolytopeRef.R(system))
+
+    point = Complex(1, [[0]])
+    assert topological_hall_check(point, [1] * HALL_MAX_SETS).hypothesis
+    with pytest.raises(CapExceeded):
+        topological_hall_check(TripwireComplex(1, [[0]]), [1] * (HALL_MAX_SETS + 1))
 
 
 def test_every_exported_name_resolves():

@@ -151,6 +151,28 @@ def test_cli_invariants_names_the_missing_input(tmp_path, capsys):
     assert "'hyper_numbers' needs a hypergraph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        ({"parts": [[-1]]}, "parts"),
+        ({"parts": [["a"]]}, "parts"),
+        ({"matroids": 5}, "matroids"),
+        ({"matroids": [3]}, "matroids[0]"),
+        ({"matroids": [{"kind": "uniform", "n": 3, "rank": "x"}]}, "matroids[0]"),
+        ({"weights": {"h": 5}}, "weights[h]"),
+        ({"weights": [1]}, "weights"),
+        ({"hypergraph": 5}, "hypergraph"),
+    ],
+)
+def test_cli_invariants_rejects_malformed_fields(raw, named, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises((ParseError, ValidationError), match=named.replace("[", r"\[")):
+        instance_from_dict(raw)
+    assert main(["invariants", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_cli_verify_names_ignored_overrides(capsys):
     assert main(["verify", "matdim", "--seed", "1", "--max-n", "5"]) == 0
     assert "suite 'matdim' ignores max_n" in capsys.readouterr().err

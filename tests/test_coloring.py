@@ -117,7 +117,7 @@ def test_chi_bounds_by_expansion_numbers():
             continue
         rec = expansions(c)
         assert chi(c) <= rec.delta.ceil()
-        ell = chi_list_number(c, p_cap=4)
+        ell = chi_list_number(c)
         assert ell <= rec.delta_eta.ceil()
 
 
@@ -129,7 +129,7 @@ def test_chi_list_k_chi_on_intersections():
         system = rand_system(rng, n, k, loopless=True)
         c = system.intersection_complex()
         chi_c = chi(c)
-        ell = chi_list_number(c, p_cap=4)
+        ell = chi_list_number(c)
         assert ell <= k * chi_c
 
 
@@ -221,17 +221,22 @@ def test_ab_check_examples():
 
 
 def test_chr_bounds_bracket_chi_star():
-    from mtk.coloring import chr_bounds
+    # chr equals chi*, so the least a/b found choosable bounds chi* above
+    def best_choosable(c, a_cap, b_cap):
+        return min(
+            Fraction(a, b)
+            for b in range(1, b_cap + 1)
+            for a in range(b, a_cap + 1)
+            if ab_check(c, a, b, "choosable")
+        )
 
-    # chr equals chi*, so the bracket must satisfy lower <= best found
     c = Complex(2, [[0], [1]])  # two isolated vertices: chi* = 2
-    lower, best = chr_bounds(c, a_cap=4, b_cap=2)
-    assert lower == 2
-    assert best is not None and best >= lower
+    assert chi_star(c, [1, 1]) == 2
+    assert best_choosable(c, 4, 2) == 2
 
     full = Complex(3, [[0, 1, 2]])
-    lower, best = chr_bounds(full)
-    assert lower == 1 and best == 1
+    assert chi_star(full, [1, 1, 1]) == 1
+    assert best_choosable(full, 5, 2) == 1
 
 
 def test_ab_choosable_implies_colorable_and_chi_star_bound():

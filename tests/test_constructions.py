@@ -6,10 +6,8 @@ import pytest
 
 from mtk.core import Hypergraph, bit_count, matching_complex
 from mtk.constructions import (
-    assoc_hypergraph,
     assoc_matroids,
     canned,
-    hypergraph_sides,
     projective_plane,
     q_k,
     truncated_projective_plane,
@@ -17,6 +15,20 @@ from mtk.constructions import (
 from mtk.errors import Unsupported
 from mtk.matroid import GenPartitionMatroid
 from mtk.polytopes import hyper_numbers
+
+
+def degree(h, v):
+    return sum(1 for e in h.edges if (e >> v) & 1)
+
+
+def parts_hypergraph(system):
+    """K(L): one vertex per part of each partition matroid; element v
+    becomes the edge of the parts containing v."""
+    parts = [p for m in system for p in m.parts]
+    return Hypergraph(
+        len(parts),
+        [[i for i, p in enumerate(parts) if (p >> v) & 1] for v in range(system.n)],
+    )
 
 
 def test_fano_plane():
@@ -51,7 +63,7 @@ def test_truncated_plane_t3():
     assert t3.n == 6 and len(t3.edges) == 4
     assert t3.is_uniform(3)
     assert len(parts) == 3 and all(bit_count(p) == 2 for p in parts)
-    assert all(t3.degree(v) == 2 for v in range(6))
+    assert all(degree(t3, v) == 2 for v in range(6))
     nums = hyper_numbers(t3)
     assert nums.nu == 1 and nums.nu_star == 2 and nums.tau == 2
 
@@ -61,12 +73,12 @@ def test_q_k_structure():
     assert q2.n == 4 and len(q2.edges) == 4
     assert q2.is_uniform(2)
     # Q_2 is the 4-cycle: connected, 2-regular
-    assert all(q2.degree(v) == 2 for v in range(4))
+    assert all(degree(q2, v) == 2 for v in range(4))
 
     q3, parts3 = q_k(3)
     assert q3.n == 9 and len(q3.edges) == 9
     assert q3.is_uniform(3)
-    assert all(q3.degree(v) == 3 for v in range(9))
+    assert all(degree(q3, v) == 3 for v in range(9))
     assert len(parts3) == 3 and all(bit_count(p) == 3 for p in parts3)
     # parallel classes of the affine plane are pairwise cross-intersecting:
     # edges meeting a common side vertex aside, any two edges from
@@ -114,12 +126,12 @@ def test_assoc_matroids_and_round_trip():
     system = assoc_matroids(t3, parts)
     assert system.k == 3 and system.n == 4
     for m in system:
-        assert isinstance(m, GenPartitionMatroid) and m.is_partition()
+        assert isinstance(m, GenPartitionMatroid) and set(m.caps) == {1}
         assert len(m.parts) == 2 and all(bit_count(p) == 2 for p in m.parts)
     # intersection of L(H) is the matching complex of H
     assert system.intersection_complex() == matching_complex(t3)
 
-    back = assoc_hypergraph(system)
+    back = parts_hypergraph(system)
     assert back.n == t3.n and len(back.edges) == len(t3.edges)
     # identical up to relabeling: degree multisets and pairwise meets agree
     assert sorted(bit_count(e) for e in back.edges) == sorted(
@@ -128,27 +140,12 @@ def test_assoc_matroids_and_round_trip():
 
     q3, parts3 = q_k(3)
     system3 = assoc_matroids(q3, parts3)
-    back3 = assoc_hypergraph(system3)
+    back3 = parts_hypergraph(system3)
     assert back3.n == q3.n and len(back3.edges) == len(q3.edges)
     meets = lambda h: sorted(
         bit_count(a & b) for a, b in itertools.combinations(h.edges, 2)
     )
     assert meets(back3) == meets(q3)
-
-
-def test_assoc_matroids_infers_sides():
-    h = Hypergraph(4, [[0, 2], [0, 3], [1, 2], [1, 3]])
-    system = assoc_matroids(h)
-    assert system.k == 2
-    assert system.intersection_complex() == matching_complex(h)
-
-
-def test_hypergraph_sides_search():
-    h = Hypergraph(4, [[0, 2], [1, 3]])
-    parts = hypergraph_sides(h, 2)
-    assert parts is not None
-    for e in h.edges:
-        assert all(bit_count(e & p) == 1 for p in parts)
 
 
 def test_single_edge_association():
@@ -174,7 +171,7 @@ def test_canned_instances():
     assert inst.complex_.n == 15
     from fractions import Fraction
 
-    assert inst.weights["w"].total() == Fraction(5, 2)
+    assert sum(inst.weights["w"]) == Fraction(5, 2)
     assert len(inst.complex_.maximal_faces) == 20
 
     with pytest.raises(Unsupported):

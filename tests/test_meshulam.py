@@ -10,7 +10,6 @@ from mtk.matroid import MatroidSystem
 from mtk.meshulam import (
     FrugalSequence,
     delete_contract_certificate,
-    frugal_certificate,
     gamma_e_graph,
     gamma_e_hyper,
     is_dominating,
@@ -46,24 +45,6 @@ def test_frugal_sequence_invariants():
         FrugalSequence(edges=(mask_of([0, 1]), mask_of([1, 2])), value=2)
     with pytest.raises(ValueError):
         FrugalSequence(edges=(mask_of([0, 1]),), value=5)
-
-
-def test_frugal_certificate_matches_value():
-    rng = random.Random(31)
-    for _ in range(60):
-        n = rng.randint(2, 6)
-        edges = {
-            frozenset(rng.sample(range(n), rng.randint(1, min(3, n))))
-            for _ in range(rng.randint(1, 5))
-        }
-        h = Hypergraph(n, [list(e) for e in edges])
-        g = gamma_e_hyper(h)
-        cert = frugal_certificate(h)
-        if g == INF:
-            assert cert is None
-        else:
-            assert cert.value == g
-            assert is_dominating(h, cert.union())
 
 
 def test_delete_contract_examples():

@@ -11,7 +11,6 @@ from mtk.core import Complex, Hypergraph, bit_count, iter_bits, iter_submasks
 from mtk.errors import DomainError
 from mtk.extval import INF
 from mtk.matroid import (
-    GenPartitionMatroid,
     MatroidSystem,
     RestrictionMatroid,
     UniformMatroid,
@@ -19,7 +18,6 @@ from mtk.matroid import (
 from mtk.polytopes import (
     PolytopeRef,
     RatVec,
-    f_span,
     hyper_numbers,
     matroidal_numbers,
     member,
@@ -30,7 +28,6 @@ from mtk.polytopes import (
 )
 from mtk.verify import (
     _rand_matroid_once,
-    rand_matroid,
     rand_system,
     rand_weights,
     rand_weights_unit,
@@ -42,7 +39,7 @@ KINDS = ["uniform", "partition", "gen_partition", "graphic", "dual"]
 
 
 def test_ratvec_basics():
-    v = RatVec.parse(["1/2", "3", "0"])
+    v = RatVec(["1/2", "3", "0"])
     assert v[0] == F(1, 2)
     assert v.sum_over(0b011) == F(7, 2)
     assert v.dot(RatVec([2, 0, 1])) == 1
@@ -107,7 +104,7 @@ def test_psi_examples():
     assert psi(PolytopeRef.P(Complex(3, [[0, 1, 2]])), RatVec.ones(3)) == 1
     sing = Complex(4, [[0], [1], [2], [3]])
     assert psi(PolytopeRef.P(sing), RatVec.ones(4)) == 4
-    assert psi(PolytopeRef.P(sing), RatVec.zeros(4)) == 0
+    assert psi(PolytopeRef.P(sing), RatVec([0] * 4)) == 0
     # unreachable direction
     assert psi(PolytopeRef.P(Complex(2, [[0]])), RatVec([0, 1])) == INF
     for z in (PolytopeRef.P(sing), PolytopeRef.Q(sing)):
@@ -290,7 +287,7 @@ def test_nu_star_reduced_rows_match_full_constraint_lp():
 
 def test_matroidal_numbers_zero_weights():
     system = MatroidSystem([UniformMatroid(1, 3), UniformMatroid(2, 3)])
-    nums = matroidal_numbers(system, RatVec.zeros(3))
+    nums = matroidal_numbers(system, RatVec([0] * 3))
     assert nums.nu == nums.nu_star == nums.tau_star == nums.tau == 0
 
 
@@ -379,28 +376,6 @@ def test_tau_w_matches_direct_brute_force():
             if ok and (best is None or cost < best):
                 best = cost
         assert nums.tau == best
-
-
-def test_f_span_examples():
-    gp = GenPartitionMatroid(2, [[0, 1]], [1])
-    assert f_span(gp, RatVec([1, 0])) == RatVec([1, 1])
-    u = UniformMatroid(2, 3)
-    assert f_span(u, RatVec.zeros(3)) == RatVec.zeros(3)
-    # f = 1_A gives the indicator of span(A)
-    rng = random.Random(59)
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        m = rand_matroid(rng, n, loopless=False)
-        a = rng.randrange(1 << n)
-        ind = RatVec([F(1) if (a >> v) & 1 else F(0) for v in range(n)])
-        got = f_span(m, ind)
-        span = m.span(a)
-        assert got == RatVec([F(1) if (span >> v) & 1 else F(0) for v in range(n)])
-        # pointwise domination for loopless matroids
-        if not m.loops():
-            f = rand_weights(rng, n)
-            fs = f_span(m, f)
-            assert all(x >= y for x, y in zip(fs, f))
 
 
 def test_partition_system_hypergraph_bridge():

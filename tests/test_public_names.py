@@ -1,0 +1,41 @@
+"""Every public module-level function and class in src/mtk is referenced
+somewhere in the package outside its own definition: code that only
+tests call belongs under tests/."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import mtk
+
+PACKAGE = Path(mtk.__file__).parent
+
+
+def _references(node) -> Counter:
+    """How often each name is read as an ast.Name or ast.Attribute under node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_public_names() -> list[str]:
+    trees = {
+        p.stem: ast.parse(p.read_text())
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and total[node.name] == _references(node)[node.name]
+    )
+
+
+def test_every_public_name_is_used_inside_the_package():
+    assert unreferenced_public_names() == []

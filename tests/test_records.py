@@ -15,7 +15,7 @@ from mtk import verify
 
 PINNED = {
     "abm": "be0ccef7f26b2ee9984bc912e2ee1341f098a64388b54218f4703e4b45134c9d",
-    "appendix-c": "c8faa9310b5ed04b320617450310ccca55df7e871951b8145e489c1b8c6c39e9",
+    "appendix-c": "5f94048e574701bfdb94c03ea9e096e3ef4148fea163a96c6fcc7afc1ed42857",
     "duality-chain": "eae8d2931017f6007c63831fed4392581a19629e2066ce45503b00989866ca72",
     "edmonds-k2": "8d7f5aeee98a3239b2c971fc57cf65bca55bb9a324de13e19cf02af8f9a8b375",
     "furedi-fks": "f7f6c847d8040134aacb4973612c908a9657f19716c9532786d6b21bcef04d8f",
@@ -26,6 +26,7 @@ PINNED = {
     "ratio-rq": "419d5ffa9805399a3f6a7e93ab4e2493fdad8c7f88a989bf4b9a4ceff37d5ba7",
     "seymour": "60a9a135613f3ce85df25620aca18e5b6a06cfe2c3361ea628a7e168bc9879d8",
     "sharpness": "125903df2cfcb1d5320ad91880bc7b05eb107dc40cc2b646e7b682ecf91ce821",
+    "topological-hall": "afe43b924b25be6445a50f47dc1dc48ceca352a0047e8e68abf3dd5ce7c76fce",
     "whitney": "2a6515f090f43186e1118fdb4c90742b6e15972eeb4df5a21cf6430f6a2aaafb",
     "williams": "4a06b94e33e5f974154e4d3fed13d8963b9245f35a59f9f2364c022376bc0452",
 }

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from mtk.core import Complex, Hypergraph, join, mask_of, matching_complex
+from mtk.core import Complex, Hypergraph, mask_of, matching_complex
 from mtk.extval import INF, XRat
 from mtk.matroid import UniformMatroid
 from mtk.topology import (
@@ -13,7 +13,13 @@ from mtk.topology import (
     snf_diagonal,
     topological_hall_check,
 )
-from mtk.verify import rand_matroid
+from mtk.verify import rand_matroid, run_suite
+
+
+def join(c: Complex, d: Complex) -> Complex:
+    """Join of two complexes; d's ground set is shifted up by c.n."""
+    faces = [a | (b << c.n) for a in c.maximal_faces for b in d.maximal_faces]
+    return Complex(c.n + d.n, faces)
 
 
 def test_snf_small_matrices():
@@ -238,3 +244,10 @@ def test_topological_hall():
             assert c.is_face(image)
             assert all((subsets[i] >> v) & 1 for i, v in enumerate(picks))
     assert implications >= 5
+
+
+def test_topological_hall_suite_decides_instances_meeting_the_hypothesis():
+    records = run_suite("topological-hall", seed=1)
+    assert records and all(r.verdict == "holds" for r in records)
+    (counts,) = [r for r in records if r.claim == "topological-hall/counts"]
+    assert int(counts.lhs) > 0
