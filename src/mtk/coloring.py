@@ -113,12 +113,13 @@ def chi_matroid_restricted(m: Matroid, fmask: int):
 # -- fractional ----------------------------------------------------------
 
 
-def chi_star(c: Complex, h, return_coloring: bool = False):
+def chi_star(c: Complex, h) -> Fraction:
     """Weighted fractional chromatic number, exact.
 
     Solves max h.y subject to y[F] <= 1 over maximal faces F (the LP
     dual); the dual values of that program are the face weights of an
-    optimal fractional coloring.
+    optimal fractional coloring.  Raises Infeasible when some element
+    of positive weight lies in no face.
     """
     h = [Fraction(x) for x in h]
     if len(h) != c.n:
@@ -132,10 +133,7 @@ def chi_star(c: Complex, h, return_coloring: bool = False):
     faces = list(c.maximal_faces)
     amat = [[ONE if (f >> v) & 1 else ZERO for v in range(c.n)] for f in faces]
     bvec = [ONE] * len(faces)
-    value, _, fweights = solve_max_slack(amat, bvec, h)
-    if return_coloring:
-        support = {faces[i]: w for i, w in enumerate(fweights) if w}
-        return value, support
+    value, _, _ = solve_max_slack(amat, bvec, h)
     return value
 
 

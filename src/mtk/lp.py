@@ -2,29 +2,26 @@
 
 One dense simplex core over fractions, with Bland's anti-cycling rule,
 serves both entry points: `solve` for general problems and
-`solve_max_slack` for the packing form max c.x, Ax <= b, x >= 0.  The
-core puts the problem in standard form (free variables split, one slack
-per inequality, rows with a negative right-hand side negated), runs
-phase I only when some row has no +1 slack to start the basis from, and
-then runs phase II.
+`solve_max_slack` for the packing form max c.x, Ax <= b, x >= 0.  Every
+problem has "<=" and ">=" rows over non-negative variables.  The core
+puts it in standard form (one slack per row, rows with a negative
+right-hand side negated), runs phase I only when some row has no +1
+slack to start the basis from, and then runs phase II.
 
-Primal and dual are both read off the final tableau.  Every original
-row i owns one column equal to e_i: its +1 slack, or else its
-artificial.  The reduced-cost row is c - y.A over all columns, so y_i
-is minus the reduced cost of that column, with the row's negation and
-the sense undone.  A row that phase I drops as redundant combines
-equality rows only, whose duals are free, and the reduced-cost row
-still prices every column, so the same y is a dual of the whole
-problem.
+Primal and dual are both read off the final tableau.  Every row i owns
+one column equal to e_i: its +1 slack, or else its artificial.  The
+reduced-cost row is c - y.A over all columns, so y_i is minus the
+reduced cost of that column, with the row's negation and the sense
+undone.
 
 Every optimal result is certified by `certify`: primal feasibility,
 dual feasibility and strong duality are re-checked exactly, and a
 failure raises CertificateError, also under `python -O`.
 
 Dual sign convention. For sense "min": y_i >= 0 on ">=" rows,
-y_i <= 0 on "<=" rows, free on "==" rows, and sum_i y_i a_ij <= c_j for
-every non-negative variable (== for free variables). For sense "max"
-all of these flip. In both cases y.b equals the optimum.
+y_i <= 0 on "<=" rows, and sum_i y_i a_ij <= c_j for every variable.
+For sense "max" all of these flip. In both cases y.b equals the
+optimum.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ ONE = Fraction(1)
 
 Row = tuple[tuple[Fraction, ...], str, Fraction]
 
-_RELS = ("<=", ">=", "==")
+_RELS = ("<=", ">=")
 
 
 @dataclass(frozen=True)
@@ -47,15 +44,10 @@ class LPProblem:
     sense: str  # "min" | "max"
     c: tuple[Fraction, ...]
     rows: tuple[Row, ...]
-    nonneg: tuple[bool, ...]
 
     @staticmethod
-    def make(sense, c, rows, nonneg=None) -> "LPProblem":
+    def make(sense, c, rows) -> "LPProblem":
         c = tuple(Fraction(x) for x in c)
-        if nonneg is None:
-            nonneg = tuple(True for _ in c)
-        else:
-            nonneg = tuple(bool(b) for b in nonneg)
         norm_rows = []
         for coeffs, rel, rhs in rows:
             coeffs = tuple(Fraction(x) for x in coeffs)
@@ -66,7 +58,7 @@ class LPProblem:
             norm_rows.append((coeffs, rel, Fraction(rhs)))
         if sense not in ("min", "max"):
             raise ValueError(f"unknown sense {sense!r}")
-        return LPProblem(sense, c, tuple(norm_rows), nonneg)
+        return LPProblem(sense, c, tuple(norm_rows))
 
 
 @dataclass(frozen=True)
@@ -132,42 +124,25 @@ def _run_simplex(
 def _simplex(p: LPProblem) -> LPResult:
     """The simplex core behind `solve` and `solve_max_slack`."""
     minimize = p.sense == "min"
-    # Standard form: a free variable x_j becomes two columns (+x, -x).
-    split = not all(p.nonneg)
-    nstruct = std_cols = sum(1 if ok else 2 for ok in p.nonneg)
-    slack_of_row: list[int] = []
-    for _, rel, _ in p.rows:
-        if rel == "==":
-            slack_of_row.append(-1)
-        else:
-            slack_of_row.append(std_cols)
-            std_cols += 1
+    # Standard form: column n + i is the slack of row i.
+    n = len(p.c)
+    std_cols = n + len(p.rows)
     # A row whose slack is +1 after negation starts the basis from it;
     # every other row gets an artificial column.
     flips = [1 if rhs >= 0 else -1 for _, _, rhs in p.rows]
     unit_col: list[int] = []  # the e_i column of each row
     ncols = std_cols
-    for (_, rel, _), s, flip in zip(p.rows, slack_of_row, flips):
-        if s >= 0 and (rel == "<=") == (flip > 0):
-            unit_col.append(s)
+    for i, ((_, rel, _), flip) in enumerate(zip(p.rows, flips)):
+        if (rel == "<=") == (flip > 0):
+            unit_col.append(n + i)
         else:
             unit_col.append(ncols)
             ncols += 1
 
     tableau = []
-    for (coeffs, rel, rhs), s, flip, u in zip(p.rows, slack_of_row, flips, unit_col):
-        if split:
-            row = []
-            for a, ok in zip(coeffs, p.nonneg):
-                row.append(a)
-                if not ok:
-                    row.append(-a)
-        else:
-            row = list(coeffs)
-        row += [ZERO] * (ncols - nstruct)
-        row.append(rhs)
-        if s >= 0:
-            row[s] = ONE if rel == "<=" else -ONE
+    for i, ((coeffs, rel, rhs), flip, u) in enumerate(zip(p.rows, flips, unit_col)):
+        row = list(coeffs) + [ZERO] * (ncols - n) + [rhs]
+        row[n + i] = ONE if rel == "<=" else -ONE
         if flip < 0:
             row = [-v for v in row]
         row[u] = ONE
@@ -175,15 +150,7 @@ def _simplex(p: LPProblem) -> LPResult:
     basis = list(unit_col)
     m = len(basis)
 
-    cost = [ZERO] * (ncols + 1)
-    col = 0
-    for cj, ok in zip(p.c, p.nonneg):
-        cj = cj if minimize else -cj
-        cost[col] = cj
-        col += 1
-        if not ok:
-            cost[col] = -cj
-            col += 1
+    cost = [cj if minimize else -cj for cj in p.c] + [ZERO] * (ncols + 1 - n)
 
     if ncols > std_cols:
         # Phase I: minimize the sum of the artificials.
@@ -198,20 +165,13 @@ def _simplex(p: LPProblem) -> LPResult:
         if tableau[-1][ncols] < 0:
             return LPResult(status="infeasible")
         tableau.pop()
-        # Drive leftover artificials out of the basis; a row with no
-        # standard column left is redundant and is dropped.
-        keep = []
+        # Drive leftover artificials (all at zero) out of the basis.
+        # With one slack per row, [A | S] has full row rank, so each
+        # such row still has a non-zero standard column.
         for i in range(m):
             if basis[i] >= std_cols:
-                piv_col = next((j for j in range(std_cols) if tableau[i][j]), -1)
-                if piv_col < 0:
-                    continue
+                piv_col = next(j for j in range(std_cols) if tableau[i][j])
                 _pivot(tableau, basis, i, piv_col)
-            keep.append(i)
-        if len(keep) < m:
-            tableau = [tableau[i] for i in keep]
-            basis = [basis[i] for i in keep]
-            m = len(basis)
 
     # Phase II.
     obj = cost
@@ -226,15 +186,7 @@ def _simplex(p: LPProblem) -> LPResult:
     xstd = [ZERO] * std_cols
     for i in range(m):
         xstd[basis[i]] = tableau[i][ncols]
-    primal = []
-    col = 0
-    for ok in p.nonneg:
-        if ok:
-            primal.append(xstd[col])
-            col += 1
-        else:
-            primal.append(xstd[col] - xstd[col + 1])
-            col += 2
+    primal = xstd[:n]
     red = tableau[-1]
     dual = []
     for u, flip in zip(unit_col, flips):
@@ -267,7 +219,7 @@ def solve_max_slack(
     y.A >= c, y.b = value).  Raises ValueError on an unbounded problem.
     """
     rows = tuple((tuple(a), "<=", b) for a, b in zip(amat, bvec))
-    res = _simplex(LPProblem("max", tuple(cvec), rows, (True,) * len(cvec)))
+    res = _simplex(LPProblem("max", tuple(cvec), rows))
     if res.status != "optimal":
         raise ValueError(res.status)
     return res.objective, list(res.primal), list(res.dual)
@@ -288,9 +240,7 @@ def certify(p: LPProblem, res: LPResult) -> None:
         "certificate dimension mismatch",
     )
     minimize = p.sense == "min"
-    for j, ok in enumerate(p.nonneg):
-        if ok:
-            _require(x[j] >= 0, "primal negativity")
+    _require(all(xj >= 0 for xj in x), "primal negativity")
     support = [(j, xj) for j, xj in enumerate(x) if xj]
     ya = [ZERO] * len(p.c)
     for (coeffs, rel, rhs), yi in zip(p.rows, y):
@@ -298,18 +248,13 @@ def certify(p: LPProblem, res: LPResult) -> None:
         if rel == "<=":
             _require(lhs <= rhs, "primal infeasible (<=)")
             _require((yi <= 0) if minimize else (yi >= 0), "dual sign (<=)")
-        elif rel == ">=":
+        else:
             _require(lhs >= rhs, "primal infeasible (>=)")
             _require((yi >= 0) if minimize else (yi <= 0), "dual sign (>=)")
-        else:
-            _require(lhs == rhs, "primal infeasible (==)")
         if yi:
             ya = [s + yi * a for s, a in zip(ya, coeffs)]
-    for cj, s, ok in zip(p.c, ya, p.nonneg):
+    for cj, s in zip(p.c, ya):
         red = cj - s
-        if ok:
-            _require((red >= 0) if minimize else (red <= 0), "dual infeasible")
-        else:
-            _require(red == 0, "dual infeasible (free var)")
+        _require((red >= 0) if minimize else (red <= 0), "dual infeasible")
     dual_obj = sum((yi * row[2] for yi, row in zip(y, p.rows)), ZERO)
     _require(dual_obj == res.objective, "strong duality failed")

@@ -166,27 +166,20 @@ def _reduce_singletons(vmask: int, edges: tuple[tuple[int, int], ...]):
         edges = tuple((cur, orig) for cur, orig in edges if cur & single == 0)
 
 
-def delete_contract_certificate(h: Hypergraph, strategy: str = "auto"):
+def delete_contract_certificate(h: Hypergraph):
     """Replay the delete/contract game and return (bound, sequence).
 
     The offering side proposes a containment-minimal edge; the replying
     side deletes it or contracts it, whichever minimizes the final
-    value (that minimum is what makes the bound valid).  strategy
-    selects the offering side's behavior: "exhaustive" maximizes over
-    all minimal edges, "greedy" always offers the first one, "auto"
-    picks exhaustive up to GAME_EXHAUSTIVE_EDGES edges.
+    value (that minimum is what makes the bound valid).  Up to
+    GAME_EXHAUSTIVE_EDGES edges the offering side maximizes over all
+    minimal edges; above that it greedily offers the first one.
 
     Returns the lower bound on eta_h(I(h)) (int or inf) and the frugal
     dominating sequence of original edges (None when the bound is inf
     or 0).
     """
-    if strategy == "auto":
-        strategy = (
-            "exhaustive" if len(h.edges) <= GAME_EXHAUSTIVE_EDGES else "greedy"
-        )
-    if strategy not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    exhaustive = strategy == "exhaustive"
+    exhaustive = len(h.edges) <= GAME_EXHAUSTIVE_EDGES
     full = (1 << h.n) - 1
     memo: dict[tuple[int, tuple[int, ...]], object] = {}
 

@@ -17,6 +17,7 @@ from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infea
 from .extval import INF, XRat, max_ratio
 from .lp import LPProblem, solve, solve_max_slack
 from .matroid import Matroid, MatroidSystem
+from .topology import snf_diagonal
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -100,15 +101,6 @@ class PolytopeRef:
 
 
 def member(z: PolytopeRef, x: RatVec) -> bool:
-    if not x.is_nonnegative():
-        raise DomainError("membership is defined on the non-negative orthant")
-    if len(x) != z.n:
-        raise DomainError("dimension mismatch")
-    if z.kind == "P":
-        try:
-            return chi_star(z.complex_, list(x)) <= 1
-        except Infeasible:
-            return False
     return psi(z, x) <= 1
 
 
@@ -118,8 +110,9 @@ def member(z: PolytopeRef, x: RatVec) -> bool:
 def psi(z: PolytopeRef, h: RatVec) -> XRat:
     """Gauge: least t with h/t in Z (0 for h = 0, INF when unreachable).
 
-    On Q and R this is max over S of h(S)/r(S), the largest over the
-    system's matroids on R.
+    On P this is the weighted fractional chromatic number chi*(C, h),
+    by LP duality.  On Q and R it is max over S of h(S)/r(S), the
+    largest over the system's matroids on R.
     """
     if not h.is_nonnegative():
         raise DomainError("gauge arguments live in the non-negative orthant")
@@ -128,30 +121,16 @@ def psi(z: PolytopeRef, h: RatVec) -> XRat:
     if all(v == 0 for v in h):
         return XRat.of(0)
     if z.kind == "P":
-        return _psi_p(z.complex_, h)
+        try:
+            return XRat.of(chi_star(z.complex_, list(h)))
+        except Infeasible:
+            return INF
     full = (1 << z.n) - 1
     if z.kind == "Q":
         return max_ratio(z.complex_.rank_of, full, h)
     if z.kind == "R":
         return max(max_ratio(m.rank, full, h) for m in z.system)
     raise ValueError(f"unknown polytope kind {z.kind!r}")
-
-
-def _psi_p(c: Complex, h: RatVec):
-    """Primal covering LP: min sum of face weights with coverage >= h."""
-    covered = c.vertices_mask()
-    for v in range(c.n):
-        if h[v] > 0 and not (covered >> v) & 1:
-            return INF
-    faces = list(c.maximal_faces)
-    rows = []
-    for v in range(c.n):
-        coeffs = [ONE if (f >> v) & 1 else ZERO for f in faces]
-        rows.append((coeffs, ">=", h[v]))
-    res = solve(LPProblem.make("min", [ONE] * len(faces), rows))
-    if res.status != "optimal":
-        raise Infeasible("covering LP " + res.status)
-    return XRat.of(res.objective)
 
 
 # -- vertex enumeration ---------------------------------------------------
@@ -227,9 +206,9 @@ def vertices(z: PolytopeRef) -> list[RatVec]:
 def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ...]]:
     """Double description for {x >= 0, x[mask] <= r}; returns vertices.
 
-    Constraint normals are 0/1 mask rows plus the nonnegativity rows;
-    rows hold each mask at most once.  The singleton rows bound the box,
-    so the region is a polytope.
+    Constraint normals are integer: 0/1 mask rows plus the
+    non-negativity rows; rows hold each mask at most once.  The
+    singleton rows bound the box, so the region is a polytope.
     """
     ubs = [None] * n
     for mask, r in rows:
@@ -237,20 +216,18 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
             ubs[mask.bit_length() - 1] = Fraction(r)
     if any(u is None for u in ubs):
         raise ValueError("singleton bounds required for boundedness")
-    # Constraint list: index 0..n-1 nonneg (-x_v <= 0), then the box rows
-    # x_v <= ubs[v], then the other rows.
-    normals: list[tuple[Fraction, ...]] = []
+    # Constraint list: index 0..n-1 non-negativity (-x_v <= 0), then the
+    # box rows x_v <= ubs[v], then the other rows.
+    normals: list[tuple[int, ...]] = []
     rhss: list[Fraction] = []
     for v in range(n):
-        e = [ZERO] * n
-        e[v] = -ONE
+        e = [0] * n
+        e[v] = -1
         normals.append(tuple(e))
         rhss.append(ZERO)
     other_rows = [(mask, Fraction(r)) for mask, r in rows if bit_count(mask) != 1]
     for mask, r in [(1 << v, ubs[v]) for v in range(n)] + other_rows:
-        normals.append(
-            tuple(ONE if (mask >> v) & 1 else ZERO for v in range(n))
-        )
+        normals.append(tuple((mask >> v) & 1 for v in range(n)))
         rhss.append(r)
     nbox = 2 * n
 
@@ -316,37 +293,15 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
     return [coords for coords, _ in verts]
 
 
-def _row_value(normal: tuple[Fraction, ...], coords: tuple[Fraction, ...]) -> Fraction:
+def _row_value(normal: tuple[int, ...], coords: tuple[Fraction, ...]) -> Fraction:
     return sum((a * b for a, b in zip(normal, coords) if a), ZERO)
 
 
 def _tight_rank_at_least(normals, common: int, need: int) -> bool:
+    """Do the tight normals in common span >= need dimensions?  Over the
+    rationals the rank is the number of non-zero SNF diagonal entries."""
     mat = [list(normals[i]) for i in iter_bits(common)]
-    if len(mat) < need:
-        return False
-    rank = 0
-    ncols = len(normals[0])
-    rowi = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rowi, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rowi], mat[piv] = mat[piv], mat[rowi]
-        inv = ONE / mat[rowi][col]
-        mat[rowi] = [v * inv for v in mat[rowi]]
-        for r in range(len(mat)):
-            if r != rowi and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rowi])]
-        rank += 1
-        rowi += 1
-        if rank >= need:
-            return True
-    return rank >= need
+    return sum(1 for d in snf_diagonal(mat) if d) >= need
 
 
 # -- ratios ---------------------------------------------------------------

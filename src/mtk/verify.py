@@ -94,7 +94,7 @@ def _skip(claim, instance, relation="", note="") -> VerificationRecord:
     )
 
 
-def _payload(system=None, hypergraph=None, complex_=None, weights=None, extra=None):
+def _payload(system=None, hypergraph=None, complex_=None, extra=None):
     """A replayable instance dict for violation witnesses."""
     from .cli import instance_to_dict  # lazy: cli imports this module
     from .constructions import Instance
@@ -104,7 +104,6 @@ def _payload(system=None, hypergraph=None, complex_=None, weights=None, extra=No
         hypergraph=hypergraph,
         complex_=complex_,
         system=system,
-        weights=weights or {},
     )
     out = instance_to_dict(inst)
     if extra:
@@ -150,17 +149,9 @@ def _rand_partition(rng, n, k) -> list[int]:
     return parts
 
 
-def rand_partition_system(rng, n, k) -> MatroidSystem:
-    ms = []
-    for _ in range(k):
-        parts = _rand_partition(rng, n, rng.randint(1, max(1, n // 2 + 1)))
-        ms.append(GenPartitionMatroid(n, parts, [1] * len(parts)))
-    return MatroidSystem(ms)
-
-
 def rand_system(rng, n, k, loopless=True, partition=False) -> MatroidSystem:
     if partition:
-        return rand_partition_system(rng, n, k)
+        return MatroidSystem([_rand_matroid_once(rng, n, "partition") for _ in range(k)])
     return MatroidSystem([rand_matroid(rng, n, loopless) for _ in range(k)])
 
 
@@ -1146,7 +1137,7 @@ CLI_PROFILES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, scale: str = "cli", **overrides):
+def run_suite(name: str, seed: int = 0, **overrides):
     """Run a named suite deterministically; returns sorted records.
 
     Overrides a suite does not accept (e.g. max_n on a deterministic
@@ -1168,7 +1159,7 @@ def run_suite(name: str, seed: int = 0, scale: str = "cli", **overrides):
         )
     out = []
     for key in names:
-        kwargs = dict(CLI_PROFILES.get(key, {})) if scale == "cli" else {}
+        kwargs = dict(CLI_PROFILES.get(key, {}))
         kwargs.update({k: v for k, v in overrides.items() if k in accepted[key]})
         out.extend(SUITES[key](random.Random(seed), **kwargs))
     return out

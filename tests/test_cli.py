@@ -115,6 +115,15 @@ def test_cli_verify_exit_codes(capsys):
     assert rc == 2
 
 
+def test_cli_verify_lets_a_suite_keyerror_propagate(monkeypatch):
+    def broken(rng):
+        return {}["x"]
+
+    monkeypatch.setattr(verify, "SUITES", {"broken": broken})
+    with pytest.raises(KeyError, match="x"):
+        main(["verify", "broken"])
+
+
 def test_cli_verify_deterministic(capsys):
     assert main(["verify", "pq-witnesses", "--seed", "7", "--report", "jsonl"]) == 0
     first = capsys.readouterr().out

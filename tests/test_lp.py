@@ -8,7 +8,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from mtk.lp import LPProblem, certify, solve, solve_max_slack
+import pytest
+
+from mtk import lp
+from mtk.lp import LPProblem, solve, solve_max_slack
 
 F = Fraction
 
@@ -25,40 +28,11 @@ def test_basic_examples():
     assert solve(p).status == "unbounded"
 
 
-def test_equalities_free_vars_and_duals():
-    p = LPProblem.make(
-        "min",
-        [2, 3, 1],
-        [([1, 1, 1], "==", 4), ([1, -1, 0], ">=", -2), ([0, 1, 2], "<=", 7)],
-        nonneg=[True, True, False],
-    )
-    r = solve(p)
-    assert r.status == "optimal"
-    assert r.objective == F(9, 2)
-    # strong duality re-check by hand
-    dual_obj = r.dual[0] * 4 + r.dual[1] * (-2) + r.dual[2] * 7
-    assert dual_obj == r.objective
-
-
-def _dual_objective(p, r):
-    return sum((yi * rhs for yi, (_, _, rhs) in zip(r.dual, p.rows)), F(0))
-
-
-def test_redundant_rows():
-    p = LPProblem.make("min", [1, 1], [([1, 1], "==", 2), ([2, 2], "==", 4)])
-    r = solve(p)
-    assert r.status == "optimal" and r.objective == 2
-    # phase I drops one row; the dual read off the tableau still covers it
-    assert len(r.dual) == 2 and _dual_objective(p, r) == r.objective
-    # the dropped row may come first, be negated, or sit among inequalities
-    for sense, rows in [
-        ("max", [([2, 2], "==", 4), ([1, 1], "==", 2), ([1, 0], "<=", 1)]),
-        ("min", [([-1, -1], "==", -2), ([3, 3], "==", 6), ([0, 1], ">=", 1)]),
-    ]:
-        p = LPProblem.make(sense, [1, 2], rows)
-        r = solve(p)
-        assert r.status == "optimal" and _dual_objective(p, r) == r.objective
-        certify(p, r)
+def test_make_takes_inequalities_over_nonnegative_variables_only():
+    with pytest.raises(ValueError, match="unknown relation '=='"):
+        LPProblem.make("min", [1], [([1], "==", 1)])
+    with pytest.raises(TypeError):
+        LPProblem.make("min", [1], [([1], ">=", 1)], nonneg=[False])
 
 
 def _brute_optimum(sense, c, rows, n):
@@ -95,8 +69,6 @@ def _brute_optimum(sense, c, rows, n):
                 feas = False
             if rel == ">=" and lhs < rhs:
                 feas = False
-            if rel == "==" and lhs != rhs:
-                feas = False
         if not feas:
             continue
         val = sum(a * b for a, b in zip(c, x))
@@ -117,7 +89,7 @@ def test_random_instances_against_vertex_brute_force():
         rows = []
         for _ in range(m):
             coeffs = [F(rng.randint(-2, 2)) for _ in range(n)]
-            rows.append((coeffs, rng.choice(["<=", ">=", "=="]), F(rng.randint(-2, 3))))
+            rows.append((coeffs, rng.choice(["<=", ">="]), F(rng.randint(-2, 3))))
         sense = rng.choice(["min", "max"])
         r = solve(LPProblem.make(sense, c, rows))  # certification is internal
         if r.status != "optimal":
@@ -126,6 +98,32 @@ def test_random_instances_against_vertex_brute_force():
         assert best == r.objective
         verified += 1
     assert verified >= 60
+
+
+def test_zero_rhs_artificial_left_basic_after_phase_one(monkeypatch):
+    # -x1 >= 0 starts from an artificial that no phase-I pivot removes:
+    # it is still basic, at zero, when phase I ends.
+    rows = [
+        ([F(-1), F(0)], ">=", F(0)),
+        ([F(0), F(1)], ">=", F(1)),
+        ([F(1), F(1)], "<=", F(3)),
+    ]
+    bases = []  # the basis after each _run_simplex: phase I, then phase II
+    run = lp._run_simplex
+
+    def spy(tableau, basis, ncols, allowed):
+        ok = run(tableau, basis, ncols, allowed)
+        bases.append(list(basis))
+        return ok
+
+    monkeypatch.setattr(lp, "_run_simplex", spy)
+    for sense, c in [("max", [1, 2]), ("min", [1, -1]), ("min", [0, 1])]:
+        bases.clear()
+        r = solve(LPProblem.make(sense, c, rows))
+        assert r.status == "optimal"
+        assert r.objective == _brute_optimum(sense, [F(v) for v in c], rows, 2)
+        # columns 0-1 are variables, 2-4 slacks, 5 on artificials
+        assert any(col >= 5 for col in bases[0])
 
 
 def test_basic_solution_support():

@@ -6,6 +6,7 @@ import pytest
 
 from mtk.core import Hypergraph, independence_complex, mask_of
 from mtk.extval import INF
+from mtk import meshulam
 from mtk.matroid import MatroidSystem
 from mtk.meshulam import (
     FrugalSequence,
@@ -90,7 +91,7 @@ def test_delete_contract_sandwich():
                 assert is_dominating(h, seq.union())
 
 
-def test_greedy_strategy_still_valid():
+def test_greedy_strategy_still_valid(monkeypatch):
     rng = random.Random(33)
     for _ in range(30):
         n = rng.randint(3, 6)
@@ -99,8 +100,11 @@ def test_greedy_strategy_still_valid():
             for _ in range(rng.randint(1, 5))
         }
         h = Hypergraph(n, [list(e) for e in edges])
-        b_greedy, _ = delete_contract_certificate(h, strategy="greedy")
-        b_full, _ = delete_contract_certificate(h, strategy="exhaustive")
+        b_full, _ = delete_contract_certificate(h)
+        # At most 5 edges: the default is exhaustive, and a cap of 0 forces greedy.
+        with monkeypatch.context() as m:
+            m.setattr(meshulam, "GAME_EXHAUSTIVE_EDGES", 0)
+            b_greedy, _ = delete_contract_certificate(h)
         eta = eta_h(independence_complex(h))
         assert b_greedy == INF or eta == INF or eta >= b_greedy
         if b_full != INF and b_greedy != INF:

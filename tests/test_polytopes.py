@@ -10,6 +10,7 @@ from mtk.constructions import canned
 from mtk.core import Complex, Hypergraph, bit_count, iter_bits, iter_submasks
 from mtk.errors import DomainError
 from mtk.extval import INF
+from mtk.lp import LPProblem, solve
 from mtk.matroid import (
     MatroidSystem,
     RestrictionMatroid,
@@ -112,10 +113,23 @@ def test_psi_examples():
             psi(z, RatVec([1, 1, 1, 1, 5]))
 
 
-def test_psi_p_equals_chi_star():
-    from mtk.coloring import chi_star
+def _covering_lp(c: Complex, h: RatVec):
+    """psi on P(C) as the covering LP: min total face weight with
+    coverage >= h (INF when a positive weight lies in no face)."""
+    covered = c.vertices_mask()
+    if any(h[v] > 0 and not (covered >> v) & 1 for v in range(c.n)):
+        return INF
+    faces = list(c.maximal_faces)
+    rows = [([ONE if (f >> v) & 1 else 0 for f in faces], ">=", h[v]) for v in range(c.n)]
+    res = solve(LPProblem.make("min", [ONE] * len(faces), rows))
+    assert res.status == "optimal"
+    return res.objective
 
+
+def test_psi_p_equals_chi_star():
+    # psi on P is the packing LP chi*; the covering LP is its dual.
     rng = random.Random(52)
+    finite = 0
     for _ in range(20):
         n = rng.randint(2, 5)
         c = Complex(
@@ -123,10 +137,10 @@ def test_psi_p_equals_chi_star():
             [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 4))],
         )
         h = rand_weights(rng, n)
-        lhs = psi(PolytopeRef.P(c), h)
-        if lhs == INF:
-            continue
-        assert lhs == chi_star(c, list(h))
+        want = _covering_lp(c, h)
+        assert psi(PolytopeRef.P(c), h) == want
+        finite += want is not INF
+    assert finite >= 10
 
 
 def test_vertices_examples():
