@@ -82,6 +82,8 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
     if not isinstance(raw_weights, dict):
         raise ParseError(f"{origin}: weights must be an object")
     for key, vals in raw_weights.items():
+        if not isinstance(vals, list):
+            raise ParseError(f"{origin}: weights[{key}] must be a list")
         try:
             weights[key] = RatVec([Fraction(s) for s in vals])
         except (ValueError, TypeError, ZeroDivisionError) as e:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Complex, bit_count, check_sweep, iter_bits
-from .errors import CapExceeded, Infeasible, Uncolorable
+from .errors import CapExceeded, DomainError, Infeasible, Uncolorable
 from .extval import INF, XRat, max_ratio
 from .lp import solve_max_slack
 from .matroid import (
@@ -123,9 +123,9 @@ def chi_star(c: Complex, h) -> Fraction:
     """
     h = [Fraction(x) for x in h]
     if len(h) != c.n:
-        raise ValueError("weight vector length mismatch")
+        raise DomainError("weight vector length mismatch")
     if any(x < 0 for x in h):
-        raise ValueError("weights must be non-negative")
+        raise DomainError("weights must be non-negative")
     covered = c.vertices_mask()
     for v in range(c.n):
         if h[v] > 0 and not (covered >> v) & 1:

@@ -1,10 +1,7 @@
 """Matroid oracles, derived structure, and matroid intersection.
 
 Every matroid lives on the ground set [0, n).  Derived quantities all
-route through a single memoized rank oracle per instance.  Restriction
-keeps the ground-set size fixed; elements outside the kept set become
-loops, which matches the convention that sets meeting them are
-dependent.
+route through a single memoized rank oracle per instance.
 """
 
 from __future__ import annotations
@@ -217,23 +214,6 @@ class DualMatroid(Matroid):
         return f"DualMatroid({self.inner!r})"
 
 
-class RestrictionMatroid(Matroid):
-    """Restrict to the set u; elements outside u become loops."""
-
-    kind = "restriction"
-
-    def __init__(self, inner: Matroid, u: int):
-        super().__init__(inner.n)
-        self.inner = inner
-        self.u = u
-
-    def _rank(self, s: int) -> int:
-        return self.inner.rank(s & self.u)
-
-    def __repr__(self):
-        return f"RestrictionMatroid({self.inner!r}, u={self.u:#b})"
-
-
 def check_matroid_axioms(c: Complex) -> bool:
     """True iff c is a matroid: downward-closed (built in) plus exchange.
 
@@ -295,10 +275,6 @@ class MatroidSystem:
                 self.n, lambda s: all(m.is_independent(s) for m in ms)
             )
         return self._complex_memo
-
-    def restricted(self, u: int) -> "MatroidSystem":
-        """The system L_U: every matroid restricted to u (loops outside)."""
-        return MatroidSystem([RestrictionMatroid(m, u) for m in self.matroids])
 
 
 def max_common_independent(m1: Matroid, m2: Matroid) -> int:

@@ -309,12 +309,7 @@ def _tight_rank_at_least(normals, common: int, need: int) -> bool:
 
 def ratio(b: PolytopeRef, a: PolytopeRef) -> XRat:
     """B:A = least t with tA containing B; max of the A-gauge over B's
-    vertices.
-
-    For (B, A) = (R, Q) the value is recomputed through the restricted
-    matching/cover identity max over U of nu*(L_U) / nu(L_U), and the
-    two routes must agree (CertificateError otherwise).
-    """
+    vertices."""
     if b.n != a.n:
         raise DomainError("dimension mismatch")
     best = XRat.of(0)
@@ -322,23 +317,22 @@ def ratio(b: PolytopeRef, a: PolytopeRef) -> XRat:
         best = max(best, psi(a, v))
         if best is INF:
             return INF
-    if (
-        b.kind == "R"
-        and a.kind == "Q"
-        and a.complex_ == b.system.intersection_complex()
-    ):
-        via = ratio_rq_via_matchings(b.system)
-        if via != best:
-            raise CertificateError(f"ratio routes disagree: {best} vs {via}")
     return best
 
 
 def ratio_rq_via_matchings(system: MatroidSystem):
-    """max over U of nu*(L_U) : nu(L_U) (0/0 skipped, x/0 infinite)."""
+    """max over U of nu*(L_U) : nu(L_U) (0/0 skipped, x/0 infinite).
+
+    R(L_U) is R(L) cut to the points whose support lies in U, and R(L)
+    is closed downwards, so nu*(L_U) = max 1.x over R(L_U) equals
+    max 1_U.x over R(L): one row set, _system_rows(system), serves
+    every U.
+    """
     c = system.intersection_complex()
     best = ZERO
     for u in range(1, 1 << system.n):
-        nu_star = nu_star_w(system.restricted(u), RatVec.ones(system.n))
+        indicator = RatVec([(u >> v) & 1 for v in range(system.n)])
+        nu_star = nu_star_w(system, indicator)
         nu = Fraction(c.rank_of(u))
         if nu == 0:
             if nu_star > 0:
@@ -450,6 +444,8 @@ class MatroidalNumbers:
 
 def matroidal_numbers(system: MatroidSystem, w: RatVec) -> MatroidalNumbers:
     """All four weighted matroidal numbers; the LP pair must coincide."""
+    if len(w) != system.n:
+        raise DomainError("one weight per ground element required")
     if not w.is_nonnegative():
         raise DomainError("weights must be non-negative")
     ns = nu_star_w(system, w)

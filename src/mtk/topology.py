@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Complex, bit_count, iter_bits
-from .errors import CapExceeded
+from .errors import CapExceeded, DomainError
 from .extval import INF, XRat, max_ratio
 
 # topological_hall_check is refused above this many sets V_i.
@@ -186,7 +186,9 @@ def expansions(c: Complex, h: tuple[Fraction, ...] | None = None) -> ExpansionRe
     h = None means the all-ones weighting, for which delta_h == delta.
     """
     if h is not None and len(h) != c.n:
-        raise ValueError("weight vector length mismatch")
+        raise DomainError("weight vector length mismatch")
+    if h is not None and any(x < 0 for x in h):
+        raise DomainError("weights must be non-negative")
     cache: dict[int, object] = {}
 
     def eta(s: int):

@@ -28,7 +28,7 @@ from .core import (
     matching_complex,
     min_nonfaces,
 )
-from .errors import CapExceeded, CertificateError, Uncolorable
+from .errors import CapExceeded, CertificateError, DomainError, Uncolorable
 from .extval import INF, XRat
 from .matroid import (
     DualMatroid,
@@ -42,7 +42,6 @@ from .matroid import (
 )
 from .polytopes import PolytopeRef, RatVec
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -321,7 +320,7 @@ def suite_edmonds_k2(
 ) -> list[VerificationRecord]:
     """P(M cap N) = P(M) cap P(N), via membership and via chi*."""
     records = []
-    sizes = [3, 4, 4, 5, 5, 6, 6, 7, 7, max_n]
+    sizes = [min(n, max_n) for n in (3, 4, 4, 5, 5, 6, 6, 7, 7, max_n)]
     member_checks = 0
     chi_checks = 0
     for t in range(pairs):
@@ -414,13 +413,13 @@ def suite_edmonds_k2(
 
 
 def whitney_catalog(max_n=9) -> list[tuple[str, Matroid]]:
+    """The catalog's matroids on at most max_n elements."""
     cat: list[tuple[str, Matroid]] = []
     for n in range(1, 8):
         for r in range(0, n + 1):
             cat.append((f"uniform({r},{n})", UniformMatroid(r, n)))
     for n, r in [(8, 1), (8, 3), (8, 4), (8, 8), (9, 4), (9, 9)]:
-        if n <= max_n:
-            cat.append((f"uniform({r},{n})", UniformMatroid(r, n)))
+        cat.append((f"uniform({r},{n})", UniformMatroid(r, n)))
     gps = [
         (3, [[0, 1], [2]], [1, 1]),
         (4, [[0, 1], [2, 3]], [1, 1]),
@@ -433,8 +432,7 @@ def whitney_catalog(max_n=9) -> list[tuple[str, Matroid]]:
         (6, [[0, 1, 2, 3, 4, 5]], [5]),
     ]
     for n, parts, caps in gps:
-        if n <= max_n:
-            cat.append((f"gp(n={n},caps={caps})", GenPartitionMatroid(n, parts, caps)))
+        cat.append((f"gp(n={n},caps={caps})", GenPartitionMatroid(n, parts, caps)))
     graphs = [
         ("triangle", 3, [(0, 1), (1, 2), (0, 2)]),
         ("path4", 4, [(0, 1), (1, 2), (2, 3)]),
@@ -449,14 +447,10 @@ def whitney_catalog(max_n=9) -> list[tuple[str, Matroid]]:
         ("two_triangles", 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
     ]
     for name, v, es in graphs:
-        if len(es) <= max_n:
-            cat.append((f"graphic({name})", GraphicMatroid(v, es)))
-    dual_picks = [
-        ("dual(uniform(2,5))", DualMatroid(UniformMatroid(2, 5))),
-        ("dual(K4)", DualMatroid(GraphicMatroid(4, graphs[4][2]))),
-    ]
-    cat.extend(dual_picks)
-    return cat
+        cat.append((f"graphic({name})", GraphicMatroid(v, es)))
+    cat.append(("dual(uniform(2,5))", DualMatroid(UniformMatroid(2, 5))))
+    cat.append(("dual(K4)", DualMatroid(GraphicMatroid(4, graphs[4][2]))))
+    return [(name, m) for name, m in cat if m.n <= max_n]
 
 
 def suite_whitney(rng=None, max_n=9) -> list[VerificationRecord]:
@@ -475,7 +469,7 @@ def suite_whitney(rng=None, max_n=9) -> list[VerificationRecord]:
 def suite_williams(rng, count=100, max_n=8) -> list[VerificationRecord]:
     """chi(M) = ceil(Delta(M)) and chi*(M, h) = Delta(M, h)."""
     records = []
-    sizes = [3, 4, 5, 5, 6, 6, 7, max_n]
+    sizes = [min(n, max_n) for n in (3, 4, 5, 5, 6, 6, 7, max_n)]
     for t in range(count):
         n = sizes[t % len(sizes)]
         m = rand_matroid(rng, n)
@@ -771,7 +765,7 @@ def suite_seymour(rng, count=100, max_n=8, max_k=3) -> list[VerificationRecord]:
 def suite_duality_chain(rng, count=200, max_n=10, max_k=3) -> list[VerificationRecord]:
     """nu_w <= nu*_w = tau*_w <= tau_w, tau*_w <= k nu_w, (k-1) for partitions."""
     records = []
-    sizes = [4, 4, 5, 5, 6, 6, 7, 7, 8, max_n]
+    sizes = [min(n, max_n) for n in (4, 4, 5, 5, 6, 6, 7, 7, 8, max_n)]
     for t in range(count):
         n = sizes[t % len(sizes)]
         k = rng.randint(1, max_k)
@@ -966,18 +960,14 @@ def suite_matdim(rng=None) -> list[VerificationRecord]:
 def suite_ratio_rq(rng, count=50, max_n=6, max_k=3) -> list[VerificationRecord]:
     """Vertex-gauge R:Q versus the matching/cover identity."""
     records = []
-    sizes = [3, 4, 4, 5, 5, max_n]
+    sizes = [min(n, max_n) for n in (3, 4, 4, 5, 5, max_n)]
     for t in range(count):
         n = sizes[t % len(sizes)]
         k = rng.randint(2, max_k)
         system = rand_system(rng, n, k, loopless=False)
         c = system.intersection_complex()
         tag = f"#{t}(n={n},k={k})"
-        via_vertices = ZERO
-        for v in polytopes.vertices(PolytopeRef.R(system)):
-            via_vertices = max(via_vertices, polytopes.psi(PolytopeRef.Q(c), v))
-            if via_vertices is INF:
-                break
+        via_vertices = polytopes.ratio(PolytopeRef.R(system), PolytopeRef.Q(c))
         via_thm = polytopes.ratio_rq_via_matchings(system)
         records.append(
             _rec(
@@ -1074,14 +1064,22 @@ def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord
 def suite_topological_hall(rng, count=30) -> list[VerificationRecord]:
     """Topological Hall on matroid-intersection complexes: if
     eta_h(C[union of V_i, i in I]) >= |I| for every non-empty I, some
-    choice phi(i) in V_i has a face as its image."""
+    choice phi(i) in V_i has a face as its image.
+
+    The V_i are disjoint non-empty sides partitioning the ground set
+    (the Aharoni-Haxell setting), so every rainbow face is a system of
+    distinct representatives.
+    """
     records = []
     met = 0
     for t in range(count):
         n = rng.randint(3, 7)
         k = rng.randint(2, 3)
         c = rand_system(rng, n, k).intersection_complex()
-        subsets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 4))]
+        m = rng.randint(2, min(4, n))
+        labels = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+        rng.shuffle(labels)
+        subsets = [mask_of(v for v in range(n) if labels[v] == i) for i in range(m)]
         hall = topology.topological_hall_check(c, subsets)
         met += hall.hypothesis
         ok = hall.conclusion or not hall.hypothesis
@@ -1142,8 +1140,13 @@ def run_suite(name: str, seed: int = 0, **overrides):
 
     Overrides a suite does not accept (e.g. max_n on a deterministic
     suite) are left out, so caps can be applied to "all"; the ones no
-    named suite accepts are reported on stderr.
+    named suite accepts are reported on stderr.  max_n and max_k must
+    be at least 2.
     """
+    for key in ("max_n", "max_k"):
+        if key in overrides and overrides[key] < 2:
+            option = "--" + key.replace("_", "-")
+            raise DomainError(f"{option} must be at least 2, got {overrides[key]}")
     if name == "all":
         names = sorted(SUITES)
     elif name in SUITES:

@@ -1,6 +1,7 @@
 """Instance file round trips and the command line."""
 
 import json
+import re
 
 import pytest
 
@@ -171,6 +172,7 @@ def test_cli_invariants_names_the_missing_input(tmp_path, capsys):
         ({"weights": {"h": 5}}, "weights[h]"),
         ({"weights": [1]}, "weights"),
         ({"hypergraph": 5}, "hypergraph"),
+        ({"weights": {"h": "12"}}, "weights[h]"),
     ],
 )
 def test_cli_invariants_rejects_malformed_fields(raw, named, tmp_path, capsys):
@@ -201,3 +203,64 @@ def test_run_all_names_only_overrides_no_suite_accepts(monkeypatch, capsys):
     assert verify.run_suite("all", max_n=3, max_k=2) == []
     assert seen == {"max_n": 3}
     assert capsys.readouterr().err.strip() == "warning: suite 'all' ignores max_k"
+
+
+SYSTEM_N3 = {
+    "matroids": [
+        {"kind": "uniform", "n": 3, "rank": 2},
+        {"kind": "uniform", "n": 3, "rank": 1},
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "weights, what, message",
+    [
+        ({"h": ["1", "1"]}, "chi_star", "weight vector length mismatch"),
+        ({"h": ["1", "1"]}, "expansions", "weight vector length mismatch"),
+        ({"h": ["1", "-1", "1"]}, "chi_star", "weights must be non-negative"),
+        ({"h": ["1", "-1", "1"]}, "expansions", "weights must be non-negative"),
+        ({"w": ["1", "1", "1", "1"]}, "numbers", "one weight per ground element"),
+    ],
+)
+def test_cli_invariants_rejects_bad_weight_vectors(weights, what, message, tmp_path, capsys):
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps({**SYSTEM_N3, "weights": weights}))
+    assert main(["invariants", str(path), "--what", what]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["list-bounds", "--max-k", "1"], "--max-k"),
+        (["duality-chain", "--max-k", "0"], "--max-k"),
+        (["seymour", "--max-n", "1"], "--max-n"),
+        (["edmonds-k2", "--max-n", "-1"], "--max-n"),
+        (["williams", "--max-n", "0"], "--max-n"),
+        (["all", "--max-k", "1"], "--max-k"),
+    ],
+)
+def test_cli_verify_rejects_caps_below_two(argv, option, capsys):
+    assert main(["verify", *argv, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert f"{option} must be at least 2" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["edmonds-k2", "williams", "duality-chain", "ratio-rq"])
+def test_cli_verify_max_n_caps_every_instance(suite, capsys):
+    assert main(["verify", suite, "--seed", "1", "--max-n", "3", "--report", "jsonl"]) == 0
+    sizes = [
+        int(m) for line in capsys.readouterr().out.splitlines()
+        for m in re.findall(r"\(n=(\d+)", json.loads(line)["instance"])
+    ]
+    assert sizes and max(sizes) == 3
+
+
+def test_whitney_catalog_drops_matroids_past_max_n():
+    assert all(m.n <= 3 for _, m in verify.whitney_catalog(3))
+    assert len(verify.whitney_catalog(3)) < len(verify.whitney_catalog(9))
+    assert max(m.n for _, m in verify.whitney_catalog(9)) == 9

@@ -12,8 +12,8 @@ from mtk.errors import DomainError
 from mtk.extval import INF
 from mtk.lp import LPProblem, solve
 from mtk.matroid import (
+    Matroid,
     MatroidSystem,
-    RestrictionMatroid,
     UniformMatroid,
 )
 from mtk.polytopes import (
@@ -22,9 +22,11 @@ from mtk.polytopes import (
     hyper_numbers,
     matroidal_numbers,
     member,
+    nu_star_w,
     nu_w,
     psi,
     ratio,
+    ratio_rq_via_matchings,
     vertices,
 )
 from mtk.verify import (
@@ -37,6 +39,23 @@ from mtk.verify import (
 F = Fraction
 ONE = F(1)
 KINDS = ["uniform", "partition", "gen_partition", "graphic", "dual"]
+
+
+class RestrictionMatroid(Matroid):
+    """Restrict to the set u; elements outside u become loops."""
+
+    kind = "restriction"
+
+    def __init__(self, inner: Matroid, u: int):
+        super().__init__(inner.n)
+        self.inner = inner
+        self.u = u
+
+    def _rank(self, s: int) -> int:
+        return self.inner.rank(s & self.u)
+
+    def __repr__(self):
+        return f"RestrictionMatroid({self.inner!r}, u={self.u:#b})"
 
 
 def test_ratvec_basics():
@@ -245,9 +264,43 @@ def test_ratio_rq_theorem_small_random():
         k = rng.randint(2, 3)
         system = rand_system(rng, n, k, loopless=False)
         c = system.intersection_complex()
-        # ratio() raises CertificateError unless the two routes agree
         val = ratio(PolytopeRef.R(system), PolytopeRef.Q(c))
+        assert val == ratio_rq_via_matchings(system)
         assert val >= 1 or val == 0
+
+
+def ratio_rq_via_restricted_systems(system):
+    """max over U of nu*(L_U) : nu(L_U), with L_U built as k restricted
+    matroids (loops outside U) and its own matching LP."""
+    c = system.intersection_complex()
+    best = F(0)
+    for u in range(1, 1 << system.n):
+        restricted = MatroidSystem([RestrictionMatroid(m, u) for m in system])
+        nu_star = nu_star_w(restricted, RatVec.ones(system.n))
+        nu = c.rank_of(u)
+        if nu == 0:
+            if nu_star > 0:
+                return INF
+            continue
+        best = max(best, nu_star / nu)
+    return best
+
+
+def test_ratio_rq_via_matchings_matches_the_restricted_systems_route():
+    # n <= 6, the five kinds in turn, a loop by restriction in every
+    # other system
+    rng = random.Random(63)
+    kinds = itertools.cycle(KINDS)
+    with_loops = 0
+    for t in range(60):
+        n = rng.randint(2, 6)
+        ms = [_rand_matroid_once(rng, n, next(kinds)) for _ in range(rng.randint(2, 3))]
+        if t % 2:
+            ms[0] = RestrictionMatroid(ms[0], ms[0].full & ~(1 << rng.randrange(n)))
+        system = MatroidSystem(ms)
+        with_loops += any(m.loops() for m in system)
+        assert ratio_rq_via_matchings(system) == ratio_rq_via_restricted_systems(system)
+    assert with_loops >= 30
 
 
 def test_ratio_rp_bounded_by_k():

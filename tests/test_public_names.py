@@ -1,6 +1,7 @@
-"""Every public module-level function and class in src/mtk is referenced
-somewhere in the package outside its own definition: code that only
-tests call belongs under tests/."""
+"""Every public module-level function and class in src/mtk, and every
+public method of a public class, is referenced somewhere in the package
+outside its own definition: code that only tests call belongs under
+tests/."""
 
 import ast
 from collections import Counter
@@ -20,6 +21,19 @@ def _references(node) -> Counter:
     )
 
 
+def _public_definitions(tree):
+    """(qualified name, node) for the public functions and classes of a
+    module and the public methods of its public classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreferenced_public_names() -> list[str]:
     trees = {
         p.stem: ast.parse(p.read_text())
@@ -28,12 +42,10 @@ def unreferenced_public_names() -> list[str]:
     }
     total = sum((_references(tree) for tree in trees.values()), Counter())
     return sorted(
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and total[node.name] == _references(node)[node.name]
+        for name, node in _public_definitions(tree)
+        if total[node.name] == _references(node)[node.name]
     )
 
 

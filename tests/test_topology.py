@@ -1,8 +1,10 @@
 """Homology, eta_h, expansion numbers, and the Hall checker."""
 
+import itertools
 import random
 from fractions import Fraction
 
+from mtk import topology
 from mtk.core import Complex, Hypergraph, mask_of, matching_complex
 from mtk.extval import INF, XRat
 from mtk.matroid import UniformMatroid
@@ -246,8 +248,26 @@ def test_topological_hall():
     assert implications >= 5
 
 
-def test_topological_hall_suite_decides_instances_meeting_the_hypothesis():
+def test_topological_hall_suite_decides_instances_meeting_the_hypothesis(monkeypatch):
+    checked = []
+
+    def spy(c, subsets):
+        rec = topological_hall_check(c, subsets)
+        checked.append((c, subsets, rec))
+        return rec
+
+    monkeypatch.setattr(topology, "topological_hall_check", spy)
     records = run_suite("topological-hall", seed=1)
     assert records and all(r.verdict == "holds" for r in records)
     (counts,) = [r for r in records if r.claim == "topological-hall/counts"]
     assert int(counts.lhs) > 0
+    assert len(checked) == 30
+    for c, subsets, rec in checked:
+        # disjoint non-empty sides covering the ground set
+        assert all(subsets) and sum(subsets) == (1 << c.n) - 1
+        assert all(a & b == 0 for a, b in itertools.combinations(subsets, 2))
+        if rec.hypothesis:
+            picks = rec.witness
+            assert len(picks) == len(set(picks)) == len(subsets)
+            assert all((s >> v) & 1 for s, v in zip(subsets, picks))
+            assert c.is_face(mask_of(picks))
