@@ -62,27 +62,29 @@ def chi(c: Complex, return_cover: bool = False):
         return best
 
     cover_by = [[f for f in faces if (f >> v) & 1] for v in range(c.n)]
-
-    def dfs(uncov: int, count: int, chosen: list[int]):
-        nonlocal best, best_cover
-        if uncov == 0:
-            if count < best:
-                best = count
-                best_cover = chosen[:]
-            return
-        biggest = max(bit_count(f & uncov) for f in faces)
-        if count + -(-bit_count(uncov) // biggest) >= best:
-            return
-        v = min(iter_bits(uncov), key=lambda w: len(cover_by[w]))
-        for f in sorted(cover_by[v], key=lambda g: -bit_count(g & uncov)):
-            chosen.append(f)
-            dfs(uncov & ~f, count + 1, chosen)
-            chosen.pop()
-
-    dfs(full, 0, [])
+    incumbent = [best, best_cover]
+    _smallest_cover(faces, cover_by, full, 0, [], incumbent)
+    best, best_cover = incumbent
     if return_cover:
         return best, best_cover
     return best
+
+
+def _smallest_cover(faces, cover_by, uncov: int, count: int, chosen: list[int], incumbent: list):
+    """Branch and bound for chi; incumbent is [size, cover], improved in place."""
+    if uncov == 0:
+        if count < incumbent[0]:
+            incumbent[0] = count
+            incumbent[1] = chosen[:]
+        return
+    biggest = max(bit_count(f & uncov) for f in faces)
+    if count + -(-bit_count(uncov) // biggest) >= incumbent[0]:
+        return
+    v = min(iter_bits(uncov), key=lambda w: len(cover_by[w]))
+    for f in sorted(cover_by[v], key=lambda g: -bit_count(g & uncov)):
+        chosen.append(f)
+        _smallest_cover(faces, cover_by, uncov & ~f, count + 1, chosen, incumbent)
+        chosen.pop()
 
 
 def delta_rank(m: Matroid, h=None, sub: int | None = None) -> XRat:

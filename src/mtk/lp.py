@@ -1,12 +1,14 @@
 """Exact rational linear programming.
 
-One dense simplex core over fractions, with Bland's anti-cycling rule,
+One simplex core over fractions, with Bland's anti-cycling rule,
 serves both entry points: `solve` for general problems and
 `solve_max_slack` for the packing form max c.x, Ax <= b, x >= 0.  Every
 problem has "<=" and ">=" rows over non-negative variables.  The core
 puts it in standard form (one slack per row, rows with a negative
 right-hand side negated), runs phase I only when some row has no +1
-slack to start the basis from, and then runs phase II.
+slack to start the basis from, and then runs phase II.  A pivot scales
+the pivot row once and updates every other row in place, over the
+pivot row's non-zero columns only.
 
 Primal and dual are both read off the final tableau.  Every row i owns
 one column equal to e_i: its +1 slack, or else its artificial.  The
@@ -70,17 +72,23 @@ class LPResult:
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], r: int, col: int) -> None:
+    """Pivot on (r, col), updating every row in place over the non-zero
+    columns of the scaled pivot row."""
     prow = tableau[r]
+    nz = [j for j, v in enumerate(prow) if v]
     piv = prow[col]
     if piv != 1:
         inv = ONE / piv
-        tableau[r] = prow = [v * inv for v in prow]
+        for j in nz:
+            prow[j] *= inv
+    nzrow = [(j, prow[j]) for j in nz]
     for i, row in enumerate(tableau):
         if i == r:
             continue
         f = row[col]
         if f:
-            tableau[i] = [a - f * b for a, b in zip(row, prow)]
+            for j, b in nzrow:
+                row[j] -= f * b
     basis[r] = col
 
 
@@ -159,7 +167,9 @@ def _simplex(p: LPProblem) -> LPResult:
             phase1[a] = ONE
         for i in range(m):
             if basis[i] >= std_cols:
-                phase1 = [x - y for x, y in zip(phase1, tableau[i])]
+                for j, v in enumerate(tableau[i]):
+                    if v:
+                        phase1[j] -= v
         tableau.append(phase1)
         _run_simplex(tableau, basis, ncols, ncols)
         if tableau[-1][ncols] < 0:
@@ -178,7 +188,9 @@ def _simplex(p: LPProblem) -> LPResult:
     for i in range(m):
         f = obj[basis[i]]
         if f:
-            obj = [x - f * y for x, y in zip(obj, tableau[i])]
+            for j, v in enumerate(tableau[i]):
+                if v:
+                    obj[j] -= f * v
     tableau.append(obj)
     if not _run_simplex(tableau, basis, ncols, std_cols):
         return LPResult(status="unbounded")
@@ -252,7 +264,9 @@ def certify(p: LPProblem, res: LPResult) -> None:
             _require(lhs >= rhs, "primal infeasible (>=)")
             _require((yi >= 0) if minimize else (yi <= 0), "dual sign (>=)")
         if yi:
-            ya = [s + yi * a for s, a in zip(ya, coeffs)]
+            for j, a in enumerate(coeffs):
+                if a:
+                    ya[j] += yi * a
     for cj, s in zip(p.c, ya):
         red = cj - s
         _require((red >= 0) if minimize else (red <= 0), "dual infeasible")

@@ -413,25 +413,25 @@ def tau_w(system: MatroidSystem, w: RatVec) -> Fraction:
         if not any(cov & ~c2 == 0 and cost >= cost2 for c2, cost2 in kept):
             kept.append((cov, cost))
     best = [sum(cost for _, cost in kept) + 1]
-    memo: dict[int, int] = {}
-
-    def dfs(remaining: int, spent: int):
-        if remaining == 0:
-            best[0] = min(best[0], spent)
-            return
-        if spent >= best[0]:
-            return
-        seen = memo.get(remaining)
-        if seen is not None and seen <= spent:
-            return
-        memo[remaining] = spent
-        low = next(iter_bits(remaining))
-        for cov, cost in kept:
-            if (cov >> low) & 1:
-                dfs(remaining & ~cov, spent + cost)
-
-    dfs(demands, 0)
+    _cheapest_cover(kept, demands, 0, best, {})
     return Fraction(best[0])
+
+
+def _cheapest_cover(kept, remaining: int, spent: int, best: list[int], memo: dict[int, int]):
+    """Branch and bound for tau_w; best[0] is the incumbent cost."""
+    if remaining == 0:
+        best[0] = min(best[0], spent)
+        return
+    if spent >= best[0]:
+        return
+    seen = memo.get(remaining)
+    if seen is not None and seen <= spent:
+        return
+    memo[remaining] = spent
+    low = next(iter_bits(remaining))
+    for cov, cost in kept:
+        if (cov >> low) & 1:
+            _cheapest_cover(kept, remaining & ~cov, spent + cost, best, memo)
 
 
 @dataclass(frozen=True)
@@ -497,23 +497,23 @@ def hyper_tau_star_w(h: Hypergraph, w: RatVec) -> Fraction:
 
 def hyper_nu_w(h: Hypergraph, w: RatVec) -> Fraction:
     """Max weight of a matching (integral fractional matching)."""
-    edges = list(h.edges)
     best = [ZERO]
-
-    def dfs(i: int, used: int, val: Fraction):
-        if val > best[0]:
-            best[0] = val
-        if i == len(edges):
-            return
-        rest = sum((w[j] for j in range(i, len(edges)) if w[j] > 0), ZERO)
-        if val + rest <= best[0]:
-            return
-        dfs(i + 1, used, val)
-        if edges[i] & used == 0:
-            dfs(i + 1, used | edges[i], val + w[i])
-
-    dfs(0, 0, ZERO)
+    _heaviest_matching(h.edges, w, 0, 0, ZERO, best)
     return best[0]
+
+
+def _heaviest_matching(edges, w: RatVec, i: int, used: int, val: Fraction, best: list[Fraction]):
+    """Branch and bound for hyper_nu_w; best[0] is the incumbent weight."""
+    if val > best[0]:
+        best[0] = val
+    if i == len(edges):
+        return
+    rest = sum((w[j] for j in range(i, len(edges)) if w[j] > 0), ZERO)
+    if val + rest <= best[0]:
+        return
+    _heaviest_matching(edges, w, i + 1, used, val, best)
+    if edges[i] & used == 0:
+        _heaviest_matching(edges, w, i + 1, used | edges[i], val + w[i], best)
 
 
 def hyper_tau_w(h: Hypergraph, w: RatVec) -> Fraction:
@@ -521,31 +521,27 @@ def hyper_tau_w(h: Hypergraph, w: RatVec) -> Fraction:
     demands = [max(0, -((-w[i].numerator) // w[i].denominator)) for i in range(len(h.edges))]
     if any(d > 0 and e == 0 for d, e in zip(demands, h.edges)):
         raise Infeasible("empty edge with positive demand")
-    t = [0] * h.n
     # Greedy start for the incumbent.
     best = [sum(d * 1 for d in demands) * max(1, h.n)]
-
-    def unmet():
-        for i, e in enumerate(h.edges):
-            have = sum(t[v] for v in iter_bits(e))
-            if have < demands[i]:
-                return i
-        return -1
-
-    def dfs(spent: int):
-        if spent >= best[0]:
-            return
-        i = unmet()
-        if i < 0:
-            best[0] = spent
-            return
-        for v in iter_bits(h.edges[i]):
-            t[v] += 1
-            dfs(spent + 1)
-            t[v] -= 1
-
-    dfs(0)
+    _smallest_multicover(h.edges, demands, [0] * h.n, 0, best)
     return Fraction(best[0])
+
+
+def _smallest_multicover(edges, demands: list[int], t: list[int], spent: int, best: list[int]):
+    """Branch and bound for hyper_tau_w over the multiplicities t."""
+    if spent >= best[0]:
+        return
+    i = next(
+        (i for i, e in enumerate(edges) if sum(t[v] for v in iter_bits(e)) < demands[i]),
+        -1,
+    )
+    if i < 0:
+        best[0] = spent
+        return
+    for v in iter_bits(edges[i]):
+        t[v] += 1
+        _smallest_multicover(edges, demands, t, spent + 1, best)
+        t[v] -= 1
 
 
 def hyper_w_star(h: Hypergraph) -> Fraction:

@@ -1,5 +1,6 @@
 """Chromatic, list-chromatic, fractional computations."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -353,3 +354,17 @@ def test_ab_colorable_matches_face_multiset_search():
                 assert got == brute_ab_colorable(c, a, b), (c, a, b)
                 seen.add((b, got))
     assert seen == {(b, v) for b in (1, 2, 3) for v in (True, False)}
+
+
+def test_chi_search_leaves_no_reference_cycles():
+    # the branch and bound must not keep itself alive through a closure
+    # cell, or each call's lists wait for the cyclic collector
+    c = Complex(5, [0b00111, 0b01011, 0b01110, 0b10000])
+    gc.collect()
+    gc.disable()
+    try:
+        assert chi(c) == 3
+        assert chi(c, return_cover=True)[0] == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

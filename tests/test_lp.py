@@ -14,6 +14,7 @@ from mtk import lp
 from mtk.lp import LPProblem, solve, solve_max_slack
 
 F = Fraction
+ONE = F(1)
 
 
 def test_basic_examples():
@@ -194,3 +195,92 @@ def test_certify_raises_under_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised: strong duality failed"
+
+
+def _dense_pivot(tableau, basis, r, col):
+    # The dense pivot the sparse core replaced: it rebuilds every row
+    # over every column.  Kept as the oracle for the test below.
+    prow = tableau[r]
+    piv = prow[col]
+    if piv != 1:
+        inv = ONE / piv
+        tableau[r] = prow = [v * inv for v in prow]
+    for i, row in enumerate(tableau):
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            tableau[i] = [a - f * b for a, b in zip(row, prow)]
+    basis[r] = col
+
+
+def _traced(monkeypatch, pivot, call):
+    """Run call() with lp._pivot set to pivot.  Returns its outcome, every
+    pivot (row, column, rhs before the pivot) and the basis and tableau
+    after each _run_simplex."""
+    pivots, runs = [], []
+    run = lp._run_simplex
+
+    def spy_pivot(tableau, basis, r, col):
+        pivots.append((r, col, tableau[r][-1]))
+        pivot(tableau, basis, r, col)
+
+    def spy_run(tableau, basis, ncols, allowed):
+        ok = run(tableau, basis, ncols, allowed)
+        runs.append((ok, list(basis), [list(row) for row in tableau]))
+        return ok
+
+    monkeypatch.setattr(lp, "_pivot", spy_pivot)
+    monkeypatch.setattr(lp, "_run_simplex", spy_run)
+    try:
+        out = call()
+    except ValueError as e:  # solve_max_slack on an unbounded problem
+        out = ("raised", str(e))
+    monkeypatch.undo()
+    return out, pivots, runs
+
+
+def _random_lp(rng):
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 5)
+    c = [F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+    rows = []
+    for _ in range(m):
+        coeffs = [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)]
+        # rhs 0 is common, so degenerate pivots happen often
+        rhs = F(rng.choice([0, 0, 1, 2, -1, -2]), rng.choice([1, 3]))
+        rows.append((coeffs, rng.choice(["<=", ">="]), rhs))
+    return LPProblem.make(rng.choice(["min", "max"]), c, rows)
+
+
+def _random_packing(rng):
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 5)
+    amat = [[F(rng.randint(0, 3), rng.choice([1, 2])) for _ in range(n)] for _ in range(m)]
+    bvec = [F(rng.choice([0, 0, 1, 2, 3])) for _ in range(m)]
+    cvec = [F(rng.randint(0, 3)) for _ in range(n)]
+    return amat, bvec, cvec
+
+
+def test_sparse_pivot_follows_the_dense_path(monkeypatch):
+    rng = random.Random(11)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "phase one": 0,
+            "degenerate": 0, "packing": 0, "packing unbounded": 0}
+    for trial in range(400):
+        if trial % 2:
+            p = _random_lp(rng)
+            call = lambda p=p: solve(p)
+        else:
+            amat, bvec, cvec = _random_packing(rng)
+            call = lambda a=amat, b=bvec, c=cvec: solve_max_slack(a, b, c)
+        dense = _traced(monkeypatch, _dense_pivot, call)
+        sparse = _traced(monkeypatch, lp._pivot, call)
+        assert sparse == dense
+        out, pivots, runs = sparse
+        if trial % 2:
+            seen[out.status] += 1
+            seen["phase one"] += len(runs) == 2 or out.status == "infeasible"
+        else:
+            seen["packing" if out[0] != "raised" else "packing unbounded"] += 1
+        seen["degenerate"] += any(rhs == 0 for _, _, rhs in pivots)
+    assert min(seen.values()) >= 10, seen

@@ -1,5 +1,6 @@
 """P/Q/R membership, gauges, vertices, ratios, and weighted numbers."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -20,6 +21,8 @@ from mtk.polytopes import (
     PolytopeRef,
     RatVec,
     hyper_numbers,
+    hyper_nu_w,
+    hyper_tau_w,
     matroidal_numbers,
     member,
     nu_star_w,
@@ -27,6 +30,7 @@ from mtk.polytopes import (
     psi,
     ratio,
     ratio_rq_via_matchings,
+    tau_w,
     vertices,
 )
 from mtk.verify import (
@@ -489,3 +493,21 @@ def test_hyper_chain_random():
         w = rand_weights(rng, len(h.edges))
         nums = hyper_numbers(h, w)
         assert nums.nu <= nums.nu_star <= nums.tau
+
+
+def test_integral_searches_leave_no_reference_cycles():
+    # the branch and bounds must not keep themselves alive through a
+    # closure cell, or each call's memo and lists wait for the cyclic
+    # collector
+    system = MatroidSystem([UniformMatroid(1, 4), UniformMatroid(2, 4)])
+    c4 = Hypergraph(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+    w = RatVec([F(3, 2), ONE, F(1, 2), F(2)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert tau_w(system, RatVec.ones(4)) == 1
+        assert hyper_nu_w(c4, w) == F(7, 2)
+        assert hyper_tau_w(c4, w) == 4
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
