@@ -209,7 +209,8 @@ def cmd_invariants(args) -> int:
             hh = list(h) if h is not None else [Fraction(1)] * c.n
             out["chi_star"] = str(coloring.chi_star(c, hh))
         elif item == "chi_list":
-            out["chi_list"] = str(coloring.chi_list_number(c))
+            lo, hi = coloring.chi_list_number(c)
+            out["chi_list"] = str(lo) if lo == hi else f"[{lo},{hi}]"
         elif item == "expansions":
             rec = topology.expansions(c, tuple(h) if h is not None else None)
             out["delta_r"] = str(rec.delta_r)

@@ -26,6 +26,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 LIST_ENUM_BUDGET = 4_000_000
+LIST_MAX_N = 8  # largest n chi_list enumerates list systems for
 
 
 def chi(c: Complex, return_cover: bool = False):
@@ -155,35 +156,39 @@ def _canonical_systems(n: int, p: int, budget: int):
     suffix_union = [0] * (len(masks) + 1)
     for i in range(len(masks) - 1, -1, -1):
         suffix_union[i] = suffix_union[i + 1] | masks[i]
-    out_deg = [p] * n
-    state = {"nodes": 0}
+    yield from _extend_systems(masks, suffix_union, [p] * n, [budget], 0, ())
 
-    def dfs(i: int, chosen: tuple):
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            raise CapExceeded("list-system enumeration beyond budget")
-        live = 0
-        for v in range(n):
-            if out_deg[v]:
-                live |= 1 << v
-        if live == 0:
-            yield chosen
-            return
-        if i == len(masks) or live & ~suffix_union[i]:
-            return
-        mask = masks[i]
-        maxmult = 0
-        if mask & ~live == 0:
-            maxmult = min(out_deg[v] for v in iter_bits(mask))
-        yield from dfs(i + 1, chosen)
-        for mult in range(1, maxmult + 1):
-            for v in iter_bits(mask):
-                out_deg[v] -= 1
-            yield from dfs(i + 1, chosen + ((mask, mult),))
+
+def _extend_systems(
+    masks, suffix_union, out_deg: list[int], left: list[int], i: int, chosen: tuple
+):
+    """The systems extending `chosen` by masks[i:]; out_deg[v] is the
+    coverage vertex v still needs and left[0] the nodes the budget allows."""
+    left[0] -= 1
+    if left[0] < 0:
+        raise CapExceeded("list-system enumeration beyond budget")
+    live = 0
+    for v, deg in enumerate(out_deg):
+        if deg:
+            live |= 1 << v
+    if live == 0:
+        yield chosen
+        return
+    if i == len(masks) or live & ~suffix_union[i]:
+        return
+    mask = masks[i]
+    maxmult = 0
+    if mask & ~live == 0:
+        maxmult = min(out_deg[v] for v in iter_bits(mask))
+    yield from _extend_systems(masks, suffix_union, out_deg, left, i + 1, chosen)
+    for mult in range(1, maxmult + 1):
         for v in iter_bits(mask):
-            out_deg[v] += maxmult
-
-    yield from dfs(0, ())
+            out_deg[v] -= 1
+        yield from _extend_systems(
+            masks, suffix_union, out_deg, left, i + 1, chosen + ((mask, mult),)
+        )
+    for v in iter_bits(mask):
+        out_deg[v] += maxmult
 
 
 def _b_fold_colorable(c: Complex, system, b: int) -> bool:
@@ -197,32 +202,32 @@ def _b_fold_colorable(c: Complex, system, b: int) -> bool:
     """
     groups = [fmask for fmask, _ in system]
     classes = [[0] * mult for _, mult in system]
-    n = c.n
+    return c.n == 0 or _pick(c, groups, classes, b, 0, 0, 0, b)
 
-    def pick(v: int, g: int, i: int, left: int) -> bool:
-        """Give v its remaining `left` instances, from (g, i) onwards."""
-        if left == 0:
-            return v + 1 == n or pick(v + 1, 0, 0, b)
-        bit = 1 << v
-        for gi in range(g, len(groups)):
-            if not (groups[gi] >> v) & 1:
+
+def _pick(c: Complex, groups, classes, b: int, v: int, g: int, i: int, left: int) -> bool:
+    """Give v its remaining `left` instances, from (g, i) onwards, and
+    every later vertex its b; classes[g][i] is instance (g, i)'s class."""
+    if left == 0:
+        return v + 1 == c.n or _pick(c, groups, classes, b, v + 1, 0, 0, b)
+    bit = 1 << v
+    for gi in range(g, len(groups)):
+        if not (groups[gi] >> v) & 1:
+            continue
+        inst = classes[gi]
+        tried: set[int] = set()
+        for ii in range(i if gi == g else 0, len(inst)):
+            cls = inst[ii]
+            if cls in tried:
                 continue
-            inst = classes[gi]
-            tried: set[int] = set()
-            for ii in range(i if gi == g else 0, len(inst)):
-                cls = inst[ii]
-                if cls in tried:
-                    continue
-                tried.add(cls)
-                nxt = cls | bit
-                if c.is_face(nxt):
-                    inst[ii] = nxt
-                    if pick(v, gi, ii + 1, left - 1):
-                        return True
-                    inst[ii] = cls
-        return False
-
-    return n == 0 or pick(0, 0, 0, b)
+            tried.add(cls)
+            nxt = cls | bit
+            if c.is_face(nxt):
+                inst[ii] = nxt
+                if _pick(c, groups, classes, b, v, gi, ii + 1, left - 1):
+                    return True
+                inst[ii] = cls
+    return False
 
 
 def _first_uncolorable(c: Complex, p: int, b: int, budget: int):
@@ -240,32 +245,39 @@ def chi_list(c: Complex, p: int, budget: int = LIST_ENUM_BUDGET):
     the verdict is False.
     """
     full = (1 << c.n) - 1
-    if c.vertices_mask() != full:
-        return False, (((full & ~c.vertices_mask()).bit_length() - 1,))
-    if chi(c) > p:
-        return False, tuple((full, 1) for _ in range(p))
+    if c.vertices_mask() != full or chi(c) > p:
+        # p colors on every vertex: a coloring would cover by p faces
+        return False, ((full, p),)
     # With p >= n and all singletons present, a system of distinct reps
     # always exists: lists are size p >= n, so Hall's condition holds.
     if p >= c.n:
         return True, None
-    if c.n > 8 or p > 4:
-        raise CapExceeded("chi_list search limited to n <= 8, p <= 4")
+    if c.n > LIST_MAX_N or p > 4:
+        raise CapExceeded(f"chi_list search limited to n <= {LIST_MAX_N}, p <= 4")
     bad = _first_uncolorable(c, p, 1, budget)
     return bad is None, bad
 
 
-def chi_list_number(c: Complex, budget: int = LIST_ENUM_BUDGET) -> int:
-    """Least p for which every size-p system is colorable.
+def chi_list_number(c: Complex, budget: int = LIST_ENUM_BUDGET) -> tuple[int, int]:
+    """Bracket (lo, hi) on the least p for which every size-p system is
+    colorable.
 
-    The search starts at p = chi and ends by p = n (the SDR shortcut);
-    a size that needs the full enumeration past chi_list's caps
-    (n <= 8, p <= 4) raises CapExceeded.
+    The search climbs p = chi, chi + 1, ...; the first choosable p gives
+    (p, p).  A size the search cannot decide (the budget, or chi_list's
+    cap p <= 4) gives (p, n): every smaller size failed, and size n is
+    choosable by the SDR shortcut.  Past chi_list's cap n <= LIST_MAX_N
+    no size below n can be searched, and the CapExceeded propagates.
     """
     p = max(1, chi(c))
     while True:
-        ok, _ = chi_list(c, p, budget)
+        try:
+            ok, _ = chi_list(c, p, budget)
+        except CapExceeded:
+            if c.n > LIST_MAX_N:
+                raise
+            return p, c.n
         if ok:
-            return p
+            return p, p
         p += 1
 
 

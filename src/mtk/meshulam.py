@@ -166,6 +166,59 @@ def _reduce_singletons(vmask: int, edges: tuple[tuple[int, int], ...]):
         edges = tuple((cur, orig) for cur, orig in edges if cur & single == 0)
 
 
+def _offers(edges, exhaustive: bool):
+    """The containment-minimal edges the offering side may propose: all
+    of them, or only the first when the game is not exhaustive."""
+    out = []
+    for cur, orig in edges:
+        if not any(other & ~cur == 0 and other != cur for other, _ in edges):
+            out.append((cur, orig))
+    return out if exhaustive else out[:1]
+
+
+def _contract_edges(edges, cur: int):
+    seen: dict[int, int] = {}
+    for c, o in edges:
+        rem = c & ~cur
+        if rem and rem not in seen:
+            seen[rem] = o
+    return tuple(seen.items())
+
+
+def _game_value(memo: dict, exhaustive: bool, vmask: int, edges):
+    """(value, vmask, edges) of a position after its singleton reduction;
+    memo maps reduced positions to their values."""
+    vmask, edges = _reduce_singletons(vmask, edges)
+    if not edges:
+        return (INF if vmask else 0), vmask, edges
+    key = (vmask, tuple(cur for cur, _ in edges))
+    got = memo.get(key)
+    if got is None:
+        got = _best_over_offers(memo, exhaustive, vmask, edges)
+        memo[key] = got
+    return got, vmask, edges
+
+
+def _branch(memo: dict, exhaustive: bool, vmask: int, edges, cur: int):
+    """The replying side's (value, move) when edge `cur` is offered."""
+    deleted = tuple((c, o) for c, o in edges if c != cur)
+    del_val, _, _ = _game_value(memo, exhaustive, vmask, deleted)
+    con_val, _, _ = _game_value(memo, exhaustive, vmask & ~cur, _contract_edges(edges, cur))
+    con_total = con_val if con_val is INF else con_val + bit_count(cur) - 1
+    if con_total is INF or (del_val is not INF and del_val <= con_total):
+        return del_val, "delete"
+    return con_total, "contract"
+
+
+def _best_over_offers(memo: dict, exhaustive: bool, vmask: int, edges):
+    best = None
+    for cur, _ in _offers(edges, exhaustive):
+        val, _ = _branch(memo, exhaustive, vmask, edges, cur)
+        if best is None or best is not INF and (val is INF or val > best):
+            best = val
+    return best
+
+
 def delete_contract_certificate(h: Hypergraph):
     """Replay the delete/contract game and return (bound, sequence).
 
@@ -183,56 +236,8 @@ def delete_contract_certificate(h: Hypergraph):
     full = (1 << h.n) - 1
     memo: dict[tuple[int, tuple[int, ...]], object] = {}
 
-    def value(vmask: int, edges: tuple[tuple[int, int], ...]):
-        vmask, edges = _reduce_singletons(vmask, edges)
-        if not edges:
-            return (INF if vmask else 0), vmask, edges
-        key = (vmask, tuple(cur for cur, _ in edges))
-        got = memo.get(key)
-        if got is None:
-            got = _best_over_offers(vmask, edges)
-            memo[key] = got
-        return got, vmask, edges
-
-    def _minimal_edges(edges):
-        out = []
-        for cur, orig in edges:
-            if not any(
-                other & ~cur == 0 and other != cur for other, _ in edges
-            ):
-                out.append((cur, orig))
-        return out
-
-    def _contract_edges(edges, cur):
-        seen: dict[int, int] = {}
-        for c, o in edges:
-            rem = c & ~cur
-            if rem and rem not in seen:
-                seen[rem] = o
-        return tuple(seen.items())
-
-    def _branch(vmask, edges, cur, orig):
-        deleted = tuple((c, o) for c, o in edges if c != cur)
-        del_val, _, _ = value(vmask, deleted)
-        con_val, _, _ = value(vmask & ~cur, _contract_edges(edges, cur))
-        con_total = con_val if con_val is INF else con_val + bit_count(cur) - 1
-        if con_total is INF or (del_val is not INF and del_val <= con_total):
-            return del_val, "delete"
-        return con_total, "contract"
-
-    def _best_over_offers(vmask, edges):
-        offers = _minimal_edges(edges)
-        if not exhaustive:
-            offers = offers[:1]
-        best = None
-        for cur, orig in offers:
-            val, _ = _branch(vmask, edges, cur, orig)
-            if best is None or best is not INF and (val is INF or val > best):
-                best = val
-        return best
-
     start = (full, tuple((e, e) for e in h.edges))
-    bound, vmask, edges = value(*start)
+    bound, vmask, edges = _game_value(memo, exhaustive, *start)
     if bound is INF or bound == 0:
         return bound, None
 
@@ -242,13 +247,10 @@ def delete_contract_certificate(h: Hypergraph):
         vmask, edges = _reduce_singletons(vmask, edges)
         if not edges:
             break
-        offers = _minimal_edges(edges)
-        if not exhaustive:
-            offers = offers[:1]
-        target, _, _ = value(vmask, edges)
+        target, _, _ = _game_value(memo, exhaustive, vmask, edges)
         chosen = None
-        for cur, orig in offers:
-            val, move = _branch(vmask, edges, cur, orig)
+        for cur, orig in _offers(edges, exhaustive):
+            val, move = _branch(memo, exhaustive, vmask, edges, cur)
             if val == target:
                 chosen = (cur, orig, move)
                 break

@@ -236,7 +236,7 @@ def topological_hall_check(c: Complex, subsets: list[int]) -> HallRecord:
         if eta is not INF and eta < bit_count(imask):
             hypothesis = False
             break
-    witness = _rainbow_face(c, subsets)
+    witness = _rainbow_face(c, subsets, set(), 0, 0, ())
     return HallRecord(
         hypothesis=hypothesis,
         conclusion=witness is not None,
@@ -244,23 +244,21 @@ def topological_hall_check(c: Complex, subsets: list[int]) -> HallRecord:
     )
 
 
-def _rainbow_face(c: Complex, subsets: list[int]) -> tuple[int, ...] | None:
-    m = len(subsets)
-    seen: set[tuple[int, int]] = set()
-
-    def dfs(i: int, image: int, picks: tuple[int, ...]):
-        if i == m:
-            return picks
-        key = (i, image)
-        if key in seen:
-            return None
-        seen.add(key)
-        for v in iter_bits(subsets[i]):
-            nxt = image | (1 << v)
-            if c.is_face(nxt):
-                got = dfs(i + 1, nxt, picks + (v,))
-                if got is not None:
-                    return got
+def _rainbow_face(
+    c: Complex, subsets: list[int], seen: set, i: int, image: int, picks: tuple
+) -> tuple[int, ...] | None:
+    """Picks for subsets[i:] that extend `picks`, whose vertices make up
+    `image`, to a rainbow face; seen holds the (i, image) already failed."""
+    if i == len(subsets):
+        return picks
+    key = (i, image)
+    if key in seen:
         return None
-
-    return dfs(0, 0, ())
+    seen.add(key)
+    for v in iter_bits(subsets[i]):
+        nxt = image | (1 << v)
+        if c.is_face(nxt):
+            got = _rainbow_face(c, subsets, seen, i + 1, nxt, picks + (v,))
+            if got is not None:
+                return got
+    return None

@@ -641,8 +641,12 @@ def suite_list_bounds(
         k = rng.randint(2, max_k)
         partition = t % 2 == 0
         system = rand_system(rng, n, k, loopless=True, partition=partition)
-        c = system.intersection_complex()
         tag = f"#{t}(n={n},k={k},{'partition' if partition else 'general'})"
+        if n > coloring.LIST_MAX_N:
+            note = f"n > {coloring.LIST_MAX_N}, chi_list's cap on n"
+            records.append(_skip("thm:chiellCkchiC", tag, note=note))
+            continue
+        c = system.intersection_complex()
         try:
             chi_c = coloring.chi(c)
         except Uncolorable:
@@ -656,38 +660,16 @@ def suite_list_bounds(
                 (k if partition else 2 * k - 1) * max(chi_is),
             ),
         ]
-        chi_ell = None
-        try:
-            chi_ell = coloring.chi_list_number(c, budget=budget)
-        except CapExceeded:
-            pass
+        lo, hi = coloring.chi_list_number(c, budget=budget)
+        lhs = lo if lo == hi else f"[{lo},{hi}]"
         for claim, bound in bounds:
-            if chi_ell is not None:
-                records.append(
-                    _rec(claim, tag, chi_ell, bound, "<=", chi_ell <= bound)
-                )
-                done += 1
-            elif bound <= 4:
-                try:
-                    ok, wit = coloring.chi_list(c, bound, budget=budget)
-                except CapExceeded:
-                    records.append(_skip(claim, tag, note="enumeration budget"))
-                    continue
-                records.append(
-                    _rec(
-                        claim,
-                        tag,
-                        f"chi_ell {'<=' if ok else '>'} {bound}",
-                        bound,
-                        "<=",
-                        ok,
-                        None if ok else {"system": [list(s) for s in (wit or ())]},
-                    )
-                )
-                done += 1
-            else:
-                note = f"search capped: chi_ell unresolved and bound {bound} > 4, chi_list's cap on p"
-                records.append(_skip(claim, tag, "<=", note))
+            if lo <= bound < hi:
+                records.append(_skip(claim, tag, note="enumeration budget"))
+                continue
+            ok = hi <= bound
+            witness = None if ok else _payload(system=system)
+            records.append(_rec(claim, tag, lhs, bound, "<=", ok, witness))
+            done += 1
     records.append(
         _rec("list-bounds/counts", f"count={count}", done, 0, "checked", done > 0)
     )

@@ -2,10 +2,14 @@
 ground-set limit refuses one element past its value, and every exported
 name resolves."""
 
+import random
+import re
+
 import pytest
 
 import mtk
-from mtk.coloring import delta_rank, matroid_list_color
+from mtk import coloring, verify
+from mtk.coloring import LIST_MAX_N, chi_list_number, delta_rank, matroid_list_color
 from mtk.core import (
     SWEEP_CAP,
     Complex,
@@ -137,6 +141,28 @@ def test_ground_set_limits_refuse_one_past_their_value():
     assert topological_hall_check(point, [1] * HALL_MAX_SETS).hypothesis
     with pytest.raises(CapExceeded):
         topological_hall_check(TripwireComplex(1, [[0]]), [1] * (HALL_MAX_SETS + 1))
+
+    # chi = n - 1 lies past chi_list's cap p <= 4: a bracket up to n,
+    # until no size below n can be searched at all
+    line = [[0, 1]] + [[v] for v in range(2, LIST_MAX_N + 1)]
+    assert chi_list_number(Complex(LIST_MAX_N, line[:-1])) == (LIST_MAX_N - 1, LIST_MAX_N)
+    with pytest.raises(CapExceeded):
+        chi_list_number(Complex(LIST_MAX_N + 1, line))
+
+
+def test_list_bounds_skips_an_instance_past_the_list_cap_before_any_search(monkeypatch):
+    real_chi = coloring.chi
+
+    def chi(c, *args):
+        assert c.n <= LIST_MAX_N, "searched an instance past LIST_MAX_N"
+        return real_chi(c, *args)
+
+    monkeypatch.setattr(coloring, "chi", chi)
+    records = verify.suite_list_bounds(random.Random(3), count=10, max_n=10, budget=2000)
+    sizes = [re.search(r"n=(\d+)", r.instance) for r in records]
+    past = [r for r, n in zip(records, sizes) if n and int(n[1]) > LIST_MAX_N]
+    assert past and all(r.verdict == "skipped(cap)" for r in past)
+    assert len({r.instance for r in past}) == len(past)
 
 
 def test_every_exported_name_resolves():

@@ -1,6 +1,7 @@
 """Instance file round trips and the command line."""
 
 import json
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from mtk.cli import (
 )
 from mtk.constructions import canned
 from mtk.errors import ParseError, ValidationError
+from mtk.verify import rand_system
 
 
 def test_parse_minimal_complex(tmp_path):
@@ -84,6 +86,18 @@ def test_cli_gen_and_invariants(tmp_path, capsys):
     assert json.loads(line)["eta_h"] == "1"
 
 
+def test_cli_chi_list_prints_a_bracket_past_the_search_cap(tmp_path, capsys):
+    # chi = 5 on six vertices: size 5 lies past chi_list's cap p <= 4,
+    # and size 6 = n is choosable
+    path = tmp_path / "c.json"
+    path.write_text('{"complex": {"n": 6, "maximal_faces": [[0, 1], [2], [3], [4], [5]]}}')
+    assert main(["invariants", str(path), "--what", "chi_list", "--report", "jsonl"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"chi_list": "[5,6]"}
+    path.write_text('{"complex": {"n": 2, "maximal_faces": [[0], [1]]}}')
+    assert main(["invariants", str(path), "--what", "chi_list", "--report", "jsonl"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"chi_list": "2"}
+
+
 def test_cli_ratio(tmp_path, capsys):
     out = tmp_path / "t3.json"
     assert main(["gen", "truncated_plane", "--param", "q=2", "-o", str(out)]) == 0
@@ -123,6 +137,29 @@ def test_cli_verify_lets_a_suite_keyerror_propagate(monkeypatch):
     monkeypatch.setattr(verify, "SUITES", {"broken": broken})
     with pytest.raises(KeyError, match="x"):
         main(["verify", "broken"])
+
+
+def test_list_bounds_violation_carries_a_replayable_system(monkeypatch):
+    # a bracket above every bound makes each decided claim a violation
+    drawn = []
+
+    def spy_rand_system(rng, n, k, **kw):
+        drawn.append(rand_system(rng, n, k, **kw))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "rand_system", spy_rand_system)
+    monkeypatch.setattr(verify.coloring, "chi_list_number", lambda c, budget: (99, 99))
+    records = verify.suite_list_bounds(random.Random(3), count=4, max_n=4)
+    violated = [r for r in records if r.verdict == "violated"]
+    assert len(violated) == 8
+    for r in violated:
+        t = int(r.instance[1 : r.instance.index("(")])
+        system = instance_from_dict(r.witness).system
+        assert _rank_tables(system) == _rank_tables(drawn[t])
+
+
+def _rank_tables(system):
+    return [[m.rank(s) for s in range(1 << system.n)] for m in system]
 
 
 def test_cli_verify_deterministic(capsys):

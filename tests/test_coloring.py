@@ -87,8 +87,8 @@ def test_chi_list_examples():
     ok, witness = chi_list(path2, 1)
     assert not ok and witness is not None
     assert chi_list(path2, 2)[0]
-    assert chi_list_number(path2) == 2
-    assert chi_list_number(Complex(3, [[0, 1, 2]])) == 1
+    assert chi_list_number(path2) == (2, 2)
+    assert chi_list_number(Complex(3, [[0, 1, 2]])) == (1, 1)
 
 
 def test_chi_list_equals_chi_on_matroids():
@@ -96,7 +96,7 @@ def test_chi_list_equals_chi_on_matroids():
     for _ in range(12):
         m = rand_matroid(rng, rng.randint(2, 5))
         c = m.to_complex()
-        assert chi_list_number(c) == chi_matroid(m)
+        assert chi_list_number(c) == (chi_matroid(m),) * 2
 
 
 def test_chi_bounds_by_expansion_numbers():
@@ -112,8 +112,8 @@ def test_chi_bounds_by_expansion_numbers():
             continue
         rec = expansions(c)
         assert chi(c) <= rec.delta.ceil()
-        ell = chi_list_number(c)
-        assert ell <= rec.delta_eta.ceil()
+        lo, hi = chi_list_number(c)
+        assert lo == hi <= rec.delta_eta.ceil()
 
 
 def test_chi_list_k_chi_on_intersections():
@@ -124,8 +124,8 @@ def test_chi_list_k_chi_on_intersections():
         system = rand_system(rng, n, k, loopless=True)
         c = system.intersection_complex()
         chi_c = chi(c)
-        ell = chi_list_number(c)
-        assert ell <= k * chi_c
+        lo, hi = chi_list_number(c)
+        assert lo == hi <= k * chi_c
 
 
 def test_chi_list_matches_naive_enumeration_tiny():
@@ -160,6 +160,50 @@ def test_chi_list_matches_naive_enumeration_tiny():
         for p in (1, 2):
             got, _ = chi_list(c, p)
             assert got == naive_chi_list(c, p), (c, p)
+
+
+def test_chi_list_false_witnesses_are_uncolorable_systems():
+    # the uncovered and chi > p shortcuts answer with the same kind of
+    # witness as the enumeration: a canonical system with no coloring;
+    # K_{2,4} (chi 2, not 2-choosable) reaches the enumeration
+    k24 = Hypergraph(6, [[a, b] for a in (0, 1) for b in range(2, 6)])
+    cases = [(independence_complex(k24), 2)]
+    rng = random.Random(46)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        faces = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.6:
+            faces += [[v] for v in range(n)]
+        cases += [(Complex(n, faces), p) for p in (1, 2, 3)]
+    routes = set()
+    for c, p in cases:
+        ok, witness = chi_list(c, p)
+        if ok:
+            continue
+        assert not _b_fold_colorable(c, witness, 1), (c, p, witness)
+        if c.vertices_mask() != (1 << c.n) - 1:
+            routes.add("uncovered")
+        else:
+            routes.add("chi" if chi(c) > p else "search")
+    assert routes == {"uncovered", "chi", "search"}
+
+
+def test_chi_list_number_brackets_the_exact_value():
+    rng = random.Random(47)
+    open_brackets = 0
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        c = rand_system(rng, n, rng.randint(2, 3), loopless=True).intersection_complex()
+        exact, exact_hi = chi_list_number(c)
+        assert exact == exact_hi
+        lo, hi = chi_list_number(c, budget=60)
+        assert lo <= exact <= hi <= n
+        assert lo < hi or lo == exact
+        open_brackets += lo < hi
+    assert open_brackets
+    # past chi_list's cap on n no size below n can be searched
+    with pytest.raises(CapExceeded):
+        chi_list_number(Complex(9, [(1 << 9) - 1]))
 
 
 def test_matroid_list_color_success_paths():
@@ -360,11 +404,15 @@ def test_chi_search_leaves_no_reference_cycles():
     # the branch and bound must not keep itself alive through a closure
     # cell, or each call's lists wait for the cyclic collector
     c = Complex(5, [0b00111, 0b01011, 0b01110, 0b10000])
+    cycle4 = Complex(4, [0b0011, 0b0110, 0b1100, 0b1001])
     gc.collect()
     gc.disable()
     try:
         assert chi(c) == 3
         assert chi(c, return_cover=True)[0] == 3
+        assert chi_list_number(cycle4) == (2, 2)
+        assert chi_list_number(cycle4, budget=20) == (2, 4)
+        assert ab_check(cycle4, 3, 1, "choosable")
         assert gc.collect() == 0
     finally:
         gc.enable()
