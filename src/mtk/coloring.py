@@ -268,7 +268,7 @@ def chi_list_number(c: Complex, budget: int = LIST_ENUM_BUDGET) -> tuple[int, in
     choosable by the SDR shortcut.  Past chi_list's cap n <= LIST_MAX_N
     no size below n can be searched, and the CapExceeded propagates.
     """
-    p = max(1, chi(c))
+    p = chi(c)
     while True:
         try:
             ok, _ = chi_list(c, p, budget)

@@ -329,10 +329,11 @@ def ratio_rq_via_matchings(system: MatroidSystem):
     every U.
     """
     c = system.intersection_complex()
+    amat, bvec = _system_lp(system)
     best = ZERO
     for u in range(1, 1 << system.n):
-        indicator = RatVec([(u >> v) & 1 for v in range(system.n)])
-        nu_star = nu_star_w(system, indicator)
+        indicator = [ONE if (u >> v) & 1 else ZERO for v in range(system.n)]
+        nu_star, _, _ = solve_max_slack(amat, bvec, indicator)
         nu = Fraction(c.rank_of(u))
         if nu == 0:
             if nu_star > 0:
@@ -347,35 +348,34 @@ def ratio_rq_via_matchings(system: MatroidSystem):
 # -- matroidal matching and covering numbers -------------------------------
 
 
-def nu_star_w(system: MatroidSystem, w: RatVec) -> Fraction:
-    """LP max w.x over R(L), solved on the reduced constraint rows."""
+def _system_lp(system: MatroidSystem) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """(A, b) with R(L) = {x >= 0 : Ax <= b}, on the reduced rows."""
     rows = _system_rows(system)
     amat = [
         [ONE if (mask >> v) & 1 else ZERO for v in range(system.n)] for mask, _ in rows
     ]
-    bvec = [Fraction(r) for _, r in rows]
+    return amat, [Fraction(r) for _, r in rows]
+
+
+def nu_star_w(system: MatroidSystem, w: RatVec) -> Fraction:
+    """LP max w.x over R(L), solved on the reduced constraint rows."""
+    amat, bvec = _system_lp(system)
     value, _, _ = solve_max_slack(amat, bvec, list(w))
     return value
 
 
 def tau_star_w(system: MatroidSystem, w: RatVec) -> Fraction:
-    """The covering-side LP: weights y_i(U) on the flats of each matroid,
-    minimizing the total rank mass subject to covering w."""
-    cols: list[tuple[int, Fraction]] = []  # (mask, rank cost)
+    """The covering LP, min sum of r_i(F) y_i(F) over weights y_i on the
+    flats of each matroid that cover w, solved as its packing dual:
+    max w.x with x(F) <= r_i(F) for every flat F of every matroid (the
+    ground set is a flat, so this is bounded).  The certified dual is an
+    optimal cover.  Every flat is a row, so this is a different LP from
+    nu_star_w's with the same optimum."""
+    rows = []
     for m in system:
         for f in m.flats():
-            cols.append((f, Fraction(m.rank(f))))
-    n = system.n
-    rows = []
-    for v in range(n):
-        coeffs = [ONE if (mask >> v) & 1 else ZERO for mask, _ in cols]
-        rows.append((coeffs, ">=", w[v]))
-    res = solve(
-        LPProblem.make("min", [cost for _, cost in cols], rows)
-    )
-    if res.status != "optimal":
-        raise Infeasible("covering LP unexpectedly " + res.status)
-    return res.objective
+            rows.append(([(f >> v) & 1 for v in range(system.n)], "<=", m.rank(f)))
+    return solve(LPProblem.make("max", w, rows)).objective
 
 
 def nu_w(system: MatroidSystem, w: RatVec) -> Fraction:
@@ -484,17 +484,6 @@ def hyper_nu_star_w(h: Hypergraph, w: RatVec) -> Fraction:
     return value
 
 
-def hyper_tau_star_w(h: Hypergraph, w: RatVec) -> Fraction:
-    rows = []
-    for i, e in enumerate(h.edges):
-        coeffs = [ONE if (e >> v) & 1 else ZERO for v in range(h.n)]
-        rows.append((coeffs, ">=", w[i]))
-    res = solve(LPProblem.make("min", [ONE] * h.n, rows))
-    if res.status != "optimal":
-        raise Infeasible("fractional cover LP " + res.status)
-    return res.objective
-
-
 def hyper_nu_w(h: Hypergraph, w: RatVec) -> Fraction:
     """Max weight of a matching (integral fractional matching)."""
     best = [ZERO]
@@ -564,14 +553,13 @@ def hyper_numbers(h: Hypergraph, w: RatVec | None = None) -> HypergraphNumbers:
         raise DomainError("one weight per edge required")
     if not w.is_nonnegative():
         raise DomainError("weights must be non-negative")
+    # The certified dual of the matching LP is a fractional cover of the
+    # same weight, so one solve gives both nu* and tau*.
     ns = hyper_nu_star_w(h, w)
-    ts = hyper_tau_star_w(h, w)
-    if ns != ts:
-        raise CertificateError(f"LP duality violated: {ns} != {ts}")
     return HypergraphNumbers(
         nu=hyper_nu_w(h, w),
         nu_star=ns,
-        tau_star=ts,
+        tau_star=ns,
         tau=hyper_tau_w(h, w),
         w_star=hyper_w_star(h),
     )

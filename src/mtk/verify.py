@@ -81,12 +81,12 @@ def _rec(claim, instance, lhs, rhs, relation, ok, witness=None) -> VerificationR
     )
 
 
-def _skip(claim, instance, relation="", note="") -> VerificationRecord:
+def _skip(claim, instance, relation="", note="", lhs="", rhs="") -> VerificationRecord:
     return VerificationRecord(
         claim=claim,
         instance=instance,
-        lhs="",
-        rhs="",
+        lhs=str(lhs),
+        rhs=str(rhs),
         relation=relation,
         verdict="skipped(cap)",
         witness={"note": note} if note else None,
@@ -664,7 +664,8 @@ def suite_list_bounds(
         lhs = lo if lo == hi else f"[{lo},{hi}]"
         for claim, bound in bounds:
             if lo <= bound < hi:
-                records.append(_skip(claim, tag, note="enumeration budget"))
+                note = "enumeration budget"
+                records.append(_skip(claim, tag, "<=", note, lhs=lhs, rhs=bound))
                 continue
             ok = hi <= bound
             witness = None if ok else _payload(system=system)

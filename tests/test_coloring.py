@@ -89,6 +89,9 @@ def test_chi_list_examples():
     assert chi_list(path2, 2)[0]
     assert chi_list_number(path2) == (2, 2)
     assert chi_list_number(Complex(3, [[0, 1, 2]])) == (1, 1)
+    # no vertices: chi is 0 and the empty list system is colourable
+    assert chi_list(Complex(0, []), 0) == (True, None)
+    assert chi_list_number(Complex(0, [])) == (0, 0)
 
 
 def test_chi_list_equals_chi_on_matroids():

@@ -1,6 +1,5 @@
 """The exact rational simplex."""
 
-import itertools
 import os
 import random
 import subprocess
@@ -13,6 +12,8 @@ import pytest
 from mtk import lp
 from mtk.lp import LPProblem, solve, solve_max_slack
 
+from lp_oracle import brute_optimum
+
 F = Fraction
 ONE = F(1)
 
@@ -22,109 +23,44 @@ def test_basic_examples():
     r = solve(p)
     assert r.status == "optimal" and r.objective == 2
 
-    p = LPProblem.make("min", [0], [([1], ">=", 1), ([1], "<=", 0)])
-    assert solve(p).status == "infeasible"
+    p = LPProblem.make("max", [1, -1], [([1, -1], "<=", 0), ([1, 0], "<=", 2)])
+    r = solve(p)
+    assert r.status == "optimal" and r.objective == 0
 
     p = LPProblem.make("max", [1], [])
     assert solve(p).status == "unbounded"
 
 
 def test_make_takes_inequalities_over_nonnegative_variables_only():
-    with pytest.raises(ValueError, match="unknown relation '=='"):
-        LPProblem.make("min", [1], [([1], "==", 1)])
+    with pytest.raises(ValueError, match="relation '=='"):
+        LPProblem.make("max", [1], [([1], "==", 1)])
     with pytest.raises(TypeError):
-        LPProblem.make("min", [1], [([1], ">=", 1)], nonneg=[False])
-
-
-def _brute_optimum(sense, c, rows, n):
-    cons = [(list(co), rhs) for co, _, rhs in rows]
-    for j in range(n):
-        e = [F(0)] * n
-        e[j] = F(1)
-        cons.append((e, F(0)))
-    best = None
-    for combo in itertools.combinations(range(len(cons)), n):
-        mat = [cons[i][0][:] + [cons[i][1]] for i in combo]
-        ok = True
-        for col in range(n):
-            piv = next((r for r in range(col, n) if mat[r][col]), None)
-            if piv is None:
-                ok = False
-                break
-            mat[col], mat[piv] = mat[piv], mat[col]
-            inv = 1 / mat[col][col]
-            mat[col] = [v * inv for v in mat[col]]
-            for r in range(n):
-                if r != col and mat[r][col]:
-                    f = mat[r][col]
-                    mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-        if not ok:
-            continue
-        x = [mat[i][n] for i in range(n)]
-        if any(v < 0 for v in x):
-            continue
-        feas = True
-        for co, rel, rhs in rows:
-            lhs = sum(a * b for a, b in zip(co, x))
-            if rel == "<=" and lhs > rhs:
-                feas = False
-            if rel == ">=" and lhs < rhs:
-                feas = False
-        if not feas:
-            continue
-        val = sum(a * b for a, b in zip(c, x))
-        if best is None or (sense == "min" and val < best) or (
-            sense == "max" and val > best
-        ):
-            best = val
-    return best
+        LPProblem.make("max", [1], [([1], "<=", 1)], nonneg=[False])
+    # packing LPs only, max c.x with Ax <= b, b >= 0: x = 0 is feasible
+    with pytest.raises(ValueError, match="relation '>='"):
+        LPProblem.make("max", [1], [([1], ">=", 1)])
+    with pytest.raises(ValueError, match="sense 'min'"):
+        LPProblem.make("min", [1], [([1], "<=", 1)])
+    with pytest.raises(ValueError, match="rhs -1 < 0"):
+        LPProblem.make("max", [1], [([1], "<=", 1), ([-1], "<=", -1)])
+    with pytest.raises(ValueError, match="some b < 0"):
+        solve_max_slack([[ONE]], [F(-1)], [ONE])
 
 
 def test_random_instances_against_vertex_brute_force():
     rng = random.Random(6)
-    verified = 0
+    verified = unbounded = 0
     for _ in range(250):
         n = rng.randint(1, 3)
-        m = rng.randint(1, 4)
-        c = [F(rng.randint(-3, 3)) for _ in range(n)]
-        rows = []
-        for _ in range(m):
-            coeffs = [F(rng.randint(-2, 2)) for _ in range(n)]
-            rows.append((coeffs, rng.choice(["<=", ">="]), F(rng.randint(-2, 3))))
-        sense = rng.choice(["min", "max"])
-        r = solve(LPProblem.make(sense, c, rows))  # certification is internal
+        amat, bvec, cvec = _random_packing(rng, n, rng.randint(1, 4))
+        rows = [(a, "<=", b) for a, b in zip(amat, bvec)]
+        r = solve(LPProblem.make("max", cvec, rows))  # certification is internal
         if r.status != "optimal":
+            unbounded += 1
             continue
-        best = _brute_optimum(sense, c, rows, n)
-        assert best == r.objective
+        assert brute_optimum("max", cvec, rows, n) == r.objective
         verified += 1
-    assert verified >= 60
-
-
-def test_zero_rhs_artificial_left_basic_after_phase_one(monkeypatch):
-    # -x1 >= 0 starts from an artificial that no phase-I pivot removes:
-    # it is still basic, at zero, when phase I ends.
-    rows = [
-        ([F(-1), F(0)], ">=", F(0)),
-        ([F(0), F(1)], ">=", F(1)),
-        ([F(1), F(1)], "<=", F(3)),
-    ]
-    bases = []  # the basis after each _run_simplex: phase I, then phase II
-    run = lp._run_simplex
-
-    def spy(tableau, basis, ncols, allowed):
-        ok = run(tableau, basis, ncols, allowed)
-        bases.append(list(basis))
-        return ok
-
-    monkeypatch.setattr(lp, "_run_simplex", spy)
-    for sense, c in [("max", [1, 2]), ("min", [1, -1]), ("min", [0, 1])]:
-        bases.clear()
-        r = solve(LPProblem.make(sense, c, rows))
-        assert r.status == "optimal"
-        assert r.objective == _brute_optimum(sense, [F(v) for v in c], rows, 2)
-        # columns 0-1 are variables, 2-4 slacks, 5 on artificials
-        assert any(col >= 5 for col in bases[0])
+    assert verified >= 100 and unbounded >= 10
 
 
 def test_basic_solution_support():
@@ -144,34 +80,6 @@ def test_basic_solution_support():
             continue
         support = sum(1 for v in r.primal if v != 0)
         assert support <= m
-
-
-def test_solve_max_slack_agrees_with_general_path():
-    rng = random.Random(8)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 4)
-        amat = [[F(rng.randint(0, 2)) for _ in range(n)] for _ in range(m)]
-        bvec = [F(rng.randint(0, 3)) for _ in range(m)]
-        cvec = [F(rng.randint(0, 3)) for _ in range(n)]
-        try:
-            value, x, y = solve_max_slack(amat, bvec, cvec)
-        except ValueError:
-            # unbounded: some objective direction is unconstrained
-            r = solve(
-                LPProblem.make(
-                    "max", cvec, [(row, "<=", b) for row, b in zip(amat, bvec)]
-                )
-            )
-            assert r.status == "unbounded"
-            continue
-        r = solve(
-            LPProblem.make(
-                "max", cvec, [(row, "<=", b) for row, b in zip(amat, bvec)]
-            )
-        )
-        assert r.status == "optimal" and r.objective == value
-        assert x == list(r.primal) and y == list(r.dual)
 
 
 def test_certify_raises_under_optimize_flag():
@@ -225,8 +133,8 @@ def _traced(monkeypatch, pivot, call):
         pivots.append((r, col, tableau[r][-1]))
         pivot(tableau, basis, r, col)
 
-    def spy_run(tableau, basis, ncols, allowed):
-        ok = run(tableau, basis, ncols, allowed)
+    def spy_run(tableau, basis, ncols):
+        ok = run(tableau, basis, ncols)
         runs.append((ok, list(basis), [list(row) for row in tableau]))
         return ok
 
@@ -240,47 +148,40 @@ def _traced(monkeypatch, pivot, call):
     return out, pivots, runs
 
 
-def _random_lp(rng):
-    n = rng.randint(1, 5)
-    m = rng.randint(1, 5)
-    c = [F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(n)]
-    rows = []
-    for _ in range(m):
-        coeffs = [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)]
-        # rhs 0 is common, so degenerate pivots happen often
-        rhs = F(rng.choice([0, 0, 1, 2, -1, -2]), rng.choice([1, 3]))
-        rows.append((coeffs, rng.choice(["<=", ">="]), rhs))
-    return LPProblem.make(rng.choice(["min", "max"]), c, rows)
-
-
-def _random_packing(rng):
-    n = rng.randint(1, 5)
-    m = rng.randint(1, 5)
-    amat = [[F(rng.randint(0, 3), rng.choice([1, 2])) for _ in range(n)] for _ in range(m)]
-    bvec = [F(rng.choice([0, 0, 1, 2, 3])) for _ in range(m)]
-    cvec = [F(rng.randint(0, 3)) for _ in range(n)]
+def _random_packing(rng, n, m):
+    """A packing LP max c.x, Ax <= b: A and c of any sign, b >= 0."""
+    amat = [[F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)] for _ in range(m)]
+    # rhs 0 is common, so degenerate pivots happen often
+    bvec = [F(rng.choice([0, 0, 1, 2, 3]), rng.choice([1, 3])) for _ in range(m)]
+    cvec = [F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(n)]
     return amat, bvec, cvec
 
 
 def test_sparse_pivot_follows_the_dense_path(monkeypatch):
     rng = random.Random(11)
-    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "phase one": 0,
-            "degenerate": 0, "packing": 0, "packing unbounded": 0}
+    seen = {"optimal": 0, "unbounded": 0, "degenerate": 0, "solve": 0, "max slack": 0}
     for trial in range(400):
+        n = rng.randint(1, 5)
+        amat, bvec, cvec = _random_packing(rng, n, rng.randint(1, 5))
+        rows = [(a, "<=", b) for a, b in zip(amat, bvec)]
         if trial % 2:
-            p = _random_lp(rng)
-            call = lambda p=p: solve(p)
+            call = lambda c=cvec, r=rows: solve(LPProblem.make("max", c, r))
         else:
-            amat, bvec, cvec = _random_packing(rng)
             call = lambda a=amat, b=bvec, c=cvec: solve_max_slack(a, b, c)
         dense = _traced(monkeypatch, _dense_pivot, call)
         sparse = _traced(monkeypatch, lp._pivot, call)
         assert sparse == dense
-        out, pivots, runs = sparse
+        out, pivots, _ = sparse
         if trial % 2:
-            seen[out.status] += 1
-            seen["phase one"] += len(runs) == 2 or out.status == "infeasible"
+            seen["solve"] += 1
+            value = out.objective if out.status == "optimal" else None
         else:
-            seen["packing" if out[0] != "raised" else "packing unbounded"] += 1
+            seen["max slack"] += 1
+            value = None if out[0] == "raised" else out[0]
+        if value is None:
+            seen["unbounded"] += 1
+        else:
+            assert value == brute_optimum("max", cvec, rows, n)
+            seen["optimal"] += 1
         seen["degenerate"] += any(rhs == 0 for _, _, rhs in pivots)
     assert min(seen.values()) >= 10, seen

@@ -11,7 +11,6 @@ from mtk.constructions import canned
 from mtk.core import Complex, Hypergraph, bit_count, iter_bits, iter_submasks
 from mtk.errors import DomainError
 from mtk.extval import INF
-from mtk.lp import LPProblem, solve
 from mtk.matroid import (
     Matroid,
     MatroidSystem,
@@ -30,6 +29,7 @@ from mtk.polytopes import (
     psi,
     ratio,
     ratio_rq_via_matchings,
+    tau_star_w,
     tau_w,
     vertices,
 )
@@ -39,6 +39,8 @@ from mtk.verify import (
     rand_weights,
     rand_weights_unit,
 )
+
+from lp_oracle import brute_optimum
 
 F = Fraction
 ONE = F(1)
@@ -144,9 +146,7 @@ def _covering_lp(c: Complex, h: RatVec):
         return INF
     faces = list(c.maximal_faces)
     rows = [([ONE if (f >> v) & 1 else 0 for f in faces], ">=", h[v]) for v in range(c.n)]
-    res = solve(LPProblem.make("min", [ONE] * len(faces), rows))
-    assert res.status == "optimal"
-    return res.objective
+    return brute_optimum("min", [ONE] * len(faces), rows, len(faces))
 
 
 def test_psi_p_equals_chi_star():
@@ -354,6 +354,23 @@ def test_nu_star_reduced_rows_match_full_constraint_lp():
                 bvec.append(F(m.rank(s)))
         full, _, _ = solve_max_slack(amat, bvec, list(w))
         assert reduced == full
+
+
+def test_tau_star_is_the_covering_lp_over_all_flats():
+    # tau_star_w solves the packing dual; the oracle solves the covering
+    # LP itself: min sum_i sum_F r_i(F) y_i(F), every v covered >= w_v.
+    rng = random.Random(63)
+    positive = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        system = rand_system(rng, n, rng.randint(1, 2), loopless=False)
+        w = rand_weights(rng, n)
+        cols = [(f, F(m.rank(f))) for m in system for f in m.flats()]
+        rows = [([F((f >> v) & 1) for f, _ in cols], ">=", w[v]) for v in range(n)]
+        cover = brute_optimum("min", [r for _, r in cols], rows, len(cols))
+        assert tau_star_w(system, w) == cover
+        positive += cover > 0
+    assert positive >= 20
 
 
 def test_matroidal_numbers_zero_weights():

@@ -19,7 +19,7 @@ PINNED = {
     "duality-chain": "eae8d2931017f6007c63831fed4392581a19629e2066ce45503b00989866ca72",
     "edmonds-k2": "8d7f5aeee98a3239b2c971fc57cf65bca55bb9a324de13e19cf02af8f9a8b375",
     "furedi-fks": "f7f6c847d8040134aacb4973612c908a9657f19716c9532786d6b21bcef04d8f",
-    "list-bounds": "4a194eab451d908f656515ff1bab2ca5c000eb802a3f5b634699c62bd7f278b0",
+    "list-bounds": "993d9f8de4ab141178adfa35775a07f4489c60629557095648ce25938d086016",
     "matdim": "f7e6783320b829ca7c07d55a7d74cff0092614a6325fc299c28668c273b611fa",
     "meshulam": "848d00e0c4b3f8d9fdd52e5544e118cb622ba30035148b3d506ff26817ca6be8",
     "pq-witnesses": "9d1bc9305c3bcc75cb4aa4f63a78b87e125ddeae68ad6b13d7b2bd36b57d9e64",
