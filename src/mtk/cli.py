@@ -15,16 +15,19 @@ import sys
 from fractions import Fraction
 
 from . import coloring, polytopes, topology, verify
-from .constructions import Instance, canned
-from .core import Complex, Hypergraph, iter_bits, mask_of
+from .constructions import Instance, canned, instance_to_dict
+from .core import Complex, Hypergraph, independence_complex, mask_of
 from .errors import MtkError, ParseError, Unsupported, ValidationError
 from .matroid import (
+    MATDIM_MAX_N,
     ExplicitMatroid,
     GenPartitionMatroid,
     GraphicMatroid,
     Matroid,
     MatroidSystem,
     UniformMatroid,
+    matdim_exact,
+    matdim_upper,
 )
 from .polytopes import PolytopeRef, RatVec
 
@@ -52,14 +55,20 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
         h = raw["hypergraph"]
         _need(h, "hypergraph", ("n", "edges"), origin)
         try:
-            hypergraph = Hypergraph(h["n"], [mask_of(e) for e in h["edges"]])
+            hypergraph = Hypergraph(
+                _int(h["n"], f"{origin}: hypergraph.n"),
+                _masks(h["edges"], f"{origin}: hypergraph.edges"),
+            )
         except (ValueError, TypeError) as e:
             raise ValidationError(f"{origin}: hypergraph: {e}")
     if "complex" in raw:
         c = raw["complex"]
         _need(c, "complex", ("n", "maximal_faces"), origin)
         try:
-            complex_ = Complex(c["n"], [mask_of(f) for f in c["maximal_faces"]])
+            complex_ = Complex(
+                _int(c["n"], f"{origin}: complex.n"),
+                _masks(c["maximal_faces"], f"{origin}: complex.maximal_faces"),
+            )
         except (ValueError, TypeError) as e:
             raise ValidationError(f"{origin}: complex: {e}")
     if "matroids" in raw:
@@ -75,7 +84,7 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
             raise ValidationError(f"{origin}: matroids: {e}")
     if "parts" in raw:
         try:
-            parts = tuple(mask_of(p) for p in raw["parts"])
+            parts = tuple(_masks(raw["parts"], f"{origin}: parts"))
         except (ValueError, TypeError) as e:
             raise ValidationError(f"{origin}: parts: {e}")
     raw_weights = raw.get("weights", {})
@@ -85,7 +94,9 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
         if not isinstance(vals, list):
             raise ParseError(f"{origin}: weights[{key}] must be a list")
         try:
-            weights[key] = RatVec([Fraction(s) for s in vals])
+            weights[key] = RatVec(
+                [_rational(s, f"{origin}: weights[{key}][{i}]") for i, s in enumerate(vals)]
+            )
         except (ValueError, TypeError, ZeroDivisionError) as e:
             raise ValidationError(f"{origin}: weights[{key}]: {e}")
     return Instance(
@@ -96,6 +107,33 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
         system=system,
         weights=weights,
     )
+
+
+def _int(x, field: str) -> int:
+    """x when it is an integer; JSON true, false and floats are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValidationError(f"{field}: expected an integer, got {x!r}")
+    return x
+
+
+def _ints(items, field: str) -> list[int]:
+    return [_int(x, f"{field}[{i}]") for i, x in enumerate(items)]
+
+
+def _masks(lists, field: str) -> list[int]:
+    """The vertex mask of each list of vertices in lists."""
+    return [mask_of(_ints(items, f"{field}[{i}]")) for i, items in enumerate(lists)]
+
+
+def _rational(x, field: str) -> Fraction:
+    """x when it is an integer or a string such as "1/3" or "0.1"; JSON
+    true, false and floats are refused, as a float is rarely the
+    rational it was written as."""
+    if isinstance(x, (bool, float)):
+        raise ValidationError(
+            f'{field}: expected an integer or a string such as "1/3", got {x!r}'
+        )
+    return Fraction(x)
 
 
 def _need(obj, name, keys, origin):
@@ -112,71 +150,27 @@ def _matroid_from_dict(m: dict, origin: str) -> Matroid:
     kind = m.get("kind")
     try:
         if kind == "uniform":
-            return UniformMatroid(m["rank"], m["n"])
+            return UniformMatroid(_int(m["rank"], f"{origin}.rank"), _int(m["n"], f"{origin}.n"))
         if kind == "gen_partition":
-            parts = [mask_of(p) for p in m["parts"]]
+            parts = _masks(m["parts"], f"{origin}.parts")
             n = 0
             for p in parts:
                 n = max(n, p.bit_length())
-            return GenPartitionMatroid(m.get("n", n), parts, m["caps"])
+            if "n" in m:
+                n = _int(m["n"], f"{origin}.n")
+            return GenPartitionMatroid(n, parts, _ints(m["caps"], f"{origin}.caps"))
         if kind == "graphic":
-            return GraphicMatroid(m["vertices"], [tuple(e) for e in m["edges"]])
+            edges = [tuple(_ints(e, f"{origin}.edges[{i}]")) for i, e in enumerate(m["edges"])]
+            return GraphicMatroid(_int(m["vertices"], f"{origin}.vertices"), edges)
         if kind == "explicit":
             return ExplicitMatroid(
-                Complex(m["n"], [mask_of(f) for f in m["maximal"]])
+                Complex(_int(m["n"], f"{origin}.n"), _masks(m["maximal"], f"{origin}.maximal"))
             )
     except KeyError as e:
         raise ParseError(f"{origin}: missing field {e}")
     except (ValueError, TypeError) as e:
         raise ValidationError(f"{origin}: {e}")
     raise ParseError(f"{origin}: unknown matroid kind {kind!r}")
-
-
-def matroid_to_dict(m: Matroid) -> dict:
-    if isinstance(m, UniformMatroid):
-        return {"kind": "uniform", "n": m.n, "rank": m.r}
-    if isinstance(m, GenPartitionMatroid):
-        return {
-            "kind": "gen_partition",
-            "n": m.n,
-            "parts": [sorted(iter_bits(p)) for p in m.parts],
-            "caps": list(m.caps),
-        }
-    if isinstance(m, GraphicMatroid):
-        return {
-            "kind": "graphic",
-            "vertices": m.vertices,
-            "edges": [list(e) for e in m.edge_list],
-        }
-    maximal = m.to_complex().maximal_faces
-    return {
-        "kind": "explicit",
-        "n": m.n,
-        "maximal": [sorted(iter_bits(f)) for f in maximal],
-    }
-
-
-def instance_to_dict(inst: Instance) -> dict:
-    out: dict = {"provenance": inst.provenance}
-    if inst.hypergraph is not None:
-        out["hypergraph"] = {
-            "n": inst.hypergraph.n,
-            "edges": inst.hypergraph.edge_sets(),
-        }
-    if inst.complex_ is not None:
-        out["complex"] = {
-            "n": inst.complex_.n,
-            "maximal_faces": [
-                sorted(iter_bits(f)) for f in inst.complex_.maximal_faces
-            ],
-        }
-    if inst.system is not None:
-        out["matroids"] = [matroid_to_dict(m) for m in inst.system]
-    if inst.parts is not None:
-        out["parts"] = [sorted(iter_bits(p)) for p in inst.parts]
-    if inst.weights:
-        out["weights"] = {k: v.format() for k, v in inst.weights.items()}
-    return out
 
 
 # -- commands ---------------------------------------------------------------
@@ -188,8 +182,6 @@ def _main_complex(inst: Instance) -> Complex:
     if inst.system is not None:
         return inst.system.intersection_complex()
     if inst.hypergraph is not None:
-        from .core import independence_complex
-
         return independence_complex(inst.hypergraph)
     raise ValidationError("instance holds no complex, system, or hypergraph")
 
@@ -241,8 +233,6 @@ def cmd_invariants(args) -> int:
             out["hyper_tau_w"] = str(nums.tau)
             out["w_star"] = str(nums.w_star)
         elif item == "matdim":
-            from .matroid import MATDIM_MAX_N, matdim_exact, matdim_upper
-
             out["matdim_upper"] = str(matdim_upper(c)[0])
             if c.n <= MATDIM_MAX_N:
                 out["matdim_exact"] = str(matdim_exact(c))

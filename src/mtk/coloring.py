@@ -9,6 +9,7 @@ columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ def chi(c: Complex, return_cover: bool = False):
 
     # Root lower bound (the simplicial expansion number, cheap sizes only).
     if (1 << c.n) <= (1 << 16):
-        lower = max_ratio(c.rank_of, full).ceil()
+        lower = math.ceil(max_ratio(c.rank_of, full))
     else:
         lower = max(1, -(-c.n // c.rank()))
     if best == lower:
@@ -88,7 +89,7 @@ def _smallest_cover(faces, cover_by, uncov: int, count: int, chosen: list[int], 
         chosen.pop()
 
 
-def delta_rank(m: Matroid, h=None, sub: int | None = None) -> XRat:
+def delta_rank(m: Matroid, h=None, sub: int | None = None) -> Fraction | XRat:
     """max over non-empty S of h[S]/rank(S); the matroid expansion number.
 
     With h = None the all-ones weighting is used; sub restricts the
@@ -101,7 +102,7 @@ def chi_matroid(m: Matroid) -> int:
     """ceil of the expansion number; equals chi of the matroid complex."""
     if m.loops():
         raise Uncolorable("matroid has a loop")
-    return delta_rank(m).ceil()
+    return math.ceil(delta_rank(m))
 
 
 def chi_matroid_restricted(m: Matroid, fmask: int):
@@ -110,7 +111,7 @@ def chi_matroid_restricted(m: Matroid, fmask: int):
         return 0
     if m.loops() & fmask:
         return INF
-    return delta_rank(m, sub=fmask).ceil()
+    return math.ceil(delta_rank(m, sub=fmask))
 
 
 # -- fractional ----------------------------------------------------------

@@ -11,10 +11,17 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .core import Complex, Hypergraph, bit_count, complex_of, induced, iter_bits, mask_of
 from .errors import DomainError, Unsupported
-from .matroid import GenPartitionMatroid, MatroidSystem
+from .matroid import (
+    GenPartitionMatroid,
+    GraphicMatroid,
+    Matroid,
+    MatroidSystem,
+    UniformMatroid,
+)
 from .polytopes import RatVec
 
 
@@ -29,6 +36,54 @@ class Instance:
     system: MatroidSystem | None = None
     weights: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
+
+
+def matroid_to_dict(m: Matroid) -> dict:
+    if isinstance(m, UniformMatroid):
+        return {"kind": "uniform", "n": m.n, "rank": m.r}
+    if isinstance(m, GenPartitionMatroid):
+        return {
+            "kind": "gen_partition",
+            "n": m.n,
+            "parts": [sorted(iter_bits(p)) for p in m.parts],
+            "caps": list(m.caps),
+        }
+    if isinstance(m, GraphicMatroid):
+        return {
+            "kind": "graphic",
+            "vertices": m.vertices,
+            "edges": [list(e) for e in m.edge_list],
+        }
+    maximal = m.to_complex().maximal_faces
+    return {
+        "kind": "explicit",
+        "n": m.n,
+        "maximal": [sorted(iter_bits(f)) for f in maximal],
+    }
+
+
+def instance_to_dict(inst: Instance) -> dict:
+    """inst in the instance-file format that cli.instance_from_dict reads."""
+    out: dict = {"provenance": inst.provenance}
+    if inst.hypergraph is not None:
+        out["hypergraph"] = {
+            "n": inst.hypergraph.n,
+            "edges": inst.hypergraph.edge_sets(),
+        }
+    if inst.complex_ is not None:
+        out["complex"] = {
+            "n": inst.complex_.n,
+            "maximal_faces": [
+                sorted(iter_bits(f)) for f in inst.complex_.maximal_faces
+            ],
+        }
+    if inst.system is not None:
+        out["matroids"] = [matroid_to_dict(m) for m in inst.system]
+    if inst.parts is not None:
+        out["parts"] = [sorted(iter_bits(p)) for p in inst.parts]
+    if inst.weights:
+        out["weights"] = {k: v.format() for k, v in inst.weights.items()}
+    return out
 
 
 def _is_prime(q: int) -> bool:
@@ -185,8 +240,6 @@ def _canned_md_lower(n: int) -> Instance:
     special = n - 1
     half = n // 2
     c = complex_of(n, lambda s: bit_count(s) <= half or not (s >> special) & 1)
-    from math import comb
-
     return Instance(
         provenance=f"md_lower(n={n})",
         complex_=c,

@@ -1,10 +1,12 @@
-"""Rationals extended with +infinity and a positive infinitesimal, and
-the one ratio sweep.
+"""The two values of mtk that are not rationals, EPS and INF, and the
+one ratio sweep.
 
-The conventions follow the expansion-number arithmetic: 0/inf = 0,
-ceil(c/inf) = 1 for c > 0 (so c/inf is kept as a positive
-infinitesimal EPS), and c/0 = inf for c > 0.  INF is the only infinite
-value mtk builds; test for it with `x is INF`.
+Every finite value mtk computes is a plain int or Fraction.  The
+expansion-number arithmetic adds two more: c/0 = INF for c > 0, and
+c/inf is the positive infinitesimal EPS, with ceil(EPS) = 1 (and
+0/inf = 0).  They are the only XRat objects; test for infinity with
+`x is INF`, and take ceilings with math.ceil, which gives 1 on EPS and
+INF on INF.
 
 max_ratio is the one sweep for max over S of h(S)/den(S): the root
 bound of chi, the matroid expansion number delta_rank, the expansion
@@ -19,45 +21,28 @@ from fractions import Fraction
 
 from .core import check_sweep
 
-_FIN, _EPS, _INF = 0, 1, 2
 
-
-def _finite_key(v):
-    # EPS sits strictly between 0 and every positive fraction.
-    return (1, v, 0) if v > 0 else (0, v, 0)
+def _key_of(x):
+    # EPS sits strictly between 0 and every positive rational.
+    if isinstance(x, XRat):
+        return x._key
+    if isinstance(x, (int, Fraction)):
+        return (1, x, 0) if x > 0 else (0, x, 0)
+    return None
 
 
 class XRat:
-    __slots__ = ("kind", "value", "_key")
+    """EPS or INF: each compares with ints, Fractions and the other;
+    anything else is NotImplemented."""
 
-    def __init__(self, kind: int, value):
-        value = Fraction(value)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        if kind == _INF:
-            key = (2, 0, 0)
-        elif kind == _EPS:
-            key = (0, 0, 1)
-        else:
-            key = _finite_key(value)
+    __slots__ = ("_key", "_text")
+
+    def __init__(self, key: tuple, text: str):
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_text", text)
 
     def __setattr__(self, *a):
         raise AttributeError("XRat is immutable")
-
-    @staticmethod
-    def of(x) -> "XRat":
-        if isinstance(x, XRat):
-            return x
-        return XRat(_FIN, x)
-
-    @staticmethod
-    def eps() -> "XRat":
-        return XRat(_EPS, 0)
-
-    # -- ordering ----------------------------------------------------
-    # Finite values compare and hash like the int or Fraction they hold;
-    # anything that is not a rational is NotImplemented.
 
     def __eq__(self, other):
         k = _key_of(other)
@@ -80,56 +65,23 @@ class XRat:
         return NotImplemented if k is None else self._key >= k
 
     def __hash__(self):
-        return hash(self.value) if self.kind == _FIN else hash(self._key)
+        return hash(self._key)
 
-    # -- arithmetic helpers -----------------------------------------
-
-    def ceil(self):
-        """Ceiling as int, or INF."""
-        if self.kind == _INF:
-            return self
-        if self.kind == _EPS:
-            return 1
-        return -((-self.value.numerator) // self.value.denominator)
-
-    def times(self, c) -> "XRat":
-        c = Fraction(c)
-        if c < 0:
-            raise ValueError("scaling by a negative constant is unsupported")
-        if self.kind == _FIN:
-            return XRat(_FIN, self.value * c)
-        if c == 0:
-            return XRat(_FIN, 0)
-        return self
-
-    def finite_value(self) -> Fraction:
-        if self.kind != _FIN:
-            raise ValueError(f"not a finite value: {self}")
-        return self.value
+    def __ceil__(self):
+        return 1 if self is EPS else self
 
     def __str__(self):
-        if self.kind == _INF:
-            return "inf"
-        if self.kind == _EPS:
-            return "0+"
-        return str(self.value)
+        return self._text
 
     def __repr__(self):
         return f"XRat({self})"
 
 
-def _key_of(x):
-    if isinstance(x, XRat):
-        return x._key
-    if isinstance(x, (int, Fraction)):
-        return _finite_key(x)
-    return None
+EPS = XRat((0, 0, 1), "0+")
+INF = XRat((2, 0, 0), "inf")
 
 
-INF = XRat(_INF, 0)
-
-
-def max_ratio(den, universe: int, h=None) -> XRat:
+def max_ratio(den, universe: int, h=None) -> Fraction | XRat:
     """max over non-empty S within the mask universe of h(S)/den(S).
 
     den(S) is a non-negative int or INF; h gives a non-negative int or
@@ -164,5 +116,5 @@ def max_ratio(den, universe: int, h=None) -> XRat:
                 best_num, best_den = num, d
         s = (s - universe) & universe
     if best_num:
-        return XRat(_FIN, Fraction(best_num, best_den * scale))
-    return XRat.eps() if eps else XRat(_FIN, 0)
+        return Fraction(best_num, best_den * scale)
+    return EPS if eps else Fraction(0)

@@ -205,7 +205,7 @@ def _branch(memo: dict, exhaustive: bool, vmask: int, edges, cur: int):
     del_val, _, _ = _game_value(memo, exhaustive, vmask, deleted)
     con_val, _, _ = _game_value(memo, exhaustive, vmask & ~cur, _contract_edges(edges, cur))
     con_total = con_val if con_val is INF else con_val + bit_count(cur) - 1
-    if con_total is INF or (del_val is not INF and del_val <= con_total):
+    if del_val <= con_total:
         return del_val, "delete"
     return con_total, "contract"
 
@@ -214,7 +214,7 @@ def _best_over_offers(memo: dict, exhaustive: bool, vmask: int, edges):
     best = None
     for cur, _ in _offers(edges, exhaustive):
         val, _ = _branch(memo, exhaustive, vmask, edges, cur)
-        if best is None or best is not INF and (val is INF or val > best):
+        if best is None or val > best:
             best = val
     return best
 

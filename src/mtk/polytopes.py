@@ -107,7 +107,7 @@ def member(z: PolytopeRef, x: RatVec) -> bool:
 # -- gauge ----------------------------------------------------------------
 
 
-def psi(z: PolytopeRef, h: RatVec) -> XRat:
+def psi(z: PolytopeRef, h: RatVec) -> Fraction | XRat:
     """Gauge: least t with h/t in Z (0 for h = 0, INF when unreachable).
 
     On P this is the weighted fractional chromatic number chi*(C, h),
@@ -119,10 +119,10 @@ def psi(z: PolytopeRef, h: RatVec) -> XRat:
     if len(h) != z.n:
         raise DomainError("dimension mismatch")
     if all(v == 0 for v in h):
-        return XRat.of(0)
+        return ZERO
     if z.kind == "P":
         try:
-            return XRat.of(chi_star(z.complex_, list(h)))
+            return chi_star(z.complex_, list(h))
         except Infeasible:
             return INF
     full = (1 << z.n) - 1
@@ -307,12 +307,12 @@ def _tight_rank_at_least(normals, common: int, need: int) -> bool:
 # -- ratios ---------------------------------------------------------------
 
 
-def ratio(b: PolytopeRef, a: PolytopeRef) -> XRat:
+def ratio(b: PolytopeRef, a: PolytopeRef) -> Fraction | XRat:
     """B:A = least t with tA containing B; max of the A-gauge over B's
     vertices."""
     if b.n != a.n:
         raise DomainError("dimension mismatch")
-    best = XRat.of(0)
+    best = ZERO
     for v in vertices(b):
         best = max(best, psi(a, v))
         if best is INF:

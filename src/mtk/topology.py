@@ -164,10 +164,10 @@ def eta_h(c: Complex):
 
 @dataclass(frozen=True)
 class ExpansionRecord:
-    delta_r: XRat
-    delta_eta: XRat
-    delta: XRat
-    delta_h: XRat
+    delta_r: Fraction | XRat
+    delta_eta: Fraction | XRat
+    delta: Fraction | XRat
+    delta_h: Fraction | XRat
 
 
 def _eta_of_induced(c: Complex, s: int, cache: dict[int, object]):
@@ -196,7 +196,7 @@ def expansions(c: Complex, h: tuple[Fraction, ...] | None = None) -> ExpansionRe
 
     def eta_bar(s: int):
         eta_s, rank_s = eta(s), c.rank_of(s)
-        return rank_s if eta_s is INF else min(eta_s, rank_s)
+        return min(eta_s, rank_s)
 
     full = (1 << c.n) - 1
     d_bar = max_ratio(eta_bar, full)
@@ -233,7 +233,7 @@ def topological_hall_check(c: Complex, subsets: list[int]) -> HallRecord:
         for i in iter_bits(imask):
             union |= subsets[i]
         eta = _eta_of_induced(c, union, cache)
-        if eta is not INF and eta < bit_count(imask):
+        if eta < bit_count(imask):
             hypothesis = False
             break
     witness = _rainbow_face(c, subsets, set(), 0, 0, ())

@@ -1,8 +1,9 @@
 """Theorem-verification suites over generated and canned instances.
 
 Each suite emits VerificationRecords with exact values on both sides of
-the claimed relation.  Suites are deterministic given the seed; records
-are sorted before emission.
+the claimed relation.  Suites are deterministic given the seed, and
+their default arguments are the CLI scale; run_suite sorts each suite's
+records by (claim, instance).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .core import (
     min_nonfaces,
 )
 from .errors import CapExceeded, CertificateError, DomainError, Uncolorable
-from .extval import INF, XRat
+from .extval import INF
 from .matroid import (
     DualMatroid,
     GenPartitionMatroid,
@@ -43,6 +44,13 @@ from .matroid import (
 from .polytopes import PolytopeRef, RatVec
 
 ONE = Fraction(1)
+
+SHARPNESS_Q = (2, 3)  # plane orders q of the sharp examples Q_k and T_k
+MESHULAM_MAX_EDGES = 8
+ABM_MAX_EDGES = 9
+FKS_MAX_EDGES = 12
+APPENDIX_C_MAX_A = 5  # (a,b)-colourability is tried for b <= a <= 5, b <= 2
+APPENDIX_C_MAX_B = 2
 
 
 @dataclass(frozen=True)
@@ -95,16 +103,13 @@ def _skip(claim, instance, relation="", note="", lhs="", rhs="") -> Verification
 
 def _payload(system=None, hypergraph=None, complex_=None, extra=None):
     """A replayable instance dict for violation witnesses."""
-    from .cli import instance_to_dict  # lazy: cli imports this module
-    from .constructions import Instance
-
-    inst = Instance(
+    inst = constructions.Instance(
         provenance="violation-witness",
         hypergraph=hypergraph,
         complex_=complex_,
         system=system,
     )
-    out = instance_to_dict(inst)
+    out = constructions.instance_to_dict(inst)
     if extra:
         out.update(extra)
     return out
@@ -213,10 +218,10 @@ def rand_graph(rng, n, p) -> Hypergraph:
 # -- suites -----------------------------------------------------------------
 
 
-def suite_sharpness(rng=None, q_values=(2, 3)) -> list[VerificationRecord]:
+def suite_sharpness(rng=None) -> list[VerificationRecord]:
     """Q_k and T_k annotated values (the two sharp examples)."""
     records = []
-    for q in q_values:
+    for q in SHARPNESS_Q:
         inst = constructions.canned("q_k", q=q)
         h, system = inst.hypergraph, inst.system
         mc = matching_complex(h)
@@ -229,9 +234,9 @@ def suite_sharpness(rng=None, q_values=(2, 3)) -> list[VerificationRecord]:
                 "example:P_k/delta_eta",
                 inst.provenance,
                 rec.delta_eta,
-                XRat.of(k * k),
+                k * k,
                 "==",
-                rec.delta_eta == XRat.of(k * k),
+                rec.delta_eta == k * k,
             )
         )
         max_dr = max(coloring.delta_rank(m) for m in system)
@@ -240,12 +245,12 @@ def suite_sharpness(rng=None, q_values=(2, 3)) -> list[VerificationRecord]:
                 "example:P_k/k_max_delta_r",
                 inst.provenance,
                 rec.delta_eta,
-                max_dr.times(k),
+                max_dr * k,
                 "==",
-                rec.delta_eta == max_dr.times(k),
+                rec.delta_eta == max_dr * k,
             )
         )
-    for q in q_values:
+    for q in SHARPNESS_Q:
         inst = constructions.canned("truncated_plane", q=q)
         h, system = inst.hypergraph, inst.system
         k = inst.expected["k"]
@@ -300,7 +305,7 @@ def suite_sharpness(rng=None, q_values=(2, 3)) -> list[VerificationRecord]:
             records.append(
                 _skip("ex:truncatedPP/ratio_RP", inst.provenance, note="n beyond vertex cap")
             )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
 def _boundary_point(system: MatroidSystem, rng) -> RatVec | None:
@@ -312,11 +317,11 @@ def _boundary_point(system: MatroidSystem, rng) -> RatVec | None:
     g = polytopes.psi(PolytopeRef.R(system), d)
     if g is INF or g == 0:
         return None
-    return RatVec([v / g.finite_value() for v in d])
+    return RatVec([v / g for v in d])
 
 
 def suite_edmonds_k2(
-    rng, pairs=200, points=50, weights=50, max_n=8
+    rng, pairs=20, points=10, weights=10, max_n=8
 ) -> list[VerificationRecord]:
     """P(M cap N) = P(M) cap P(N), via membership and via chi*."""
     records = []
@@ -362,7 +367,7 @@ def suite_edmonds_k2(
             d2 = coloring.delta_rank(m2, list(h))
             rhs = max(d1, d2)
             chi_checks += 1
-            ok = XRat.of(lhs) == rhs
+            ok = lhs == rhs
             if ok and j % 10 == 0:
                 # independent LP route for the matroid sides
                 alt = max(
@@ -409,7 +414,7 @@ def suite_edmonds_k2(
             member_checks >= pairs * points and chi_checks >= pairs * weights,
         )
     )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
 def whitney_catalog(max_n=9) -> list[tuple[str, Matroid]]:
@@ -463,10 +468,10 @@ def suite_whitney(rng=None, max_n=9) -> list[VerificationRecord]:
         records.append(
             _rec("prop:etamatroid", name, got, expected, "==", got == expected)
         )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
-def suite_williams(rng, count=100, max_n=8) -> list[VerificationRecord]:
+def suite_williams(rng, count=20, max_n=8) -> list[VerificationRecord]:
     """chi(M) = ceil(Delta(M)) and chi*(M, h) = Delta(M, h)."""
     records = []
     sizes = [min(n, max_n) for n in (3, 4, 5, 5, 6, 6, 7, max_n)]
@@ -496,10 +501,10 @@ def suite_williams(rng, count=100, max_n=8) -> list[VerificationRecord]:
                 star,
                 delta,
                 "==",
-                XRat.of(star) == delta,
+                star == delta,
             )
         )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
 def _eta_ih(h: Hypergraph):
@@ -507,7 +512,7 @@ def _eta_ih(h: Hypergraph):
 
 
 def suite_meshulam(
-    rng, graphs=500, hypergraphs=200, max_graph_n=7, max_edges=8
+    rng, graphs=60, hypergraphs=30, max_graph_n=7
 ) -> list[VerificationRecord]:
     """Domination bounds and the delete/contract recursion."""
     records = []
@@ -531,7 +536,7 @@ def suite_meshulam(
         gm_checks += _append_genmeshulam(records, g, f"graph#{t}", per_edge_cap=24)
     for t in range(hypergraphs):
         n = rng.randint(2, 7)
-        h = rand_hypergraph(rng, n, max_edges, min_size=1, max_size=4)
+        h = rand_hypergraph(rng, n, MESHULAM_MAX_EDGES, min_size=1, max_size=4)
         eta = _eta_ih(h)
         gamma = meshulam.gamma_e_hyper(h)
         records.append(
@@ -570,7 +575,7 @@ def suite_meshulam(
             gm_checks > 0,
         )
     )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
 def _append_genmeshulam(records, h: Hypergraph, tag, per_edge_cap) -> int:
@@ -606,13 +611,13 @@ def _append_genmeshulam(records, h: Hypergraph, tag, per_edge_cap) -> int:
     return checks
 
 
-def suite_abm(rng, count=200, max_edges=9) -> list[VerificationRecord]:
+def suite_abm(rng, count=40) -> list[VerificationRecord]:
     """eta_h(M(H)) >= nu*(H)/k for k-uniform H."""
     records = []
     for t in range(count):
         k = 2 if t % 2 == 0 else 3
         n = rng.randint(k, 7)
-        h = rand_hypergraph(rng, n, max_edges, min_size=k, max_size=k)
+        h = rand_hypergraph(rng, n, ABM_MAX_EDGES, min_size=k, max_size=k)
         eta = topology.eta_h(matching_complex(h))
         nu_star = polytopes.hyper_nu_star_w(h, RatVec.ones(len(h.edges)))
         ok = eta is INF or eta * k >= nu_star
@@ -627,11 +632,11 @@ def suite_abm(rng, count=200, max_edges=9) -> list[VerificationRecord]:
                 None if ok else _payload(hypergraph=h),
             )
         )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
 def suite_list_bounds(
-    rng, count=30, max_n=6, max_k=3, budget=coloring.LIST_ENUM_BUDGET
+    rng, count=10, max_n=6, max_k=3, budget=coloring.LIST_ENUM_BUDGET
 ) -> list[VerificationRecord]:
     """chi_ell against k chi, k max chi(M_i), (2k-1) max chi(M_i)."""
     records = []
@@ -674,10 +679,10 @@ def suite_list_bounds(
     records.append(
         _rec("list-bounds/counts", f"count={count}", done, 0, "checked", done > 0)
     )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
-def suite_seymour(rng, count=100, max_n=8, max_k=3) -> list[VerificationRecord]:
+def suite_seymour(rng, count=20, max_n=8, max_k=3) -> list[VerificationRecord]:
     """The constructive matroid list coloring, both directions."""
     records = []
     sat = 0
@@ -742,10 +747,10 @@ def suite_seymour(rng, count=100, max_n=8, max_k=3) -> list[VerificationRecord]:
             sat >= count,
         )
     )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
-def suite_duality_chain(rng, count=200, max_n=10, max_k=3) -> list[VerificationRecord]:
+def suite_duality_chain(rng, count=30, max_n=10, max_k=3) -> list[VerificationRecord]:
     """nu_w <= nu*_w = tau*_w <= tau_w, tau*_w <= k nu_w, (k-1) for partitions."""
     records = []
     sizes = [min(n, max_n) for n in (4, 4, 5, 5, 6, 6, 7, 7, 8, max_n)]
@@ -800,15 +805,15 @@ def suite_duality_chain(rng, count=200, max_n=10, max_k=3) -> list[VerificationR
                     nums.tau_star == nums.nu,
                 )
             )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
-def suite_furedi_fks(rng, count=200, max_edges=12) -> list[VerificationRecord]:
+def suite_furedi_fks(rng, count=40) -> list[VerificationRecord]:
     """k-partite: nu*_w <= (k-1) nu_w; k-uniform: w* >= nu*/k."""
     records = []
     for t in range(count):
         k = [2, 3, 4][t % 3]
-        h, parts = rand_kpartite(rng, k, part_size_max=3, max_edges=max_edges)
+        h, parts = rand_kpartite(rng, k, part_size_max=3, max_edges=FKS_MAX_EDGES)
         m = len(h.edges)
         w = RatVec.ones(m) if t % 4 == 0 else rand_weights(rng, m)
         nu_star = polytopes.hyper_nu_star_w(h, w)
@@ -836,7 +841,7 @@ def suite_furedi_fks(rng, count=200, max_edges=12) -> list[VerificationRecord]:
                 ws >= ns1 / k,
             )
         )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
 def suite_pq_witnesses(rng=None) -> list[VerificationRecord]:
@@ -893,7 +898,7 @@ def suite_pq_witnesses(rng=None) -> list[VerificationRecord]:
             flag,
         )
     )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
 def suite_matdim(rng=None) -> list[VerificationRecord]:
@@ -937,10 +942,10 @@ def suite_matdim(rng=None) -> list[VerificationRecord]:
                 ok,
             )
         )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
-def suite_ratio_rq(rng, count=50, max_n=6, max_k=3) -> list[VerificationRecord]:
+def suite_ratio_rq(rng, count=12, max_n=6, max_k=3) -> list[VerificationRecord]:
     """Vertex-gauge R:Q versus the matching/cover identity."""
     records = []
     sizes = [min(n, max_n) for n in (3, 4, 4, 5, 5, max_n)]
@@ -966,10 +971,10 @@ def suite_ratio_rq(rng, count=50, max_n=6, max_k=3) -> list[VerificationRecord]:
             records.append(
                 _rec("ryser3/RQ<=2", tag, via_vertices, 2, "<=", via_vertices <= 2)
             )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
-def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord]:
+def suite_appendix_c(rng, count=8) -> list[VerificationRecord]:
     """(a,b)-colorable implies chi* <= a/b; choosable implies colorable;
     chi* <= chr <= the least a/b found choosable."""
     records = []
@@ -984,8 +989,8 @@ def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord
         star = coloring.chi_star(c, [ONE] * n)
         tag = f"#{t}(n={n})"
         best = None  # least a/b found choosable
-        for b in range(1, b_cap + 1):
-            for a in range(b, a_cap + 1):
+        for b in range(1, APPENDIX_C_MAX_B + 1):
+            for a in range(b, APPENDIX_C_MAX_A + 1):
                 colorable = coloring.ab_check(c, a, b, "colorable")
                 if colorable:
                     found += 1
@@ -1025,7 +1030,7 @@ def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord
         # (chi,1) is always colorable
         try:
             chi_c = coloring.chi(c)
-            if chi_c <= a_cap:
+            if chi_c <= APPENDIX_C_MAX_A:
                 records.append(
                     _rec(
                         "appendixC/chi_in_CL",
@@ -1041,7 +1046,7 @@ def suite_appendix_c(rng, count=20, a_cap=5, b_cap=2) -> list[VerificationRecord
     records.append(
         _rec("appendix-c/counts", f"count={count}", found, 0, "checked", found > 0)
     )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
 def suite_topological_hall(rng, count=30) -> list[VerificationRecord]:
@@ -1082,7 +1087,7 @@ def suite_topological_hall(rng, count=30) -> list[VerificationRecord]:
     records.append(
         _rec("topological-hall/counts", f"count={count}", met, count, "checked", met > 0)
     )
-    return sorted(records, key=lambda r: (r.claim, r.instance))
+    return records
 
 
 SUITES = {
@@ -1103,23 +1108,10 @@ SUITES = {
     "topological-hall": suite_topological_hall,
 }
 
-# CLI-scale profiles: lighter than the acceptance-scale defaults.
-CLI_PROFILES = {
-    "edmonds-k2": dict(pairs=20, points=10, weights=10),
-    "williams": dict(count=20),
-    "meshulam": dict(graphs=60, hypergraphs=30),
-    "abm": dict(count=40),
-    "list-bounds": dict(count=10),
-    "seymour": dict(count=20),
-    "duality-chain": dict(count=30),
-    "furedi-fks": dict(count=40),
-    "ratio-rq": dict(count=12),
-    "appendix-c": dict(count=8),
-}
-
 
 def run_suite(name: str, seed: int = 0, **overrides):
-    """Run a named suite deterministically; returns sorted records.
+    """Run a named suite deterministically; returns its records sorted
+    by (claim, instance), suite by suite.
 
     Overrides a suite does not accept (e.g. max_n on a deterministic
     suite) are left out, so caps can be applied to "all"; the ones no
@@ -1145,7 +1137,7 @@ def run_suite(name: str, seed: int = 0, **overrides):
         )
     out = []
     for key in names:
-        kwargs = dict(CLI_PROFILES.get(key, {}))
-        kwargs.update({k: v for k, v in overrides.items() if k in accepted[key]})
-        out.extend(SUITES[key](random.Random(seed), **kwargs))
+        kwargs = {k: v for k, v in overrides.items() if k in accepted[key]}
+        records = SUITES[key](random.Random(seed), **kwargs)
+        out.extend(sorted(records, key=lambda r: (r.claim, r.instance)))
     return out

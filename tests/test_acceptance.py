@@ -11,7 +11,6 @@ from math import comb
 
 from mtk import coloring, constructions, polytopes, topology, verify
 from mtk.core import matching_complex
-from mtk.extval import XRat
 from mtk.matroid import matdim_exact
 from mtk.polytopes import PolytopeRef, RatVec
 
@@ -34,9 +33,9 @@ def test_criterion_01_qk_sharpness():
     rec = topology.expansions(mc)
     max_dr = max(coloring.delta_rank(m) for m in inst.system)
     ok = (
-        rec.delta_eta == XRat.of(9)
-        and max_dr == XRat.of(3)
-        and rec.delta_eta == max_dr.times(3)
+        rec.delta_eta == 9
+        and max_dr == 3
+        and rec.delta_eta == max_dr * 3
     )
     _report(1, f"Q_3: delta_eta={rec.delta_eta} = 3*max_delta_r ({max_dr})", ok)
 
@@ -80,14 +79,14 @@ def test_criterion_05_williams():
 
 def test_criterion_06_meshulam():
     rng = random.Random(106)
-    records = verify.suite_meshulam(rng, graphs=500, hypergraphs=200, max_graph_n=7, max_edges=8)
+    records = verify.suite_meshulam(rng, graphs=500, hypergraphs=200, max_graph_n=7)
     bad = _no_violations(records)
     _report(6, f"gamma_E bounds + genmeshulam on 500 graphs / 200 hypergraphs: {len(bad)} violations", not bad)
 
 
 def test_criterion_07_abm():
     rng = random.Random(107)
-    records = verify.suite_abm(rng, count=200, max_edges=9)
+    records = verify.suite_abm(rng, count=200)
     bad = _no_violations(records)
     _report(7, f"eta_h(M(H)) >= nu*(H)/k on 200 uniform hypergraphs: {len(bad)} violations", not bad)
 
@@ -119,7 +118,7 @@ def test_criterion_10_duality_chain():
 
 def test_criterion_11_furedi_fks():
     rng = random.Random(111)
-    records = verify.suite_furedi_fks(rng, count=200, max_edges=12)
+    records = verify.suite_furedi_fks(rng, count=200)
     bad = _no_violations(records)
     _report(11, f"FKS/Furedi + fractional width on 200 k-partite hypergraphs: {len(bad)} violations", not bad)
 
@@ -153,7 +152,7 @@ def test_criterion_14_ratio_rq():
 
 def test_criterion_15_appendix_c():
     rng = random.Random(115)
-    records = verify.suite_appendix_c(rng, count=20, a_cap=5, b_cap=2)
+    records = verify.suite_appendix_c(rng, count=20)
     bad = _no_violations(records)
     counts = [r for r in records if r.claim == "appendix-c/counts"]
     ok = not bad and counts and counts[0].verdict == "holds"

@@ -3,17 +3,17 @@
 import json
 import random
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mtk
 from mtk import verify
-from mtk.cli import (
-    instance_from_dict,
-    instance_to_dict,
-    main,
-    parse_instance,
-)
-from mtk.constructions import canned
+from mtk.cli import instance_from_dict, main, parse_instance
+from mtk.constructions import canned, instance_to_dict
 from mtk.errors import ParseError, ValidationError
 from mtk.verify import rand_system
 
@@ -66,8 +66,6 @@ def test_weights_parse_as_exact_rationals():
             "weights": {"h": ["1/3", "2"]},
         }
     )
-    from fractions import Fraction
-
     assert inst.weights["h"][0] == Fraction(1, 3)
 
 
@@ -221,6 +219,60 @@ def test_cli_invariants_rejects_malformed_fields(raw, named, tmp_path, capsys):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        ({"complex": {"n": 1, "maximal_faces": [[0]]}, "weights": {"h": [0.1]}}, "weights[h][0]"),
+        ({"complex": {"n": 2, "maximal_faces": [[0, 1]]}, "weights": {"h": ["1", True]}},
+         "weights[h][1]"),
+        ({"complex": {"n": True, "maximal_faces": [[False]]}}, "complex.n"),
+        ({"complex": {"n": 1, "maximal_faces": [[False]]}}, "complex.maximal_faces[0][0]"),
+        ({"complex": {"n": 2.0, "maximal_faces": [[0]]}}, "complex.n"),
+        ({"hypergraph": {"n": True, "edges": []}}, "hypergraph.n"),
+        ({"hypergraph": {"n": 2, "edges": [[0, 1.0]]}}, "hypergraph.edges[0][1]"),
+        ({"parts": [[0], [True]]}, "parts[1][0]"),
+        ({"matroids": [{"kind": "uniform", "n": 3, "rank": True}]}, "matroids[0].rank"),
+        ({"matroids": [{"kind": "uniform", "n": 3.0, "rank": 1}]}, "matroids[0].n"),
+        ({"matroids": [{"kind": "gen_partition", "n": True, "parts": [[0]], "caps": [1]}]},
+         "matroids[0].n"),
+        ({"matroids": [{"kind": "gen_partition", "parts": [[0, False]], "caps": [1]}]},
+         "matroids[0].parts[0][1]"),
+        ({"matroids": [{"kind": "gen_partition", "parts": [[0, 1]], "caps": [1.0]}]},
+         "matroids[0].caps[0]"),
+        ({"matroids": [{"kind": "graphic", "vertices": 2.0, "edges": [[0, 1]]}]},
+         "matroids[0].vertices"),
+        ({"matroids": [{"kind": "graphic", "vertices": 2, "edges": [[0, True]]}]},
+         "matroids[0].edges[0][1]"),
+        ({"matroids": [{"kind": "explicit", "n": 1, "maximal": [[True]]}]},
+         "matroids[0].maximal[0][0]"),
+    ],
+)
+def test_cli_rejects_booleans_and_floats_as_numbers(raw, named, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        instance_from_dict(raw)
+    assert main(["invariants", str(path), "--what", "chi_star"]) == 2
+    captured = capsys.readouterr()
+    assert f"{named}: expected an integer" in captured.err
+    assert captured.out == ""
+
+
+def test_a_violation_payload_does_not_import_the_cli():
+    code = (
+        "import sys\n"
+        "from mtk import verify\n"
+        "from mtk.core import Hypergraph\n"
+        "payload = verify._payload(hypergraph=Hypergraph(3, [3, 6]), extra={'edge': [0, 1]})\n"
+        "assert payload['hypergraph'] == {'n': 3, 'edges': [[0, 1], [1, 2]]}, payload\n"
+        "assert 'mtk.cli' not in sys.modules\n"
+    )
+    src = str(Path(mtk.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, timeout=60, env={"PYTHONPATH": src}
+    )
+
+
 def test_cli_verify_names_ignored_overrides(capsys):
     assert main(["verify", "matdim", "--seed", "1", "--max-n", "5"]) == 0
     assert "suite 'matdim' ignores max_n" in capsys.readouterr().err
@@ -248,6 +300,16 @@ SYSTEM_N3 = {
         {"kind": "uniform", "n": 3, "rank": 1},
     ]
 }
+
+
+def test_cli_reads_int_and_string_weights(tmp_path, capsys):
+    raw = {**SYSTEM_N3, "weights": {"h": [1, "1/3", "0.1"]}}
+    assert list(instance_from_dict(raw).weights["h"]) == [1, Fraction(1, 3), Fraction(1, 10)]
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(raw))
+    assert main(["invariants", str(path), "--what", "chi_star", "--report", "jsonl"]) == 0
+    # the intersection is the rank-1 complex, so chi* is the total weight
+    assert json.loads(capsys.readouterr().out) == {"chi_star": "43/30"}
 
 
 @pytest.mark.parametrize(

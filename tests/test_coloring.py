@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from mtk.coloring import (
     matroid_list_color,
 )
 from mtk.errors import CapExceeded, Uncolorable
-from mtk.extval import XRat
 from mtk.matroid import GenPartitionMatroid, GraphicMatroid, UniformMatroid
 from mtk.topology import expansions
 from mtk.verify import rand_matroid, rand_system
@@ -74,7 +74,7 @@ def test_chi_star_examples():
         n = rng.randint(2, 6)
         m = rand_matroid(rng, n)
         h = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(n)]
-        assert XRat.of(chi_star(m.to_complex(), h)) == delta_rank(m, h)
+        assert chi_star(m.to_complex(), h) == delta_rank(m, h)
 
 
 def test_chi_star_returns_fractional_coloring():
@@ -114,9 +114,9 @@ def test_chi_bounds_by_expansion_numbers():
         if c.vertices_mask() != (1 << n) - 1:
             continue
         rec = expansions(c)
-        assert chi(c) <= rec.delta.ceil()
+        assert chi(c) <= math.ceil(rec.delta)
         lo, hi = chi_list_number(c)
-        assert lo == hi <= rec.delta_eta.ceil()
+        assert lo == hi <= math.ceil(rec.delta_eta)
 
 
 def test_chi_list_k_chi_on_intersections():

@@ -1,13 +1,17 @@
 """Extended rationals and the one ratio sweep, against a brute-force oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from mtk.core import Complex, bit_count, iter_bits
-from mtk.extval import INF, XRat, max_ratio
-from mtk.verify import _rand_matroid_once, rand_weights
+from mtk.coloring import delta_rank
+from mtk.extval import EPS, INF, XRat, max_ratio
+from mtk.polytopes import PolytopeRef, RatVec, psi, ratio
+from mtk.topology import expansions
+from mtk.verify import _rand_matroid_once, rand_system, rand_weights
 
 KINDS = ["uniform", "partition", "gen_partition", "graphic", "dual"]
 
@@ -56,15 +60,44 @@ def _cases(rng, n):
 
 
 def test_xrat_keeps_the_equality_contract():
-    assert XRat.of(1) == Fraction(1) == 1
-    assert len({XRat.of(1), Fraction(1), 1}) == 1
-    assert hash(XRat.of(Fraction(3, 2))) == hash(Fraction(3, 2))
-    assert XRat.of(1) != "inf" and not XRat.of(1) == "1"
-    assert INF != "inf" and INF == XRat.of(INF)
+    assert INF != "inf" and INF == INF
     with pytest.raises(TypeError):
-        XRat.of(1) < "inf"
-    assert 0 < XRat.eps() < Fraction(1, 10**9) < INF
-    assert str(INF) == "inf" and INF.ceil() is INF
+        EPS < "inf"
+    assert 0 < EPS < Fraction(1, 10**9) < INF
+    assert str(INF) == "inf" and math.ceil(INF) is INF
+
+
+def _is_exact(x) -> bool:
+    return type(x) in (int, Fraction) or x is EPS or x is INF
+
+
+def test_every_ratio_is_a_plain_rational_eps_or_inf():
+    # finite values are never wrapped: type-exact int or Fraction, and
+    # the only other values are the two XRat objects
+    assert math.ceil(EPS) == 1 and type(math.ceil(EPS)) is int
+    assert math.ceil(INF) is INF
+    rng = random.Random(14)
+    kinds = set()
+    for t in range(40):
+        n = rng.randint(1, 6)
+        system = rand_system(rng, n, rng.randint(1, 2), loopless=t % 2 == 0)
+        c = system.intersection_complex()
+        h = rand_weights(rng, n)
+        values = [
+            max_ratio(c.rank_of, (1 << n) - 1),
+            max_ratio(c.rank_of, (1 << n) - 1, list(h)),
+            *(delta_rank(m) for m in system),
+            *(delta_rank(m, list(h)) for m in system),
+            *vars(expansions(c)).values(),
+            *vars(expansions(c, tuple(h))).values(),
+        ]
+        refs = [PolytopeRef.P(c), PolytopeRef.Q(c), PolytopeRef.R(system)]
+        values += [psi(z, x) for z in refs for x in (h, RatVec([0] * n))]
+        values += [ratio(refs[2], refs[0]), ratio(refs[2], refs[1])]
+        for v in values:
+            assert _is_exact(v), (t, v, type(v))
+            kinds.add(v if isinstance(v, XRat) else "finite")
+    assert kinds == {"finite", EPS, INF}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -110,7 +143,7 @@ def test_max_ratio_with_infinite_denominators():
             for h, universe in _cases(rng, n):
                 got = max_ratio(den, universe, h)
                 assert str(got) == brute_max_ratio(den, universe, h)
-        assert max_ratio(all_inf, (1 << n) - 1) == XRat.eps()
+        assert max_ratio(all_inf, (1 << n) - 1) == EPS
         assert max_ratio(all_inf, (1 << n) - 1, [0] * n) == 0
 
 

@@ -124,5 +124,5 @@ def test_two_k_minus_one_end_to_end():
         if eta == INF:
             continue
         lhs = n
-        bound = (2 * k - 1) * max(delta_rank(m).finite_value() for m in ms)
+        bound = (2 * k - 1) * max(delta_rank(m) for m in ms)
         assert lhs <= bound * eta

@@ -1,12 +1,13 @@
 """Homology, eta_h, expansion numbers, and the Hall checker."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from mtk import topology
 from mtk.core import Complex, Hypergraph, mask_of, matching_complex
-from mtk.extval import INF, XRat
+from mtk.extval import EPS, INF
 from mtk.matroid import UniformMatroid
 from mtk.topology import (
     eta_h,
@@ -119,11 +120,11 @@ def test_eta_matroid_rank_lower_bound_for_intersections():
 def test_expansions_examples():
     # full simplex on 4 vertices: every subset is a face of full rank
     rec = expansions(Complex(4, [[0, 1, 2, 3]]))
-    assert rec.delta_r == XRat.of(1)
+    assert rec.delta_r == 1
 
     c4 = Hypergraph(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
     rec = expansions(matching_complex(c4))
-    assert rec.delta_eta == XRat.of(4)  # k^2 with k = 2
+    assert rec.delta_eta == 4  # k^2 with k = 2
 
     # loopless matroid: Delta(M, h) equals the rank-only formula
     rng = random.Random(23)
@@ -140,8 +141,8 @@ def test_expansions_examples():
 def test_expansion_eps_and_infinity():
     # full simplex: every eta is inf, so delta_eta is the infinitesimal
     rec = expansions(Complex(2, [[0, 1]]))
-    assert rec.delta_eta == XRat.eps()
-    assert rec.delta_eta.ceil() == 1
+    assert rec.delta_eta == EPS
+    assert math.ceil(rec.delta_eta) == 1
     # vertex in no face: rank 0 denominator gives infinity
     rec = expansions(Complex(2, [[0]]))
     assert rec.delta_r is INF
@@ -212,7 +213,7 @@ def test_chi_star_bounded_by_weighted_expansion():
         h = tuple(Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(n))
         rec = expansions(c, h)
         star = chi_star(c, list(h))
-        assert XRat.of(star) <= rec.delta_h
+        assert star <= rec.delta_h
         checked += 1
     assert checked >= 8
 
