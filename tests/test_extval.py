@@ -1,4 +1,4 @@
-"""Extended rationals and the one ratio sweep, against a brute-force oracle."""
+"""EPS, INF and the one ratio sweep, against a brute-force oracle."""
 
 import math
 import random
