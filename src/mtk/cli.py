@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import coloring, polytopes, topology, verify
-from .constructions import Instance, canned, instance_to_dict
+from .constructions import Instance, canned, check_sides, instance_to_dict
 from .core import Complex, Hypergraph, independence_complex, mask_of
-from .errors import MtkError, ParseError, Unsupported, ValidationError
+from .errors import DomainError, MtkError, ParseError, Unsupported, ValidationError
 from .matroid import (
     MATDIM_MAX_N,
     ExplicitMatroid,
@@ -86,6 +86,12 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
         try:
             parts = tuple(_masks(raw["parts"], f"{origin}: parts"))
         except (ValueError, TypeError) as e:
+            raise ValidationError(f"{origin}: parts: {e}")
+        if hypergraph is None:
+            raise ValidationError(f"{origin}: parts: sides need a hypergraph")
+        try:
+            check_sides(hypergraph, parts)
+        except DomainError as e:
             raise ValidationError(f"{origin}: parts: {e}")
     raw_weights = raw.get("weights", {})
     if not isinstance(raw_weights, dict):
@@ -294,20 +300,19 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    bname, _, aname = args.pair.partition(":")
+    if bname not in ("P", "Q", "R") or aname not in ("P", "Q", "R"):
+        print(f"unknown pair {args.pair!r}; use e.g. R:P, R:Q, Q:P", file=sys.stderr)
+        return 2
     inst = parse_instance(args.file)
     if inst.system is None:
         raise ValidationError("ratio needs a matroid system")
     system = inst.system
-    c = system.intersection_complex()
-    refs = {
-        "P": PolytopeRef.P(c),
-        "Q": PolytopeRef.Q(c),
-        "R": PolytopeRef.R(system),
-    }
-    bname, _, aname = args.pair.partition(":")
-    if bname not in refs or aname not in refs:
-        print(f"unknown pair {args.pair!r}; use e.g. R:P, R:Q, Q:P", file=sys.stderr)
-        return 2
+    refs = {"R": PolytopeRef.R(system)}
+    if {bname, aname} != {"R"}:
+        # P and Q live on the intersection complex, a sweep over all 2^n subsets.
+        c = system.intersection_complex()
+        refs.update(P=PolytopeRef.P(c), Q=PolytopeRef.Q(c))
     val = polytopes.ratio(refs[bname], refs[aname])
     print(val)
     return 0

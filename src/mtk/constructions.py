@@ -174,12 +174,9 @@ def q_k(q: int) -> tuple[Hypergraph, tuple[int, ...]]:
     return Hypergraph(affine.n, edges), tuple(sorted(removed_class))
 
 
-def assoc_matroids(h: Hypergraph, parts: tuple[int, ...]) -> MatroidSystem:
-    """The partition matroids L(H) on E(H): each side's vertex stars.
-
-    parts: the k vertex sides, every edge a transversal of them.
-    Vertices with no incident edge contribute no star.
-    """
+def check_sides(h: Hypergraph, parts: tuple[int, ...]) -> None:
+    """Raise DomainError unless parts split h's vertex set into disjoint
+    sides with every edge a transversal of them."""
     cover = 0
     for p in parts:
         if cover & p:
@@ -190,6 +187,15 @@ def assoc_matroids(h: Hypergraph, parts: tuple[int, ...]) -> MatroidSystem:
     for e in h.edges:
         if any(bit_count(e & p) != 1 for p in parts):
             raise DomainError("some edge is not a transversal of the sides")
+
+
+def assoc_matroids(h: Hypergraph, parts: tuple[int, ...]) -> MatroidSystem:
+    """The partition matroids L(H) on E(H): each side's vertex stars.
+
+    parts: the k vertex sides, every edge a transversal of them.
+    Vertices with no incident edge contribute no star.
+    """
+    check_sides(h, parts)
     m = len(h.edges)
     matroids = []
     for p in parts:

@@ -8,6 +8,7 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,10 +191,7 @@ def vertices(z: PolytopeRef) -> list[RatVec]:
     reduced constraint system.
     """
     if z.kind == "P":
-        return [
-            RatVec([ONE if (f >> v) & 1 else ZERO for v in range(z.n)])
-            for f in z.complex_.faces()
-        ]
+        return [_indicator(z.n, f) for f in z.complex_.faces()]
     if z.n > VERTICES_MAX_N:
         raise CapExceeded(f"vertex enumeration limited to n <= {VERTICES_MAX_N}")
     if z.kind == "Q":
@@ -203,98 +201,104 @@ def vertices(z: PolytopeRef) -> list[RatVec]:
     return [RatVec(v) for v in _dd_vertices(z.n, rows)]
 
 
+def _indicator(n: int, mask: int) -> RatVec:
+    return RatVec([ONE if (mask >> v) & 1 else ZERO for v in range(n)])
+
+
 def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ...]]:
     """Double description for {x >= 0, x[mask] <= r}; returns vertices.
 
-    Constraint normals are integer: 0/1 mask rows plus the
+    It runs in integers: each point x is kept as the primitive integer
+    vector (p_0, ..., p_{n-1}, d) with x = p / d, d > 0 and gcd 1, so
+    equal points have equal tuples.  The right-hand sides are integer
+    ranks, so row values and tightness are integer sums compared with
+    r * d.  Constraint normals are the 0/1 mask rows plus the
     non-negativity rows; rows hold each mask at most once.  The
     singleton rows bound the box, so the region is a polytope.
     """
     ubs = [None] * n
     for mask, r in rows:
         if bit_count(mask) == 1:
-            ubs[mask.bit_length() - 1] = Fraction(r)
+            ubs[mask.bit_length() - 1] = r
     if any(u is None for u in ubs):
         raise ValueError("singleton bounds required for boundedness")
     # Constraint list: index 0..n-1 non-negativity (-x_v <= 0), then the
-    # box rows x_v <= ubs[v], then the other rows.
+    # box rows x_v <= ubs[v], then the other rows; cons[i - n] holds the
+    # support and right-hand side of row i >= n.
+    cons = [((v,), ubs[v]) for v in range(n)] + [
+        (tuple(iter_bits(mask)), r) for mask, r in rows if bit_count(mask) != 1
+    ]
     normals: list[tuple[int, ...]] = []
-    rhss: list[Fraction] = []
     for v in range(n):
         e = [0] * n
         e[v] = -1
         normals.append(tuple(e))
-        rhss.append(ZERO)
-    other_rows = [(mask, Fraction(r)) for mask, r in rows if bit_count(mask) != 1]
-    for mask, r in [(1 << v, ubs[v]) for v in range(n)] + other_rows:
-        normals.append(tuple((mask >> v) & 1 for v in range(n)))
-        rhss.append(r)
+    for support, _ in cons:
+        normals.append(tuple(1 if v in support else 0 for v in range(n)))
     nbox = 2 * n
 
     # Box vertices with tight bitmasks over the first nbox constraints.
-    verts: list[tuple[tuple[Fraction, ...], int]] = []
+    uniq: dict[tuple[int, ...], int] = {}
     for bits in range(1 << n):
-        coords = tuple(
-            ubs[v] if (bits >> v) & 1 else ZERO for v in range(n)
-        )
+        p = tuple(ubs[v] if (bits >> v) & 1 else 0 for v in range(n)) + (1,)
         tight = 0
-        for i in range(nbox):
-            if _row_value(normals[i], coords) == rhss[i]:
-                tight |= 1 << i
-        verts.append((coords, tight))
-    uniq = {}
-    for coords, tight in verts:
-        uniq[coords] = tight
+        for v in range(n):
+            if p[v] == 0:
+                tight |= 1 << v
+            if p[v] == ubs[v]:
+                tight |= 1 << (n + v)
+        uniq[p] = tight
     verts = list(uniq.items())
 
     processed = nbox
     for ridx in range(nbox, len(normals)):
-        normal, rhs = normals[ridx], rhss[ridx]
-        vals = [_row_value(normal, coords) - rhs for coords, _ in verts]
+        support, rhs = cons[ridx - n]
+        # s has the sign of a.x - rhs: s = d (a.x - rhs)
+        vals = [sum(p[v] for v in support) - rhs * p[n] for p, _ in verts]
         keep = [i for i, s in enumerate(vals) if s <= 0]
         out = [i for i, s in enumerate(vals) if s > 0]
         if not out:
             verts = [
-                (coords, tight | (1 << ridx) if vals[i] == 0 else tight)
-                for i, (coords, tight) in enumerate(verts)
+                (p, tight | (1 << ridx) if vals[i] == 0 else tight)
+                for i, (p, tight) in enumerate(verts)
             ]
             processed += 1
             continue
-        newpts: dict[tuple[Fraction, ...], int] = {}
+        newpts: dict[tuple[int, ...], int] = {}
         for i in keep:
             si = vals[i]
             if si == 0:
                 continue  # already on the new hyperplane
-            ci, ti = verts[i]
+            pi, ti = verts[i]
             for j in out:
-                cj, tj = verts[j]
+                pj, tj = verts[j]
                 common = ti & tj
                 if bit_count(common) < n - 1:
                     continue
                 if not _tight_rank_at_least(normals, common, n - 1):
                     continue
+                # sj pi - si pj has a.x = rhs and weights sj, -si > 0.
                 sj = vals[j]
-                t = si / (si - sj)  # si < 0 < sj
-                coords = tuple(
-                    a + t * (b - a) for a, b in zip(ci, cj)
-                )
+                p = [sj * a - si * b for a, b in zip(pi, pj)]
+                g = math.gcd(*p)
+                p = tuple(a // g for a in p)
                 tight = 1 << ridx
-                for idx in range(processed):
-                    if _row_value(normals[idx], coords) == rhss[idx]:
+                for v in range(n):
+                    if p[v] == 0:
+                        tight |= 1 << v
+                for idx in range(n, processed):
+                    support_i, rhs_i = cons[idx - n]
+                    if sum(p[v] for v in support_i) == rhs_i * p[n]:
                         tight |= 1 << idx
-                newpts.setdefault(coords, tight)
+                newpts.setdefault(p, tight)
         keep_set = set(keep)
         verts = [
-            (coords, tight | (1 << ridx) if vals[i] == 0 else tight)
-            for i, (coords, tight) in enumerate(verts)
+            (p, tight | (1 << ridx) if vals[i] == 0 else tight)
+            for i, (p, tight) in enumerate(verts)
             if i in keep_set
         ] + list(newpts.items())
         processed += 1
-    return [coords for coords, _ in verts]
-
-
-def _row_value(normal: tuple[int, ...], coords: tuple[Fraction, ...]) -> Fraction:
-    return sum((a * b for a, b in zip(normal, coords) if a), ZERO)
+    return [tuple(Fraction(a, p[n]) for a in p[:n]) for p, _ in verts]
 
 
 def _tight_rank_at_least(normals, common: int, need: int) -> bool:
@@ -309,15 +313,43 @@ def _tight_rank_at_least(normals, common: int, need: int) -> bool:
 
 def ratio(b: PolytopeRef, a: PolytopeRef) -> Fraction | XRat:
     """B:A = least t with tA containing B; max of the A-gauge over B's
-    vertices."""
+    vertices.
+
+    P, Q and R are closed downwards, so each gauge is monotone on the
+    non-negative orthant, INF included: a vertex below another vertex
+    never raises the max, and only B's undominated vertices are tried.
+    """
     if b.n != a.n:
         raise DomainError("dimension mismatch")
     best = ZERO
-    for v in vertices(b):
+    for v in _undominated_vertices(b):
         best = max(best, psi(a, v))
         if best is INF:
             return INF
     return best
+
+
+def _undominated_vertices(z: PolytopeRef) -> list[RatVec]:
+    """The vertices of z below no other vertex coordinatewise.
+
+    On P these are the indicators of the maximal faces.  On Q and R each
+    vertex is taken as integer numerators over its common denominator,
+    in order of decreasing coordinate sum: a vertex never follows one it
+    lies below, so it is compared only with the vertices kept so far.
+    """
+    if z.kind == "P":
+        return [_indicator(z.n, f) for f in z.complex_.maximal_faces]
+    forms = []
+    for v in vertices(z):
+        d = math.lcm(*(x.denominator for x in v))
+        p = [x.numerator * (d // x.denominator) for x in v]
+        forms.append((Fraction(sum(p), d), p, d, v))
+    forms.sort(key=lambda form: form[0], reverse=True)
+    kept: list[tuple[list[int], int, RatVec]] = []
+    for _, p, d, v in forms:
+        if not any(all(a * e <= b * d for a, b in zip(p, q)) for q, e, _ in kept):
+            kept.append((p, d, v))
+    return [v for _, _, v in kept]
 
 
 def ratio_rq_via_matchings(system: MatroidSystem):

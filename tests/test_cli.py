@@ -15,6 +15,7 @@ from mtk import verify
 from mtk.cli import instance_from_dict, main, parse_instance
 from mtk.constructions import canned, instance_to_dict
 from mtk.errors import ParseError, ValidationError
+from mtk.matroid import MatroidSystem
 from mtk.verify import rand_system
 
 
@@ -101,6 +102,51 @@ def test_cli_ratio(tmp_path, capsys):
     assert main(["gen", "truncated_plane", "--param", "q=2", "-o", str(out)]) == 0
     assert main(["ratio", str(out), "--pair", "R:P"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_cli_ratio_refuses_a_bad_pair_before_reading_the_file(monkeypatch, tmp_path, capsys):
+    def parse(path):
+        raise AssertionError("instance parsed before the pair was checked")
+
+    monkeypatch.setattr("mtk.cli.parse_instance", parse)
+    for pair in ("R:X", "RP", "R:P:Q", ":"):
+        assert main(["ratio", str(tmp_path / "t3.json"), "--pair", pair]) == 2
+        assert f"unknown pair {pair!r}" in capsys.readouterr().err
+
+
+def test_cli_ratio_r_r_builds_no_intersection_complex(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "t3.json"
+    assert main(["gen", "truncated_plane", "--param", "q=2", "-o", str(out)]) == 0
+    capsys.readouterr()
+
+    def sweep(self):
+        raise AssertionError("intersection complex built for R:R")
+
+    monkeypatch.setattr(MatroidSystem, "intersection_complex", sweep)
+    assert main(["ratio", str(out), "--pair", "R:R"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+PATH3 = {"hypergraph": {"n": 3, "edges": [[0, 1], [1, 2]]}}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"parts": [[0], [0]]}, "sides need a hypergraph"),
+        ({**PATH3, "parts": [[0], [0]]}, "sides overlap"),
+        ({**PATH3, "parts": [[0, 2], [1], [1]]}, "sides overlap"),
+        ({**PATH3, "parts": [[0, 2]]}, "sides must cover the vertex set"),
+        ({**PATH3, "parts": [[0], [1, 2]]}, "some edge is not a transversal of the sides"),
+    ],
+)
+def test_cli_refuses_parts_that_are_not_sides_of_the_hypergraph(raw, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValidationError, match=f"parts: {message}"):
+        instance_from_dict(raw)
+    assert main(["invariants", str(path)]) == 2
+    assert f"parts: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

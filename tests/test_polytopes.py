@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+from operator import le
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,12 @@ from mtk.matroid import (
     MatroidSystem,
     UniformMatroid,
 )
+from mtk import polytopes
 from mtk.polytopes import (
     PolytopeRef,
+    _dd_vertices,
+    _reduced_rows_complex,
+    _system_rows,
     RatVec,
     hyper_numbers,
     hyper_nu_w,
@@ -40,6 +45,7 @@ from mtk.verify import (
     rand_weights_unit,
 )
 
+from dd_oracle import dd_vertices_fraction
 from lp_oracle import brute_optimum
 
 F = Fraction
@@ -238,6 +244,20 @@ def test_vertices_match_brute_force():
     assert done >= 20
 
 
+def test_integer_dd_matches_the_fraction_oracle():
+    # the same vertices in the same order, on R rows and Q rows; loops
+    # give zero singleton bounds, so the box has repeated points
+    rng = random.Random(64)
+    zero_bounds = 0
+    for t in range(120):
+        n = rng.randint(1, 6)
+        system = rand_system(rng, n, rng.randint(1, 3), loopless=t % 3 == 0)
+        for rows in (_system_rows(system), _reduced_rows_complex(system.intersection_complex())):
+            zero_bounds += any(r == 0 and bit_count(m) == 1 for m, r in rows)
+            assert _dd_vertices(n, rows) == dd_vertices_fraction(n, rows)
+    assert zero_bounds >= 30
+
+
 def test_edmonds_pair_membership_and_r_vertices():
     rng = random.Random(54)
     for _ in range(15):
@@ -259,6 +279,60 @@ def test_ratio_examples():
     # single matroid: P = Q = R
     assert ratio(PolytopeRef.R(system), PolytopeRef.P(c)) == 1
     assert ratio(PolytopeRef.Q(c), PolytopeRef.P(c)) == 1
+
+
+def _undominated(vs):
+    return [v for v in vs if not any(v != w and all(map(le, v, w)) for w in vs)]
+
+
+def _max_gauge(a, vs):
+    return max((psi(a, v) for v in vs), default=F(0))
+
+
+def _pairs_with_infinite_ratios(rng, count):
+    """(system, B, A) over P, Q, R of seeded systems with n <= 5, plus
+    P and Q of the intersection complex with vertex 0 deleted as A,
+    where B's vertices with x_0 > 0 make B:A infinite."""
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        system = rand_system(rng, n, rng.randint(1, 3), loopless=False)
+        c = system.intersection_complex()
+        c0 = Complex(n, [f & ~1 for f in c.maximal_faces])
+        refs = [PolytopeRef.P(c), PolytopeRef.Q(c), PolytopeRef.R(system)]
+        for b in refs:
+            for a in refs + [PolytopeRef.P(c0), PolytopeRef.Q(c0)]:
+                yield system, b, a
+
+
+def test_ratio_equals_the_max_gauge_over_all_vertices():
+    rng = random.Random(65)
+    seen_inf = 0
+    for _, b, a in _pairs_with_infinite_ratios(rng, 25):
+        want = _max_gauge(a, vertices(b))
+        assert ratio(b, a) == want
+        seen_inf += want is INF
+    assert seen_inf >= 20
+
+
+def test_ratio_calls_psi_once_per_undominated_vertex(monkeypatch):
+    calls = []
+
+    def counting_psi(z, h):
+        calls.append(h)
+        return psi(z, h)
+
+    monkeypatch.setattr(polytopes, "psi", counting_psi)
+    rng = random.Random(66)
+    pruned = 0
+    for _, b, a in _pairs_with_infinite_ratios(rng, 25):
+        calls.clear()
+        if ratio(b, a) is INF:
+            continue
+        vs = vertices(b)
+        top = _undominated(vs)
+        assert sorted(map(tuple, calls)) == sorted(map(tuple, top))
+        pruned += len(vs) - len(top)
+    assert pruned > 0
 
 
 def test_ratio_rq_theorem_small_random():
