@@ -26,6 +26,8 @@ from .coloring import (
     chi_list_number,
     chi_matroid,
     chi_star,
+    matdim_exact,
+    matdim_upper,
     matroid_list_color,
 )
 from .constructions import (
@@ -47,8 +49,6 @@ from .matroid import (
     MatroidSystem,
     UniformMatroid,
     check_matroid_axioms,
-    matdim_exact,
-    matdim_upper,
     max_common_independent,
 )
 from .meshulam import (
@@ -59,7 +59,6 @@ from .meshulam import (
 )
 from .polytopes import (
     PolytopeRef,
-    RatVec,
     hyper_numbers,
     matroidal_numbers,
     member,
@@ -96,7 +95,6 @@ __all__ = [
     "Matroid",
     "MatroidSystem",
     "PolytopeRef",
-    "RatVec",
     "UniformMatroid",
     "VerificationRecord",
     "XRat",

@@ -15,21 +15,19 @@ import sys
 from fractions import Fraction
 
 from . import coloring, polytopes, topology, verify
+from .coloring import MATDIM_MAX_N, matdim_exact, matdim_upper
 from .constructions import Instance, canned, check_sides, instance_to_dict
 from .core import Complex, Hypergraph, independence_complex, mask_of
 from .errors import DomainError, MtkError, ParseError, Unsupported, ValidationError
 from .matroid import (
-    MATDIM_MAX_N,
     ExplicitMatroid,
     GenPartitionMatroid,
     GraphicMatroid,
     Matroid,
     MatroidSystem,
     UniformMatroid,
-    matdim_exact,
-    matdim_upper,
 )
-from .polytopes import PolytopeRef, RatVec
+from .polytopes import PolytopeRef
 
 
 def parse_instance(path: str) -> Instance:
@@ -100,8 +98,8 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
         if not isinstance(vals, list):
             raise ParseError(f"{origin}: weights[{key}] must be a list")
         try:
-            weights[key] = RatVec(
-                [_rational(s, f"{origin}: weights[{key}][{i}]") for i, s in enumerate(vals)]
+            weights[key] = tuple(
+                _rational(s, f"{origin}: weights[{key}][{i}]") for i, s in enumerate(vals)
             )
         except (ValueError, TypeError, ZeroDivisionError) as e:
             raise ValidationError(f"{origin}: weights[{key}]: {e}")
@@ -204,13 +202,12 @@ def cmd_invariants(args) -> int:
         elif item == "chi":
             out["chi"] = str(coloring.chi(c))
         elif item == "chi_star":
-            hh = list(h) if h is not None else [Fraction(1)] * c.n
-            out["chi_star"] = str(coloring.chi_star(c, hh))
+            out["chi_star"] = str(coloring.chi_star(c, (1,) * c.n if h is None else h))
         elif item == "chi_list":
             lo, hi = coloring.chi_list_number(c)
             out["chi_list"] = str(lo) if lo == hi else f"[{lo},{hi}]"
         elif item == "expansions":
-            rec = topology.expansions(c, tuple(h) if h is not None else None)
+            rec = topology.expansions(c, h)
             out["delta_r"] = str(rec.delta_r)
             out["delta_eta"] = str(rec.delta_eta)
             out["delta"] = str(rec.delta)
@@ -222,7 +219,7 @@ def cmd_invariants(args) -> int:
         elif item == "numbers":
             if inst.system is None:
                 raise ValidationError("invariant 'numbers' needs a matroid system")
-            w = inst.weights.get("w", RatVec.ones(inst.system.n))
+            w = inst.weights.get("w", (1,) * inst.system.n)
             nums = polytopes.matroidal_numbers(inst.system, w)
             out["nu_w"] = str(nums.nu)
             out["nu_star_w"] = str(nums.nu_star)

@@ -4,22 +4,35 @@ A coloring of a complex covers the ground set by faces; chi is the
 least number of faces needed.  chi_list quantifies over all equal-size
 list systems (canonicalized up to renaming colors), and chi_star is the
 weighted fractional relaxation, solved as an exact LP over maximal-face
-columns.
+columns.  matdim, the least number of matroids whose intersection is a
+complex, is bounded and computed here as chi of derived complexes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Complex, bit_count, check_sweep, iter_bits
-from .errors import CapExceeded, DomainError, Infeasible, Uncolorable
-from .extval import INF, XRat, max_ratio
+from .core import (
+    Complex,
+    bit_count,
+    check_sweep,
+    iter_bits,
+    mask_of,
+    matching_complex,
+    min_nonfaces,
+)
+from .errors import CapExceeded, Infeasible, Uncolorable
+from .extval import INF, XRat, check_weights, max_ratio
 from .lp import solve_max_slack
 from .matroid import (
     GenPartitionMatroid,
     Matroid,
+    UniformMatroid,
+    check_matroid_axioms,
     max_common_independent,
 )
 
@@ -28,6 +41,7 @@ ONE = Fraction(1)
 
 LIST_ENUM_BUDGET = 4_000_000
 LIST_MAX_N = 8  # largest n chi_list enumerates list systems for
+MATDIM_MAX_N = 6  # matdim_exact is refused above this ground-set size
 
 
 def chi(c: Complex, return_cover: bool = False):
@@ -89,13 +103,14 @@ def _smallest_cover(faces, cover_by, uncov: int, count: int, chosen: list[int], 
         chosen.pop()
 
 
-def delta_rank(m: Matroid, h=None, sub: int | None = None) -> Fraction | XRat:
+def delta_rank(m: Matroid, h: Sequence[Fraction] | None = None) -> Fraction | XRat:
     """max over non-empty S of h[S]/rank(S); the matroid expansion number.
 
-    With h = None the all-ones weighting is used; sub restricts the
-    enumeration to subsets of the given mask.
+    With h = None the all-ones weighting is used.
     """
-    return max_ratio(m.rank, m.full if sub is None else sub, h)
+    if h is not None:
+        h = check_weights(h, m.n)
+    return max_ratio(m.rank, m.full, h)
 
 
 def chi_matroid(m: Matroid) -> int:
@@ -111,13 +126,13 @@ def chi_matroid_restricted(m: Matroid, fmask: int):
         return 0
     if m.loops() & fmask:
         return INF
-    return math.ceil(delta_rank(m, sub=fmask))
+    return math.ceil(max_ratio(m.rank, fmask))
 
 
 # -- fractional ----------------------------------------------------------
 
 
-def chi_star(c: Complex, h) -> Fraction:
+def chi_star(c: Complex, h: Sequence[Fraction]) -> Fraction:
     """Weighted fractional chromatic number, exact.
 
     Solves max h.y subject to y[F] <= 1 over maximal faces F (the LP
@@ -125,11 +140,7 @@ def chi_star(c: Complex, h) -> Fraction:
     optimal fractional coloring.  Raises Infeasible when some element
     of positive weight lies in no face.
     """
-    h = [Fraction(x) for x in h]
-    if len(h) != c.n:
-        raise DomainError("weight vector length mismatch")
-    if any(x < 0 for x in h):
-        raise DomainError("weights must be non-negative")
+    h = check_weights(h, c.n)
     covered = c.vertices_mask()
     for v in range(c.n):
         if h[v] > 0 and not (covered >> v) & 1:
@@ -401,3 +412,104 @@ def ab_check(c: Complex, a: int, b: int, mode: str, budget: int = LIST_ENUM_BUDG
     if mode == "choosable":
         return _first_uncolorable(c, a, b, budget) is None
     raise ValueError(f"unknown mode {mode!r}")
+
+
+# -- matdim --------------------------------------------------------------
+
+
+def matdim_upper(c: Complex) -> tuple[int, list[GenPartitionMatroid]]:
+    """Edge-chromatic bound: color min-nonfaces by matchings, one
+    generalized partition matroid per color class.
+
+    Returns the bound and the witness matroids (whose intersection is c).
+    """
+    nf = min_nonfaces(c)
+    if not nf.edges:
+        return 1, [UniformMatroid(c.n, c.n)]
+    # Matchings of nf = independent sets of its line graph; an exact
+    # minimum cover of E(nf) by matchings is chi of that complex.
+    mc = matching_complex(nf)
+    k, classes = chi(mc, return_cover=True)
+    full = (1 << c.n) - 1
+    witnesses = []
+    for cls in classes:
+        edges = [nf.edges[i] for i in iter_bits(cls)]
+        parts = list(edges)
+        caps = [bit_count(e) - 1 for e in edges]
+        rest = full
+        for e in edges:
+            rest &= ~e
+        if rest:
+            parts.append(rest)
+            caps.append(bit_count(rest))
+        witnesses.append(GenPartitionMatroid(c.n, parts, caps))
+    return k, witnesses
+
+
+def _enumerate_matroid_coverages(c: Complex, nonfaces: list[int]) -> list[int]:
+    """Coverage masks over min-nonfaces, one per matroid containing c.
+
+    Matroids are enumerated by their basis families (equal-size families
+    with the basis-exchange property).  Only the coverage profile of
+    each matroid matters for the set-cover search, so profiles are
+    deduplicated; the complex they span drops the dominated ones.
+    """
+    n = c.n
+    rank_c = c.rank()
+    coverages: set[int] = set()
+    for r in range(rank_c, n + 1):
+        rsets = [mask_of(combo) for combo in itertools.combinations(range(n), r)]
+        idx = {m: i for i, m in enumerate(rsets)}
+        # Precompute exchange targets for pruning inside the DFS-free scan.
+        for fam_bits in range(1, 1 << len(rsets)):
+            fam = [rsets[i] for i in iter_bits(fam_bits)]
+            # Containment of c first (cheap): every maximal face in a base.
+            if not all(
+                any(f & ~b == 0 for b in fam) for f in c.maximal_faces
+            ):
+                continue
+            if not _is_basis_family(fam, idx, fam_bits):
+                continue
+            cov = 0
+            for j, nf in enumerate(nonfaces):
+                if not any(nf & ~b == 0 for b in fam):
+                    cov |= 1 << j
+            coverages.add(cov)
+    return sorted(coverages)
+
+
+def _is_basis_family(fam: list[int], idx: dict[int, int], fam_bits: int) -> bool:
+    """Basis exchange: for B1, B2 and x in B1-B2 some B1-x+y is present."""
+    for b1 in fam:
+        for b2 in fam:
+            if b1 == b2:
+                continue
+            diff = b1 & ~b2
+            for x in iter_bits(diff):
+                ok = False
+                for y in iter_bits(b2 & ~b1):
+                    cand = (b1 & ~(1 << x)) | (1 << y)
+                    j = idx.get(cand)
+                    if j is not None and (fam_bits >> j) & 1:
+                        ok = True
+                        break
+                if not ok:
+                    return False
+    return True
+
+
+def matdim_exact(c: Complex) -> int:
+    """Least k with c an intersection of k matroids (n <= MATDIM_MAX_N).
+
+    Searches a set cover of the minimal non-faces by candidate matroids
+    containing c: chi of the complex whose faces are the coverage masks.
+    """
+    if c.n > MATDIM_MAX_N:
+        raise CapExceeded(f"matdim_exact limited to n <= {MATDIM_MAX_N}")
+    nf = min_nonfaces(c)
+    if not nf.edges:
+        return 1
+    if check_matroid_axioms(c):
+        return 1
+    nonfaces = list(nf.edges)
+    return chi(Complex(len(nonfaces), _enumerate_matroid_coverages(c, nonfaces)))

@@ -22,7 +22,6 @@ from .matroid import (
     MatroidSystem,
     UniformMatroid,
 )
-from .polytopes import RatVec
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ def instance_to_dict(inst: Instance) -> dict:
     if inst.parts is not None:
         out["parts"] = [sorted(iter_bits(p)) for p in inst.parts]
     if inst.weights:
-        out["weights"] = {k: v.format() for k, v in inst.weights.items()}
+        out["weights"] = {k: [str(x) for x in v] for k, v in inst.weights.items()}
     return out
 
 
@@ -256,17 +255,13 @@ def _canned_md_lower(n: int) -> Instance:
 def _canned_lambda(k: int = 4) -> Instance:
     if k < 2:
         raise DomainError("need k >= 2")
-    v = []
-    for i in range(2, k + 1):
-        v.extend([Fraction(1, i)] * i)
-    n = len(v)
-    vec = RatVec(v)
-    c = complex_of(n, lambda s: vec.sum_over(s) <= 1)
-    vv = sum((x * x for x in vec), Fraction(0))
+    v = tuple(Fraction(1, i) for i in range(2, k + 1) for _ in range(i))
+    c = complex_of(len(v), lambda s: sum(v[i] for i in iter_bits(s)) <= 1)
+    vv = sum((x * x for x in v), Fraction(0))
     return Instance(
         provenance=f"lambdaPnotQ(k={k})",
         complex_=c,
-        weights={"v": vec},
+        weights={"v": v},
         expected={"v_dot_v": vv, "in_q_not_p": vv > 1},
     )
 
@@ -280,9 +275,7 @@ def _canned_pnotq_partition() -> Instance:
             faces.append([8 + i, x])
             faces.append([11 + j, x])
     c = Complex(15, faces)
-    w = RatVec(
-        [Fraction(1, 9)] * 9 + [Fraction(1, 4)] * 6
-    )
+    w = (Fraction(1, 9),) * 9 + (Fraction(1, 4),) * 6
     return Instance(
         provenance="PnotQpartition",
         complex_=c,

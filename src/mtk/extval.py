@@ -1,5 +1,5 @@
-"""The two values of mtk that are not rationals, EPS and INF, and the
-one ratio sweep.
+"""The two values of mtk that are not rationals, EPS and INF, the one
+ratio sweep, and the one check of a weight vector.
 
 Every finite value mtk computes is a plain int or Fraction.  The
 expansion-number arithmetic adds two more: c/0 = INF for c > 0, and
@@ -12,14 +12,20 @@ max_ratio is the one sweep for max over S of h(S)/den(S): the root
 bound of chi, the matroid expansion number delta_rank, the expansion
 numbers of a complex, and the gauges (hence membership) of the rank
 polytopes Q and R all go through it.
+
+check_weights checks every weight vector or polytope point a public
+function takes: one non-negative int or Fraction per ground element (or
+per edge), returned as a tuple of Fractions.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .core import check_sweep
+from .errors import DomainError
 
 
 def _key_of(x):
@@ -79,6 +85,21 @@ class XRat:
 
 EPS = XRat((0, 0, 1), "0+")
 INF = XRat((2, 0, 0), "inf")
+
+
+def check_weights(h: Sequence, n: int) -> tuple[Fraction, ...]:
+    """h as a tuple of n Fractions, after refusing with DomainError a
+    length other than n, an entry that is not an int or a Fraction (a
+    float is rarely the rational it was written as; bools are refused
+    too), and a negative entry."""
+    if len(h) != n:
+        raise DomainError(f"weight vector length mismatch: {n} entries needed, {len(h)} given")
+    for i, x in enumerate(h):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise DomainError(f"weights must be ints or Fractions: entry {i} is {x!r}")
+        if x < 0:
+            raise DomainError(f"weights must be non-negative: entry {i} is {x}")
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in h)
 
 
 def max_ratio(den, universe: int, h=None) -> Fraction | XRat:

@@ -164,9 +164,14 @@ def solve_max_slack(
     """max c.x s.t. Ax <= b, x >= 0, on Fraction rows with b >= 0.
 
     Returns (value, x, y) with y the certified dual (y >= 0, y.A >= c,
-    y.b = value).  Raises ValueError on a negative b or an unbounded
-    problem.
+    y.b = value).  Raises ValueError on a row whose length is not
+    len(c), a b whose length is not the number of rows, a negative b or
+    an unbounded problem.
     """
+    if any(len(a) != len(cvec) for a in amat):
+        raise ValueError("row/objective dimension mismatch")
+    if len(bvec) != len(amat):
+        raise ValueError("rhs/row count mismatch")
     if any(b < 0 for b in bvec):
         raise ValueError("only packing LPs are solved: some b < 0")
     rows = tuple((tuple(a), b) for a, b in zip(amat, bvec))

@@ -6,24 +6,13 @@ route through a single memoized rank oracle per instance.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 
-from .core import (
-    Complex,
-    bit_count,
-    check_sweep,
-    complex_of,
-    iter_bits,
-    mask_of,
-    matching_complex,
-    min_nonfaces,
-)
+from .core import Complex, bit_count, check_sweep, complex_of, iter_bits, mask_of
 from .errors import CapExceeded
 
-# check_matroid_axioms and matdim_exact are refused above these ground-set sizes.
+# check_matroid_axioms is refused above this ground-set size.
 AXIOMS_MAX_N = 12
-MATDIM_MAX_N = 6
 
 
 class Matroid:
@@ -338,113 +327,3 @@ def max_common_independent(m1: Matroid, m2: Matroid) -> int:
             node = parent[node]
         for v in path:
             cur ^= 1 << v
-
-
-# -- matdim --------------------------------------------------------------
-
-
-def matdim_upper(c: Complex) -> tuple[int, list[GenPartitionMatroid]]:
-    """Edge-chromatic bound: color min-nonfaces by matchings, one
-    generalized partition matroid per color class.
-
-    Returns the bound and the witness matroids (whose intersection is c).
-    """
-    from .coloring import chi  # local import to avoid a cycle
-
-    nf = min_nonfaces(c)
-    if not nf.edges:
-        return 1, [UniformMatroid(c.n, c.n)]
-    # Matchings of nf = independent sets of its line graph; an exact
-    # minimum cover of E(nf) by matchings is chi of that complex.
-    mc = matching_complex(nf)
-    k, classes = chi(mc, return_cover=True)
-    full = (1 << c.n) - 1
-    witnesses = []
-    for cls in classes:
-        edges = [nf.edges[i] for i in iter_bits(cls)]
-        parts = list(edges)
-        caps = [bit_count(e) - 1 for e in edges]
-        rest = full & ~mask_of_union(edges)
-        if rest:
-            parts.append(rest)
-            caps.append(bit_count(rest))
-        witnesses.append(GenPartitionMatroid(c.n, parts, caps))
-    return k, witnesses
-
-
-def mask_of_union(masks: Iterable[int]) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
-
-
-def _enumerate_matroid_coverages(c: Complex, nonfaces: list[int]) -> list[int]:
-    """Coverage masks over min-nonfaces, one per matroid containing c.
-
-    Matroids are enumerated by their basis families (equal-size families
-    with the basis-exchange property).  Only the coverage profile of
-    each matroid matters for the set-cover search, so profiles are
-    deduplicated; the complex they span drops the dominated ones.
-    """
-    n = c.n
-    rank_c = c.rank()
-    coverages: set[int] = set()
-    for r in range(rank_c, n + 1):
-        rsets = [mask_of(combo) for combo in itertools.combinations(range(n), r)]
-        idx = {m: i for i, m in enumerate(rsets)}
-        # Precompute exchange targets for pruning inside the DFS-free scan.
-        for fam_bits in range(1, 1 << len(rsets)):
-            fam = [rsets[i] for i in iter_bits(fam_bits)]
-            # Containment of c first (cheap): every maximal face in a base.
-            if not all(
-                any(f & ~b == 0 for b in fam) for f in c.maximal_faces
-            ):
-                continue
-            if not _is_basis_family(fam, idx, fam_bits):
-                continue
-            cov = 0
-            for j, nf in enumerate(nonfaces):
-                if not any(nf & ~b == 0 for b in fam):
-                    cov |= 1 << j
-            coverages.add(cov)
-    return sorted(coverages)
-
-
-def _is_basis_family(fam: list[int], idx: dict[int, int], fam_bits: int) -> bool:
-    """Basis exchange: for B1, B2 and x in B1-B2 some B1-x+y is present."""
-    for b1 in fam:
-        for b2 in fam:
-            if b1 == b2:
-                continue
-            diff = b1 & ~b2
-            for x in iter_bits(diff):
-                ok = False
-                for y in iter_bits(b2 & ~b1):
-                    cand = (b1 & ~(1 << x)) | (1 << y)
-                    j = idx.get(cand)
-                    if j is not None and (fam_bits >> j) & 1:
-                        ok = True
-                        break
-                if not ok:
-                    return False
-    return True
-
-
-def matdim_exact(c: Complex) -> int:
-    """Least k with c an intersection of k matroids (n <= MATDIM_MAX_N).
-
-    Searches a set cover of the minimal non-faces by candidate matroids
-    containing c: chi of the complex whose faces are the coverage masks.
-    """
-    from .coloring import chi  # local import to avoid a cycle
-
-    if c.n > MATDIM_MAX_N:
-        raise CapExceeded(f"matdim_exact limited to n <= {MATDIM_MAX_N}")
-    nf = min_nonfaces(c)
-    if not nf.edges:
-        return 1
-    if check_matroid_axioms(c):
-        return 1
-    nonfaces = list(nf.edges)
-    return chi(Complex(len(nonfaces), _enumerate_matroid_coverages(c, nonfaces)))

@@ -9,13 +9,14 @@ All arithmetic is exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Complex, Hypergraph, bit_count, iter_bits
 from .coloring import chi_star
 from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infeasible
-from .extval import INF, XRat, max_ratio
+from .extval import INF, XRat, check_weights, max_ratio
 from .lp import LPProblem, solve, solve_max_slack
 from .matroid import Matroid, MatroidSystem
 from .topology import snf_diagonal
@@ -25,54 +26,6 @@ ONE = Fraction(1)
 
 # Vertex enumeration of Q and R is refused above this ground-set size.
 VERTICES_MAX_N = 8
-
-
-class RatVec:
-    """A ground-set-indexed vector of exact rationals."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        object.__setattr__(
-            self, "values", tuple(Fraction(v) for v in values)
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatVec is immutable")
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        return isinstance(other, RatVec) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"RatVec([{', '.join(str(v) for v in self.values)}])"
-
-    def sum_over(self, mask: int) -> Fraction:
-        return sum((self.values[v] for v in iter_bits(mask)), ZERO)
-
-    def dot(self, other) -> Fraction:
-        return sum((a * b for a, b in zip(self.values, other)), ZERO)
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.values)
-
-    @staticmethod
-    def ones(n: int) -> "RatVec":
-        return RatVec([ONE] * n)
-
-    def format(self) -> list[str]:
-        return [str(v) for v in self.values]
 
 
 @dataclass(frozen=True)
@@ -101,29 +54,26 @@ class PolytopeRef:
 # -- membership -----------------------------------------------------------
 
 
-def member(z: PolytopeRef, x: RatVec) -> bool:
+def member(z: PolytopeRef, x: Sequence[Fraction]) -> bool:
     return psi(z, x) <= 1
 
 
 # -- gauge ----------------------------------------------------------------
 
 
-def psi(z: PolytopeRef, h: RatVec) -> Fraction | XRat:
+def psi(z: PolytopeRef, h: Sequence[Fraction]) -> Fraction | XRat:
     """Gauge: least t with h/t in Z (0 for h = 0, INF when unreachable).
 
     On P this is the weighted fractional chromatic number chi*(C, h),
     by LP duality.  On Q and R it is max over S of h(S)/r(S), the
     largest over the system's matroids on R.
     """
-    if not h.is_nonnegative():
-        raise DomainError("gauge arguments live in the non-negative orthant")
-    if len(h) != z.n:
-        raise DomainError("dimension mismatch")
+    h = check_weights(h, z.n)
     if all(v == 0 for v in h):
         return ZERO
     if z.kind == "P":
         try:
-            return chi_star(z.complex_, list(h))
+            return chi_star(z.complex_, h)
         except Infeasible:
             return INF
     full = (1 << z.n) - 1
@@ -183,7 +133,7 @@ def _reduced_rows_complex(c: Complex) -> list[tuple[int, int]]:
     return sorted(rows.items())
 
 
-def vertices(z: PolytopeRef) -> list[RatVec]:
+def vertices(z: PolytopeRef) -> list[tuple[Fraction, ...]]:
     """All vertices of the polytope.
 
     P-kind: the face indicator vectors (exactly the vertices of a
@@ -198,11 +148,11 @@ def vertices(z: PolytopeRef) -> list[RatVec]:
         rows = _reduced_rows_complex(z.complex_)
     else:
         rows = _system_rows(z.system)
-    return [RatVec(v) for v in _dd_vertices(z.n, rows)]
+    return _dd_vertices(z.n, rows)
 
 
-def _indicator(n: int, mask: int) -> RatVec:
-    return RatVec([ONE if (mask >> v) & 1 else ZERO for v in range(n)])
+def _indicator(n: int, mask: int) -> tuple[Fraction, ...]:
+    return tuple(ONE if (mask >> v) & 1 else ZERO for v in range(n))
 
 
 def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ...]]:
@@ -329,7 +279,7 @@ def ratio(b: PolytopeRef, a: PolytopeRef) -> Fraction | XRat:
     return best
 
 
-def _undominated_vertices(z: PolytopeRef) -> list[RatVec]:
+def _undominated_vertices(z: PolytopeRef) -> list[tuple[Fraction, ...]]:
     """The vertices of z below no other vertex coordinatewise.
 
     On P these are the indicators of the maximal faces.  On Q and R each
@@ -345,7 +295,7 @@ def _undominated_vertices(z: PolytopeRef) -> list[RatVec]:
         p = [x.numerator * (d // x.denominator) for x in v]
         forms.append((Fraction(sum(p), d), p, d, v))
     forms.sort(key=lambda form: form[0], reverse=True)
-    kept: list[tuple[list[int], int, RatVec]] = []
+    kept: list[tuple[list[int], int, tuple[Fraction, ...]]] = []
     for _, p, d, v in forms:
         if not any(all(a * e <= b * d for a, b in zip(p, q)) for q, e, _ in kept):
             kept.append((p, d, v))
@@ -389,20 +339,22 @@ def _system_lp(system: MatroidSystem) -> tuple[list[list[Fraction]], list[Fracti
     return amat, [Fraction(r) for _, r in rows]
 
 
-def nu_star_w(system: MatroidSystem, w: RatVec) -> Fraction:
+def nu_star_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
     """LP max w.x over R(L), solved on the reduced constraint rows."""
+    w = check_weights(w, system.n)
     amat, bvec = _system_lp(system)
-    value, _, _ = solve_max_slack(amat, bvec, list(w))
+    value, _, _ = solve_max_slack(amat, bvec, w)
     return value
 
 
-def tau_star_w(system: MatroidSystem, w: RatVec) -> Fraction:
+def tau_star_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
     """The covering LP, min sum of r_i(F) y_i(F) over weights y_i on the
     flats of each matroid that cover w, solved as its packing dual:
     max w.x with x(F) <= r_i(F) for every flat F of every matroid (the
     ground set is a flat, so this is bounded).  The certified dual is an
     optimal cover.  Every flat is a row, so this is a different LP from
     nu_star_w's with the same optimum."""
+    w = check_weights(w, system.n)
     rows = []
     for m in system:
         for f in m.flats():
@@ -410,15 +362,17 @@ def tau_star_w(system: MatroidSystem, w: RatVec) -> Fraction:
     return solve(LPProblem.make("max", w, rows)).objective
 
 
-def nu_w(system: MatroidSystem, w: RatVec) -> Fraction:
+def nu_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
     """Max weight of a common independent set: for w >= 0 a maximal one,
     so the best maximal face of the intersection complex."""
-    if not w.is_nonnegative():
-        raise DomainError("weights must be non-negative")
-    return max(w.sum_over(f) for f in system.intersection_complex().maximal_faces)
+    w = check_weights(w, system.n)
+    return max(
+        sum((w[v] for v in iter_bits(f)), ZERO)
+        for f in system.intersection_complex().maximal_faces
+    )
 
 
-def tau_w(system: MatroidSystem, w: RatVec) -> Fraction:
+def tau_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
     """Minimum total size of an integral cover.
 
     Integral covers with demands at most one are exactly choices of one
@@ -426,6 +380,7 @@ def tau_w(system: MatroidSystem, w: RatVec) -> Fraction:
     the level-set decomposition of integral vectors; larger demands are
     out of scope here.
     """
+    w = check_weights(w, system.n)
     demands = 0
     for v in range(system.n):
         if w[v] > 1:
@@ -474,12 +429,9 @@ class MatroidalNumbers:
     tau: Fraction
 
 
-def matroidal_numbers(system: MatroidSystem, w: RatVec) -> MatroidalNumbers:
+def matroidal_numbers(system: MatroidSystem, w: Sequence[Fraction]) -> MatroidalNumbers:
     """All four weighted matroidal numbers; the LP pair must coincide."""
-    if len(w) != system.n:
-        raise DomainError("one weight per ground element required")
-    if not w.is_nonnegative():
-        raise DomainError("weights must be non-negative")
+    w = check_weights(w, system.n)
     ns = nu_star_w(system, w)
     ts = tau_star_w(system, w)
     if ns != ts:
@@ -504,7 +456,8 @@ class HypergraphNumbers:
     w_star: Fraction | None  # None when some edge is empty
 
 
-def hyper_nu_star_w(h: Hypergraph, w: RatVec) -> Fraction:
+def hyper_nu_star_w(h: Hypergraph, w: Sequence[Fraction]) -> Fraction:
+    w = check_weights(w, len(h.edges))
     if any(e == 0 for e in h.edges):
         raise EmptyEdge("fractional matching undefined with an empty edge")
     amat = []
@@ -512,18 +465,19 @@ def hyper_nu_star_w(h: Hypergraph, w: RatVec) -> Fraction:
     for v in range(h.n):
         amat.append([ONE if (e >> v) & 1 else ZERO for e in h.edges])
         bvec.append(ONE)
-    value, _, _ = solve_max_slack(amat, bvec, list(w))
+    value, _, _ = solve_max_slack(amat, bvec, w)
     return value
 
 
-def hyper_nu_w(h: Hypergraph, w: RatVec) -> Fraction:
+def hyper_nu_w(h: Hypergraph, w: Sequence[Fraction]) -> Fraction:
     """Max weight of a matching (integral fractional matching)."""
+    w = check_weights(w, len(h.edges))
     best = [ZERO]
     _heaviest_matching(h.edges, w, 0, 0, ZERO, best)
     return best[0]
 
 
-def _heaviest_matching(edges, w: RatVec, i: int, used: int, val: Fraction, best: list[Fraction]):
+def _heaviest_matching(edges, w: tuple[Fraction, ...], i: int, used: int, val: Fraction, best: list[Fraction]):
     """Branch and bound for hyper_nu_w; best[0] is the incumbent weight."""
     if val > best[0]:
         best[0] = val
@@ -537,9 +491,10 @@ def _heaviest_matching(edges, w: RatVec, i: int, used: int, val: Fraction, best:
         _heaviest_matching(edges, w, i + 1, used | edges[i], val + w[i], best)
 
 
-def hyper_tau_w(h: Hypergraph, w: RatVec) -> Fraction:
+def hyper_tau_w(h: Hypergraph, w: Sequence[Fraction]) -> Fraction:
     """Min size of an integral cover with multiplicities: t[e] >= ceil(w_e)."""
-    demands = [max(0, -((-w[i].numerator) // w[i].denominator)) for i in range(len(h.edges))]
+    w = check_weights(w, len(h.edges))
+    demands = [math.ceil(x) for x in w]
     if any(d > 0 and e == 0 for d, e in zip(demands, h.edges)):
         raise Infeasible("empty edge with positive demand")
     # Greedy start for the incumbent.
@@ -578,13 +533,10 @@ def hyper_w_star(h: Hypergraph) -> Fraction:
     return value
 
 
-def hyper_numbers(h: Hypergraph, w: RatVec | None = None) -> HypergraphNumbers:
+def hyper_numbers(h: Hypergraph, w: Sequence[Fraction] | None = None) -> HypergraphNumbers:
     if w is None:
-        w = RatVec.ones(len(h.edges))
-    if len(w) != len(h.edges):
-        raise DomainError("one weight per edge required")
-    if not w.is_nonnegative():
-        raise DomainError("weights must be non-negative")
+        w = (ONE,) * len(h.edges)
+    w = check_weights(w, len(h.edges))
     # The certified dual of the matching LP is a fractional cover of the
     # same weight, so one solve gives both nu* and tau*.
     ns = hyper_nu_star_w(h, w)

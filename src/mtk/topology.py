@@ -8,12 +8,13 @@ matrices via Smith diagonalization with smallest-entry pivoting.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Complex, bit_count, iter_bits
-from .errors import CapExceeded, DomainError
-from .extval import INF, XRat, max_ratio
+from .errors import CapExceeded
+from .extval import INF, XRat, check_weights, max_ratio
 
 # topological_hall_check is refused above this many sets V_i.
 HALL_MAX_SETS = 12
@@ -179,16 +180,14 @@ def _eta_of_induced(c: Complex, s: int, cache: dict[int, object]):
     return v
 
 
-def expansions(c: Complex, h: tuple[Fraction, ...] | None = None) -> ExpansionRecord:
+def expansions(c: Complex, h: Sequence[Fraction] | None = None) -> ExpansionRecord:
     """Exact expansion numbers, with eta taken homologically (eta_h).
 
     delta_r uses rank only; delta and delta_h use min(eta_h, rank);
     h = None means the all-ones weighting, for which delta_h == delta.
     """
-    if h is not None and len(h) != c.n:
-        raise DomainError("weight vector length mismatch")
-    if h is not None and any(x < 0 for x in h):
-        raise DomainError("weights must be non-negative")
+    if h is not None:
+        h = check_weights(h, c.n)
     cache: dict[int, object] = {}
 
     def eta(s: int):

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from . import coloring, constructions, meshulam, polytopes, topology
+from .coloring import matdim_exact, matdim_upper
 from .core import (
     Complex,
     Hypergraph,
@@ -38,10 +39,8 @@ from .matroid import (
     Matroid,
     MatroidSystem,
     UniformMatroid,
-    matdim_exact,
-    matdim_upper,
 )
-from .polytopes import PolytopeRef, RatVec
+from .polytopes import PolytopeRef
 
 ONE = Fraction(1)
 
@@ -159,18 +158,18 @@ def rand_system(rng, n, k, loopless=True, partition=False) -> MatroidSystem:
     return MatroidSystem([rand_matroid(rng, n, loopless) for _ in range(k)])
 
 
-def rand_weights(rng, n, max_num=3, max_den=4) -> RatVec:
-    return RatVec(
-        [Fraction(rng.randint(0, max_num), rng.randint(1, max_den)) for _ in range(n)]
+def rand_weights(rng, n, max_num=3, max_den=4) -> tuple[Fraction, ...]:
+    return tuple(
+        Fraction(rng.randint(0, max_num), rng.randint(1, max_den)) for _ in range(n)
     )
 
 
-def rand_weights_unit(rng, n, max_den=4) -> RatVec:
+def rand_weights_unit(rng, n, max_den=4) -> tuple[Fraction, ...]:
     out = []
     for _ in range(n):
         den = rng.randint(1, max_den)
         out.append(Fraction(rng.randint(0, den), den))
-    return RatVec(out)
+    return tuple(out)
 
 
 def rand_hypergraph(rng, n, max_edges, min_size=1, max_size=4) -> Hypergraph:
@@ -271,7 +270,7 @@ def suite_sharpness(rng=None) -> list[VerificationRecord]:
                 ok_h,
             )
         )
-        mn = polytopes.matroidal_numbers(system, RatVec.ones(system.n))
+        mn = polytopes.matroidal_numbers(system, (ONE,) * system.n)
         ok_m = (
             mn.nu == 1
             and mn.nu_star == k - 1
@@ -308,16 +307,16 @@ def suite_sharpness(rng=None) -> list[VerificationRecord]:
     return records
 
 
-def _boundary_point(system: MatroidSystem, rng) -> RatVec | None:
+def _boundary_point(system: MatroidSystem, rng) -> tuple[Fraction, ...] | None:
     """A random non-negative direction scaled onto the boundary of R."""
     n = system.n
-    d = RatVec([Fraction(rng.randint(0, 4)) for _ in range(n)])
+    d = tuple(Fraction(rng.randint(0, 4)) for _ in range(n))
     if all(v == 0 for v in d):
         return None
     g = polytopes.psi(PolytopeRef.R(system), d)
     if g is INF or g == 0:
         return None
-    return RatVec([v / g for v in d])
+    return tuple(v / g for v in d)
 
 
 def suite_edmonds_k2(
@@ -345,40 +344,38 @@ def suite_edmonds_k2(
             elif mode == 1:
                 x = _boundary_point(system, rng)
                 if x is not None:
-                    x = RatVec([v * Fraction(9, 8) for v in x])
+                    x = tuple(v * Fraction(9, 8) for v in x)
             if x is None:
-                x = RatVec(
-                    [Fraction(rng.randint(0, 3), rng.randint(2, 4)) for _ in range(n)]
-                )
+                x = tuple(Fraction(rng.randint(0, 3), rng.randint(2, 4)) for _ in range(n))
             in_p = polytopes.member(pr, x)
             in_r = polytopes.member(rr, x)
             member_checks += 1
             if in_p != in_r:
                 bad = _payload(
                     system=system,
-                    extra={"point": x.format(), "in_p": in_p, "in_r": in_r},
+                    extra={"point": [str(v) for v in x], "in_p": in_p, "in_r": in_r},
                 )
                 break
         hbad = None
         for j in range(weights):
             h = rand_weights(rng, n)
-            lhs = coloring.chi_star(c, list(h))
-            d1 = coloring.delta_rank(m1, list(h))
-            d2 = coloring.delta_rank(m2, list(h))
+            lhs = coloring.chi_star(c, h)
+            d1 = coloring.delta_rank(m1, h)
+            d2 = coloring.delta_rank(m2, h)
             rhs = max(d1, d2)
             chi_checks += 1
             ok = lhs == rhs
             if ok and j % 10 == 0:
                 # independent LP route for the matroid sides
                 alt = max(
-                    coloring.chi_star(m1.to_complex(), list(h)),
-                    coloring.chi_star(m2.to_complex(), list(h)),
+                    coloring.chi_star(m1.to_complex(), h),
+                    coloring.chi_star(m2.to_complex(), h),
                 )
                 ok = lhs == alt
             if not ok:
                 hbad = _payload(
                     system=system,
-                    extra={"h": h.format(), "lhs": str(lhs), "rhs": str(rhs)},
+                    extra={"h": [str(v) for v in h], "lhs": str(lhs), "rhs": str(rhs)},
                 )
                 break
         inst = f"pair#{t}(n={n},{m1.kind},{m2.kind})"
@@ -492,8 +489,8 @@ def suite_williams(rng, count=20, max_n=8) -> list[VerificationRecord]:
             )
         )
         h = rand_weights(rng, n)
-        star = coloring.chi_star(c, list(h))
-        delta = coloring.delta_rank(m, list(h))
+        star = coloring.chi_star(c, h)
+        delta = coloring.delta_rank(m, h)
         records.append(
             _rec(
                 "thm:chi*Mh",
@@ -619,7 +616,7 @@ def suite_abm(rng, count=40) -> list[VerificationRecord]:
         n = rng.randint(k, 7)
         h = rand_hypergraph(rng, n, ABM_MAX_EDGES, min_size=k, max_size=k)
         eta = topology.eta_h(matching_complex(h))
-        nu_star = polytopes.hyper_nu_star_w(h, RatVec.ones(len(h.edges)))
+        nu_star = polytopes.hyper_nu_star_w(h, (ONE,) * len(h.edges))
         ok = eta is INF or eta * k >= nu_star
         records.append(
             _rec(
@@ -815,7 +812,7 @@ def suite_furedi_fks(rng, count=40) -> list[VerificationRecord]:
         k = [2, 3, 4][t % 3]
         h, parts = rand_kpartite(rng, k, part_size_max=3, max_edges=FKS_MAX_EDGES)
         m = len(h.edges)
-        w = RatVec.ones(m) if t % 4 == 0 else rand_weights(rng, m)
+        w = (ONE,) * m if t % 4 == 0 else rand_weights(rng, m)
         nu_star = polytopes.hyper_nu_star_w(h, w)
         nu = polytopes.hyper_nu_w(h, w)
         tag = f"#{t}(k={k},e={m})"
@@ -830,7 +827,7 @@ def suite_furedi_fks(rng, count=40) -> list[VerificationRecord]:
             )
         )
         ws = polytopes.hyper_w_star(h)
-        ns1 = polytopes.hyper_nu_star_w(h, RatVec.ones(m))
+        ns1 = polytopes.hyper_nu_star_w(h, (ONE,) * m)
         records.append(
             _rec(
                 "eq:w*nu*",
@@ -849,7 +846,7 @@ def suite_pq_witnesses(rng=None) -> list[VerificationRecord]:
     records = []
     inst = constructions.canned("lambdaPnotQ", k=4)
     v = inst.weights["v"]
-    vv = v.dot(v)
+    vv = sum(x * x for x in v)
     records.append(
         _rec(
             "ob:lambdaPnotQ/vv",

@@ -11,8 +11,8 @@ from math import comb
 
 from mtk import coloring, constructions, polytopes, topology, verify
 from mtk.core import matching_complex
-from mtk.matroid import matdim_exact
-from mtk.polytopes import PolytopeRef, RatVec
+from mtk.coloring import matdim_exact
+from mtk.polytopes import PolytopeRef
 
 F = Fraction
 
@@ -43,7 +43,7 @@ def test_criterion_01_qk_sharpness():
 def test_criterion_02_t3_numbers_and_ratio():
     inst = constructions.canned("truncated_plane", q=2)
     hn = polytopes.hyper_numbers(inst.hypergraph)
-    mn = polytopes.matroidal_numbers(inst.system, RatVec.ones(4))
+    mn = polytopes.matroidal_numbers(inst.system, (1, 1, 1, 1))
     c = inst.system.intersection_complex()
     rp = polytopes.ratio(PolytopeRef.R(inst.system), PolytopeRef.P(c))
     ok = (

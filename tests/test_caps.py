@@ -9,7 +9,14 @@ import pytest
 
 import mtk
 from mtk import coloring, verify
-from mtk.coloring import LIST_MAX_N, chi_list_number, delta_rank, matroid_list_color
+from mtk.coloring import (
+    LIST_MAX_N,
+    MATDIM_MAX_N,
+    chi_list_number,
+    delta_rank,
+    matdim_exact,
+    matroid_list_color,
+)
 from mtk.core import (
     SWEEP_CAP,
     Complex,
@@ -21,14 +28,12 @@ from mtk.core import (
 from mtk.errors import CapExceeded
 from mtk.matroid import (
     AXIOMS_MAX_N,
-    MATDIM_MAX_N,
     Matroid,
     MatroidSystem,
     UniformMatroid,
     check_matroid_axioms,
-    matdim_exact,
 )
-from mtk.polytopes import VERTICES_MAX_N, PolytopeRef, RatVec, nu_w, psi, vertices
+from mtk.polytopes import VERTICES_MAX_N, PolytopeRef, nu_w, psi, vertices
 from mtk.topology import HALL_MAX_SETS, expansions, topological_hall_check
 
 N = 21  # the least ground-set size whose 2^n subsets exceed SWEEP_CAP
@@ -108,13 +113,13 @@ def test_matroid_sweeps_refuse_past_the_cap():
     with pytest.raises(CapExceeded):
         system.intersection_complex()
     with pytest.raises(CapExceeded):
-        nu_w(system, RatVec.ones(N))
+        nu_w(system, (1,) * N)
 
 
 def test_ratio_sweeps_on_a_complex_refuse_past_the_cap():
     c = TripwireComplex(N, [[0, 1]])
     with pytest.raises(CapExceeded):
-        psi(PolytopeRef.Q(c), RatVec.ones(N))
+        psi(PolytopeRef.Q(c), (1,) * N)
     with pytest.raises(CapExceeded):
         expansions(c)
 

@@ -365,7 +365,7 @@ def test_cli_reads_int_and_string_weights(tmp_path, capsys):
         ({"h": ["1", "1"]}, "expansions", "weight vector length mismatch"),
         ({"h": ["1", "-1", "1"]}, "chi_star", "weights must be non-negative"),
         ({"h": ["1", "-1", "1"]}, "expansions", "weights must be non-negative"),
-        ({"w": ["1", "1", "1", "1"]}, "numbers", "one weight per ground element"),
+        ({"w": ["1", "1", "1", "1"]}, "numbers", "weight vector length mismatch"),
     ],
 )
 def test_cli_invariants_rejects_bad_weight_vectors(weights, what, message, tmp_path, capsys):

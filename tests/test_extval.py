@@ -1,4 +1,5 @@
-"""EPS, INF and the one ratio sweep, against a brute-force oracle."""
+"""EPS, INF and the one ratio sweep, against a brute-force oracle, and
+the one weight-vector check."""
 
 import math
 import random
@@ -6,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from mtk.core import Complex, bit_count, iter_bits
-from mtk.coloring import delta_rank
-from mtk.extval import EPS, INF, XRat, max_ratio
-from mtk.polytopes import PolytopeRef, RatVec, psi, ratio
+from mtk import polytopes
+from mtk.core import Complex, Hypergraph, bit_count, iter_bits
+from mtk.coloring import chi_star, delta_rank
+from mtk.errors import DomainError
+from mtk.extval import EPS, INF, XRat, check_weights, max_ratio
+from mtk.matroid import MatroidSystem, UniformMatroid
+from mtk.polytopes import PolytopeRef, psi, ratio
 from mtk.topology import expansions
 from mtk.verify import _rand_matroid_once, rand_system, rand_weights
 
@@ -92,7 +96,7 @@ def test_every_ratio_is_a_plain_rational_eps_or_inf():
             *vars(expansions(c, tuple(h))).values(),
         ]
         refs = [PolytopeRef.P(c), PolytopeRef.Q(c), PolytopeRef.R(system)]
-        values += [psi(z, x) for z in refs for x in (h, RatVec([0] * n))]
+        values += [psi(z, x) for z in refs for x in (h, (0,) * n)]
         values += [ratio(refs[2], refs[0]), ratio(refs[2], refs[1])]
         for v in values:
             assert _is_exact(v), (t, v, type(v))
@@ -156,3 +160,50 @@ def test_max_ratio_skips_den_where_h_vanishes():
 
     assert max_ratio(den, 0b111, [0, Fraction(1, 2), 0]) == Fraction(1, 2)
     assert all(s & 0b010 for s in calls)
+
+
+def test_check_weights_returns_fractions_and_names_the_fault():
+    h = check_weights([1, Fraction(1, 2), 0], 3)
+    assert h == (1, Fraction(1, 2), 0)
+    assert all(type(x) is Fraction for x in h)
+    for bad, message in [
+        ((1, 1), "3 entries needed, 2 given"),
+        ((1, "1/2", 0), "entry 1 is '1/2'"),
+        ((True, 1, 0), "entry 0 is True"),
+        ((1, 0, Fraction(-1, 3)), "non-negative: entry 2 is -1/3"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            check_weights(bad, 3)
+
+
+# Every public function that takes a weight vector or a point, on a
+# ground set of 3 elements or a hypergraph with 3 edges.
+_SYSTEM = MatroidSystem([UniformMatroid(2, 3), UniformMatroid(1, 3)])
+_C = _SYSTEM.intersection_complex()
+_TRIANGLE = Hypergraph(3, [[0, 1], [1, 2], [0, 2]])
+WEIGHTED_ENTRY_POINTS = {
+    "chi_star": lambda h: chi_star(_C, h),
+    "delta_rank": lambda h: delta_rank(_SYSTEM.matroids[0], h),
+    "expansions": lambda h: expansions(_C, h),
+    "psi": lambda h: psi(PolytopeRef.P(_C), h),
+    "nu_star_w": lambda h: polytopes.nu_star_w(_SYSTEM, h),
+    "tau_star_w": lambda h: polytopes.tau_star_w(_SYSTEM, h),
+    "nu_w": lambda h: polytopes.nu_w(_SYSTEM, h),
+    "tau_w": lambda h: polytopes.tau_w(_SYSTEM, h),
+    "matroidal_numbers": lambda h: polytopes.matroidal_numbers(_SYSTEM, h),
+    "hyper_nu_star_w": lambda h: polytopes.hyper_nu_star_w(_TRIANGLE, h),
+    "hyper_nu_w": lambda h: polytopes.hyper_nu_w(_TRIANGLE, h),
+    "hyper_tau_w": lambda h: polytopes.hyper_tau_w(_TRIANGLE, h),
+    "hyper_numbers": lambda h: polytopes.hyper_numbers(_TRIANGLE, h),
+}
+
+
+@pytest.mark.parametrize(
+    "h",
+    [(1, 1, 1, 1), (1, 1), (1, -1, 1), (1, 0.5, 1)],
+    ids=["one too many", "one too few", "negative", "float"],
+)
+@pytest.mark.parametrize("name", list(WEIGHTED_ENTRY_POINTS))
+def test_every_weighted_entry_point_refuses_a_bad_vector(name, h):
+    with pytest.raises(DomainError):
+        WEIGHTED_ENTRY_POINTS[name](h)

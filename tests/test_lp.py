@@ -45,6 +45,23 @@ def test_make_takes_inequalities_over_nonnegative_variables_only():
         LPProblem.make("max", [1], [([1], "<=", 1), ([-1], "<=", -1)])
     with pytest.raises(ValueError, match="some b < 0"):
         solve_max_slack([[ONE]], [F(-1)], [ONE])
+    with pytest.raises(ValueError, match="row/objective dimension mismatch"):
+        LPProblem.make("max", [1, 1], [([1], "<=", 1)])
+
+
+@pytest.mark.parametrize(
+    "amat, bvec, cvec, message",
+    [
+        ([[1]], [1], [1, 1], "row/objective dimension mismatch"),
+        ([[1, 1]], [1], [1], "row/objective dimension mismatch"),
+        ([[1], [1]], [1], [1], "rhs/row count mismatch"),
+        ([[1]], [1, 1], [1], "rhs/row count mismatch"),
+    ],
+)
+def test_max_slack_refuses_mismatched_dimensions(amat, bvec, cvec, message):
+    # as LPProblem.make does, not with an IndexError from inside the simplex
+    with pytest.raises(ValueError, match=message):
+        solve_max_slack(amat, bvec, cvec)
 
 
 def test_random_instances_against_vertex_brute_force():

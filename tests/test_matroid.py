@@ -5,6 +5,7 @@ import random
 import pytest
 
 from mtk.core import Complex, bit_count, iter_bits, mask_of, min_nonfaces
+from mtk.coloring import matdim_exact, matdim_upper
 from mtk.matroid import (
     DualMatroid,
     ExplicitMatroid,
@@ -13,8 +14,6 @@ from mtk.matroid import (
     MatroidSystem,
     UniformMatroid,
     check_matroid_axioms,
-    matdim_exact,
-    matdim_upper,
     max_common_independent,
 )
 from mtk.verify import rand_matroid

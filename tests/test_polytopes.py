@@ -23,7 +23,6 @@ from mtk.polytopes import (
     _dd_vertices,
     _reduced_rows_complex,
     _system_rows,
-    RatVec,
     hyper_numbers,
     hyper_nu_w,
     hyper_tau_w,
@@ -70,21 +69,13 @@ class RestrictionMatroid(Matroid):
         return f"RestrictionMatroid({self.inner!r}, u={self.u:#b})"
 
 
-def test_ratvec_basics():
-    v = RatVec(["1/2", "3", "0"])
-    assert v[0] == F(1, 2)
-    assert v.sum_over(0b011) == F(7, 2)
-    assert v.dot(RatVec([2, 0, 1])) == 1
-    assert v.format() == ["1/2", "3", "0"]
-
-
 def test_member_examples():
     c = Complex(3, [[0, 1], [1, 2]])
-    assert member(PolytopeRef.P(c), RatVec([1, 1, 0]))
-    assert not member(PolytopeRef.P(c), RatVec([1, 0, 1]))
-    assert member(PolytopeRef.Q(c), RatVec([F(1, 2), F(1, 2), F(1, 2)]))
+    assert member(PolytopeRef.P(c), (1, 1, 0))
+    assert not member(PolytopeRef.P(c), (1, 0, 1))
+    assert member(PolytopeRef.Q(c), (F(1, 2), F(1, 2), F(1, 2)))
     with pytest.raises(DomainError):
-        member(PolytopeRef.Q(c), RatVec([-1, 0, 0]))
+        member(PolytopeRef.Q(c), (-1, 0, 0))
 
 
 def test_containment_chain_p_q_r():
@@ -94,7 +85,7 @@ def test_containment_chain_p_q_r():
         k = rng.randint(1, 3)
         system = rand_system(rng, n, k, loopless=False)
         c = system.intersection_complex()
-        x = RatVec([F(rng.randint(0, 3), rng.randint(2, 4)) for _ in range(n)])
+        x = tuple(F(rng.randint(0, 3), rng.randint(2, 4)) for _ in range(n))
         in_p = member(PolytopeRef.P(c), x)
         in_q = member(PolytopeRef.Q(c), x)
         in_r = member(PolytopeRef.R(system), x)
@@ -103,7 +94,9 @@ def test_containment_chain_p_q_r():
 
 def _direct_member(ranks, x) -> bool:
     """x(S) <= r(S) for every non-empty S and every rank function given."""
-    return all(x.sum_over(s) <= r(s) for r in ranks for s in range(1, 1 << len(x)))
+    return all(
+        sum(x[v] for v in iter_bits(s)) <= r(s) for r in ranks for s in range(1, 1 << len(x))
+    )
 
 
 def test_member_q_and_r_match_the_direct_rank_check():
@@ -117,12 +110,12 @@ def test_member_q_and_r_match_the_direct_rank_check():
     for system in systems:
         n = system.n
         c = system.intersection_complex()
-        d = RatVec([F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)])
+        d = tuple(F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n))
         points = [d, *vertices(PolytopeRef.R(system))]
         g = psi(PolytopeRef.R(system), d)
         if g is not INF and g != 0:
             for t in (F(7, 8), ONE, F(9, 8)):
-                points.append(RatVec([v * t / g for v in d]))
+                points.append(tuple(v * t / g for v in d))
         for x in points:
             want_q = _direct_member([c.rank_of], x)
             want_r = _direct_member([m.rank for m in system], x)
@@ -133,18 +126,18 @@ def test_member_q_and_r_match_the_direct_rank_check():
 
 
 def test_psi_examples():
-    assert psi(PolytopeRef.P(Complex(3, [[0, 1, 2]])), RatVec.ones(3)) == 1
+    assert psi(PolytopeRef.P(Complex(3, [[0, 1, 2]])), (1, 1, 1)) == 1
     sing = Complex(4, [[0], [1], [2], [3]])
-    assert psi(PolytopeRef.P(sing), RatVec.ones(4)) == 4
-    assert psi(PolytopeRef.P(sing), RatVec([0] * 4)) == 0
+    assert psi(PolytopeRef.P(sing), (1, 1, 1, 1)) == 4
+    assert psi(PolytopeRef.P(sing), (0, 0, 0, 0)) == 0
     # unreachable direction
-    assert psi(PolytopeRef.P(Complex(2, [[0]])), RatVec([0, 1])) == INF
+    assert psi(PolytopeRef.P(Complex(2, [[0]])), (0, 1)) == INF
     for z in (PolytopeRef.P(sing), PolytopeRef.Q(sing)):
         with pytest.raises(DomainError):
-            psi(z, RatVec([1, 1, 1, 1, 5]))
+            psi(z, (1, 1, 1, 1, 5))
 
 
-def _covering_lp(c: Complex, h: RatVec):
+def _covering_lp(c: Complex, h):
     """psi on P(C) as the covering LP: min total face weight with
     coverage >= h (INF when a positive weight lies in no face)."""
     covered = c.vertices_mask()
@@ -186,43 +179,58 @@ def test_vertices_examples():
     assert vp == {(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))}
 
 
+def _cramer(mat):
+    """(X, d) with A (X / d) = b and d > 0, for mat = [A | b] square
+    over the integers, or None when A is singular.
+
+    Fraction-free (Bareiss) elimination: every division is exact, the
+    last pivot is +-det A, and back substitution yields the Cramer
+    numerators X_i = d x_i, which are integers."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        for i in range(k + 1, n):
+            m[i] = [(m[k][k] * a - m[i][k] * b) // prev for a, b in zip(m[i], m[k])]
+        prev = m[k][k]
+    d = prev
+    x = [0] * n
+    for i in reversed(range(n)):
+        x[i] = (d * m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) // m[i][i]
+    if d < 0:
+        d, x = -d, [-v for v in x]
+    return x, d
+
+
 def _brute_vertices(rows, n):
     normals = []
     for v in range(n):
-        e = [F(0)] * n
-        e[v] = F(-1)
-        normals.append((tuple(e), F(0)))
+        e = [0] * n
+        e[v] = -1
+        normals.append((tuple(e), 0))
     # A repeated normal only adds singular or dominated combinations:
     # keep its smallest right-hand side.
-    tightest: dict[tuple, F] = {}
+    tightest: dict[tuple, int] = {}
     for mask, r in rows:
-        normal = tuple(F(1) if (mask >> v) & 1 else F(0) for v in range(n))
+        normal = tuple((mask >> v) & 1 for v in range(n))
         if normal not in tightest or r < tightest[normal]:
-            tightest[normal] = F(r)
+            tightest[normal] = r
     normals.extend(tightest.items())
+    supports = [(list(iter_bits(mask)), r) for mask, r in rows]
     out = set()
     for combo in itertools.combinations(range(len(normals)), n):
-        mat = [list(normals[i][0]) + [normals[i][1]] for i in combo]
-        ok = True
-        for col in range(n):
-            piv = next((r for r in range(col, n) if mat[r][col]), None)
-            if piv is None:
-                ok = False
-                break
-            mat[col], mat[piv] = mat[piv], mat[col]
-            inv = 1 / mat[col][col]
-            mat[col] = [v * inv for v in mat[col]]
-            for r in range(n):
-                if r != col and mat[r][col]:
-                    f2 = mat[r][col]
-                    mat[r] = [a - f2 * b for a, b in zip(mat[r], mat[col])]
-        if not ok:
+        solved = _cramer([list(normals[i][0]) + [normals[i][1]] for i in combo])
+        if solved is None:
             continue
-        x = tuple(mat[i][n] for i in range(n))
+        x, d = solved
         if any(v < 0 for v in x):
             continue
-        if all(sum(x[v] for v in iter_bits(mask)) <= r for mask, r in rows):
-            out.add(x)
+        if all(sum(x[v] for v in support) <= r * d for support, r in supports):
+            out.add(tuple(F(v, d) for v in x))
     return out
 
 
@@ -267,7 +275,7 @@ def test_edmonds_pair_membership_and_r_vertices():
         for v in vertices(PolytopeRef.R(system)):
             assert member(PolytopeRef.P(c), v)
         for _ in range(10):
-            x = RatVec([F(rng.randint(0, 2), rng.randint(2, 3)) for _ in range(n)])
+            x = tuple(F(rng.randint(0, 2), rng.randint(2, 3)) for _ in range(n))
             assert member(PolytopeRef.P(c), x) == member(PolytopeRef.R(system), x)
 
 
@@ -354,7 +362,7 @@ def ratio_rq_via_restricted_systems(system):
     best = F(0)
     for u in range(1, 1 << system.n):
         restricted = MatroidSystem([RestrictionMatroid(m, u) for m in system])
-        nu_star = nu_star_w(restricted, RatVec.ones(system.n))
+        nu_star = nu_star_w(restricted, (ONE,) * system.n)
         nu = c.rank_of(u)
         if nu == 0:
             if nu_star > 0:
@@ -393,7 +401,7 @@ def test_ratio_rp_bounded_by_k():
         # sampled-weight lower bounds never exceed the vertex method
         for _ in range(5):
             w = rand_weights(rng, n)
-            nums = matroidal_numbers(system, RatVec([min(x, F(1)) for x in w]))
+            nums = matroidal_numbers(system, tuple(min(x, F(1)) for x in w))
             if nums.nu > 0:
                 assert nums.tau_star / nums.nu <= val
 
@@ -406,7 +414,7 @@ def test_q_without_p_witness_forces_ratio_above_one():
     c, w = inst.complex_, inst.weights["w"]
     assert member(PolytopeRef.Q(c), w)
     assert not member(PolytopeRef.P(c), w)
-    assert chi_star(c, list(w)) > 1  # = psi(P(C), w), so Q:P > 1
+    assert chi_star(c, w) > 1  # = psi(P(C), w), so Q:P > 1
 
 
 def test_nu_star_reduced_rows_match_full_constraint_lp():
@@ -449,7 +457,7 @@ def test_tau_star_is_the_covering_lp_over_all_flats():
 
 def test_matroidal_numbers_zero_weights():
     system = MatroidSystem([UniformMatroid(1, 3), UniformMatroid(2, 3)])
-    nums = matroidal_numbers(system, RatVec([0] * 3))
+    nums = matroidal_numbers(system, (0, 0, 0))
     assert nums.nu == nums.nu_star == nums.tau_star == nums.tau == 0
 
 
@@ -472,7 +480,7 @@ def brute_nu_w(system, w):
     best = F(0)
     for s in range(1 << system.n):
         if all(m.is_independent(s) for m in system):
-            best = max(best, w.sum_over(s))
+            best = max(best, sum(w[v] for v in iter_bits(s)))
     return best
 
 
@@ -502,14 +510,14 @@ def test_nu_w_and_intersection_rank_match_the_brute_force_sweeps():
     with_loops = 0
     for system in _systems_with_loops(rng, 60):
         with_loops += any(m.loops() for m in system)
-        for w in (RatVec.ones(system.n), rand_weights(rng, system.n)):
+        for w in ((ONE,) * system.n, rand_weights(rng, system.n)):
             assert nu_w(system, w) == brute_nu_w(system, w)
         c = system.intersection_complex()
         for u in range(1 << system.n):
             assert c.rank_of(u) == brute_rank_intersection(system, u)
     assert with_loops >= 30
     with pytest.raises(DomainError):
-        nu_w(system, RatVec([F(-1)] + [F(1)] * (system.n - 1)))
+        nu_w(system, (F(-1),) + (ONE,) * (system.n - 1))
 
 
 def test_tau_w_matches_direct_brute_force():
@@ -567,7 +575,7 @@ def test_hyper_numbers_examples():
     nums = hyper_numbers(c4)
     assert nums.nu == nums.nu_star == 2
 
-    weighted = hyper_numbers(single, RatVec([F(3, 2)]))
+    weighted = hyper_numbers(single, (F(3, 2),))
     assert weighted.nu == weighted.nu_star == F(3, 2)
     assert weighted.tau == 2  # integral cover needs ceiling
 
@@ -592,11 +600,11 @@ def test_integral_searches_leave_no_reference_cycles():
     # collector
     system = MatroidSystem([UniformMatroid(1, 4), UniformMatroid(2, 4)])
     c4 = Hypergraph(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
-    w = RatVec([F(3, 2), ONE, F(1, 2), F(2)])
+    w = (F(3, 2), ONE, F(1, 2), F(2))
     gc.collect()
     gc.disable()
     try:
-        assert tau_w(system, RatVec.ones(4)) == 1
+        assert tau_w(system, (1, 1, 1, 1)) == 1
         assert hyper_nu_w(c4, w) == F(7, 2)
         assert hyper_tau_w(c4, w) == 4
         assert gc.collect() == 0
