@@ -190,6 +190,10 @@ def _main_complex(inst: Instance) -> Complex:
     raise ValidationError("instance holds no complex, system, or hypergraph")
 
 
+# The weight key each invariant reads; the other invariants read none.
+_WEIGHT_KEYS = {"chi_star": "h", "expansions": "h", "numbers": "w", "hyper_numbers": "w"}
+
+
 def cmd_invariants(args) -> int:
     inst = parse_instance(args.file)
     c = _main_complex(inst)
@@ -241,6 +245,13 @@ def cmd_invariants(args) -> int:
                 out["matdim_exact"] = str(matdim_exact(c))
         else:
             raise Unsupported(f"unknown invariant {item!r}")
+    read = {_WEIGHT_KEYS[item] for item in what if item in _WEIGHT_KEYS}
+    ignored = sorted(set(inst.weights) - read)
+    if ignored:
+        print(
+            f"warning: invariants {','.join(what)!r} ignore weights {', '.join(ignored)}",
+            file=sys.stderr,
+        )
     if args.report == "jsonl":
         print(json.dumps(out, sort_keys=True))
     else:

@@ -164,18 +164,13 @@ def _canonical_systems(n: int, p: int, budget: int):
     ascending order; a mask is usable only while all its vertices still
     need coverage.
     """
-    masks = list(range(1, 1 << n))
-    suffix_union = [0] * (len(masks) + 1)
-    for i in range(len(masks) - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | masks[i]
-    yield from _extend_systems(masks, suffix_union, [p] * n, [budget], 0, ())
+    yield from _extend_systems((1 << n) - 1, [p] * n, [budget], 1, ())
 
 
-def _extend_systems(
-    masks, suffix_union, out_deg: list[int], left: list[int], i: int, chosen: tuple
-):
-    """The systems extending `chosen` by masks[i:]; out_deg[v] is the
-    coverage vertex v still needs and left[0] the nodes the budget allows."""
+def _extend_systems(full: int, out_deg: list[int], left: list[int], mask: int, chosen: tuple):
+    """The systems extending `chosen` by the masks from `mask` up to the
+    full set; out_deg[v] is the coverage vertex v still needs and left[0]
+    the nodes the budget allows."""
     left[0] -= 1
     if left[0] < 0:
         raise CapExceeded("list-system enumeration beyond budget")
@@ -186,19 +181,16 @@ def _extend_systems(
     if live == 0:
         yield chosen
         return
-    if i == len(masks) or live & ~suffix_union[i]:
+    if mask > full:
         return
-    mask = masks[i]
     maxmult = 0
     if mask & ~live == 0:
         maxmult = min(out_deg[v] for v in iter_bits(mask))
-    yield from _extend_systems(masks, suffix_union, out_deg, left, i + 1, chosen)
+    yield from _extend_systems(full, out_deg, left, mask + 1, chosen)
     for mult in range(1, maxmult + 1):
         for v in iter_bits(mask):
             out_deg[v] -= 1
-        yield from _extend_systems(
-            masks, suffix_union, out_deg, left, i + 1, chosen + ((mask, mult),)
-        )
+        yield from _extend_systems(full, out_deg, left, mask + 1, chosen + ((mask, mult),))
     for v in iter_bits(mask):
         out_deg[v] += maxmult
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .core import Complex, Hypergraph, bit_count, complex_of, induced, iter_bits, mask_of
 from .errors import DomainError, Unsupported
@@ -34,7 +33,6 @@ class Instance:
     complex_: Complex | None = None
     system: MatroidSystem | None = None
     weights: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
 
 
 def matroid_to_dict(m: Matroid) -> dict:
@@ -211,11 +209,8 @@ def assoc_matroids(h: Hypergraph, parts: tuple[int, ...]) -> MatroidSystem:
 
 
 def canned(name: str, **params) -> Instance:
-    """Named instances with their claimed attributes as annotations.
-
-    Annotations are expectations for the verification suite, never
-    trusted values: every consumer re-derives them.
-    """
+    """The named instance built from params; Unsupported on an unknown
+    name or a parameter its builder does not take."""
     build = _CANNED.get(name)
     if build is None:
         raise Unsupported(f"unknown canned instance {name!r}")
@@ -237,7 +232,6 @@ def _canned_ab(m: int, a: int = 1) -> Instance:
     return Instance(
         provenance=f"ab(a={a}, m={m})",
         complex_=c,
-        expected={"matdim": m},
     )
 
 
@@ -248,7 +242,6 @@ def _canned_md_lower(n: int) -> Instance:
     return Instance(
         provenance=f"md_lower(n={n})",
         complex_=c,
-        expected={"matdim_lower": comb(n - 1, half)},
     )
 
 
@@ -257,12 +250,10 @@ def _canned_lambda(k: int = 4) -> Instance:
         raise DomainError("need k >= 2")
     v = tuple(Fraction(1, i) for i in range(2, k + 1) for _ in range(i))
     c = complex_of(len(v), lambda s: sum(v[i] for i in iter_bits(s)) <= 1)
-    vv = sum((x * x for x in v), Fraction(0))
     return Instance(
         provenance=f"lambdaPnotQ(k={k})",
         complex_=c,
         weights={"v": v},
-        expected={"v_dot_v": vv, "in_q_not_p": vv > 1},
     )
 
 
@@ -280,45 +271,26 @@ def _canned_pnotq_partition() -> Instance:
         provenance="PnotQpartition",
         complex_=c,
         weights={"w": w},
-        expected={"in_q_not_p": True, "flag": True},
     )
 
 
 def _canned_truncated(q: int = 2) -> Instance:
     h, parts = truncated_projective_plane(q)
-    k = q + 1
-    system = assoc_matroids(h, parts)
     return Instance(
         provenance=f"truncated_plane(q={q})",
         hypergraph=h,
         parts=parts,
-        system=system,
-        expected={
-            "k": k,
-            "nu": 1,
-            "nu_star": k - 1,
-            "tau": k - 1,
-            "part_size": k - 1,
-            "degree": k - 1,
-        },
+        system=assoc_matroids(h, parts),
     )
 
 
 def _canned_qk(q: int = 2) -> Instance:
     h, parts = q_k(q)
-    system = assoc_matroids(h, parts)
     return Instance(
         provenance=f"q_k(q={q})",
         hypergraph=h,
         parts=parts,
-        system=system,
-        expected={
-            "k": q,
-            "edge_count": q * q,
-            "regular": q,
-            "delta_eta": q * q,
-            "max_delta_r": q,
-        },
+        system=assoc_matroids(h, parts),
     )
 
 

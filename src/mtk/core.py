@@ -46,16 +46,6 @@ def bit_count(mask: int) -> int:
     return mask.bit_count()
 
 
-def iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def _coerce_masks(edges: Iterable[int | Iterable[int]]) -> list[int]:
     return [e if isinstance(e, int) else mask_of(e) for e in edges]
 
@@ -210,10 +200,12 @@ class Complex:
         seen = {0}
         for f in self.maximal_faces:
             check_sweep(bit_count(f))
-            for sub in iter_submasks(f):
-                seen.add(sub)
+            s = f & -f
+            while s:  # the non-empty submasks of f, ascending
+                seen.add(s)
                 if len(seen) > SWEEP_CAP:
                     raise CapExceeded(f"face enumeration beyond cap {SWEEP_CAP}")
+                s = (s - f) & f
         return sorted(seen)
 
     def induced(self, s: int) -> tuple["Complex", list[int]]:

@@ -186,37 +186,32 @@ def _contract_edges(edges, cur: int):
 
 
 def _game_value(memo: dict, exhaustive: bool, vmask: int, edges):
-    """(value, vmask, edges) of a position after its singleton reduction;
-    memo maps reduced positions to their values."""
+    """The value of a position.  memo maps each singleton-reduced position
+    with edges left to (value, offer, reply): the first offered edge that
+    attains the value, and the replying side's move on it."""
     vmask, edges = _reduce_singletons(vmask, edges)
     if not edges:
-        return (INF if vmask else 0), vmask, edges
+        return INF if vmask else 0
     key = (vmask, tuple(cur for cur, _ in edges))
     got = memo.get(key)
     if got is None:
-        got = _best_over_offers(memo, exhaustive, vmask, edges)
+        for cur, _ in _offers(edges, exhaustive):
+            val, reply = _branch(memo, exhaustive, vmask, edges, cur)
+            if got is None or val > got[0]:
+                got = (val, cur, reply)
         memo[key] = got
-    return got, vmask, edges
+    return got[0]
 
 
 def _branch(memo: dict, exhaustive: bool, vmask: int, edges, cur: int):
     """The replying side's (value, move) when edge `cur` is offered."""
     deleted = tuple((c, o) for c, o in edges if c != cur)
-    del_val, _, _ = _game_value(memo, exhaustive, vmask, deleted)
-    con_val, _, _ = _game_value(memo, exhaustive, vmask & ~cur, _contract_edges(edges, cur))
+    del_val = _game_value(memo, exhaustive, vmask, deleted)
+    con_val = _game_value(memo, exhaustive, vmask & ~cur, _contract_edges(edges, cur))
     con_total = con_val if con_val is INF else con_val + bit_count(cur) - 1
     if del_val <= con_total:
         return del_val, "delete"
     return con_total, "contract"
-
-
-def _best_over_offers(memo: dict, exhaustive: bool, vmask: int, edges):
-    best = None
-    for cur, _ in _offers(edges, exhaustive):
-        val, _ = _branch(memo, exhaustive, vmask, edges, cur)
-        if best is None or val > best:
-            best = val
-    return best
 
 
 def delete_contract_certificate(h: Hypergraph):
@@ -233,34 +228,24 @@ def delete_contract_certificate(h: Hypergraph):
     or 0).
     """
     exhaustive = len(h.edges) <= GAME_EXHAUSTIVE_EDGES
-    full = (1 << h.n) - 1
-    memo: dict[tuple[int, tuple[int, ...]], object] = {}
-
-    start = (full, tuple((e, e) for e in h.edges))
-    bound, vmask, edges = _game_value(memo, exhaustive, *start)
+    vmask = (1 << h.n) - 1
+    edges = tuple((e, e) for e in h.edges)
+    memo: dict[tuple[int, tuple[int, ...]], tuple] = {}
+    bound = _game_value(memo, exhaustive, vmask, edges)
     if bound is INF or bound == 0:
         return bound, None
 
-    # Replay the optimal line of play to emit the contracted sequence.
+    # Replay the moves the memo stored along the optimal line of play.
     seq: list[int] = []
     while True:
         vmask, edges = _reduce_singletons(vmask, edges)
         if not edges:
             break
-        target, _, _ = _game_value(memo, exhaustive, vmask, edges)
-        chosen = None
-        for cur, orig in _offers(edges, exhaustive):
-            val, move = _branch(memo, exhaustive, vmask, edges, cur)
-            if val == target:
-                chosen = (cur, orig, move)
-                break
-        if chosen is None:
-            raise CertificateError(f"no offered move attains {target}")
-        cur, orig, move = chosen
-        if move == "delete":
+        _, cur, reply = memo[vmask, tuple(c for c, _ in edges)]
+        if reply == "delete":
             edges = tuple((c, o) for c, o in edges if c != cur)
         else:
-            seq.append(orig)
+            seq.append(dict(edges)[cur])
             vmask &= ~cur
             edges = _contract_edges(edges, cur)
     certificate = FrugalSequence(edges=tuple(seq), value=_frugal_value(seq))

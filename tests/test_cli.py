@@ -242,6 +242,31 @@ def test_cli_invariants_names_the_missing_input(tmp_path, capsys):
     assert "'hyper_numbers' needs a hypergraph" in capsys.readouterr().err
 
 
+def test_cli_invariants_names_the_weight_keys_it_ignores(tmp_path, capsys):
+    # a misspelt `h` would otherwise silently become all-ones weights
+    raw = {
+        "matroids": [
+            {"kind": "uniform", "n": 3, "rank": 2},
+            {"kind": "uniform", "n": 3, "rank": 1},
+        ],
+        "weights": {"H": ["5", "5", "5"]},
+    }
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(raw))
+    assert main(["invariants", str(path), "--what", "chi_star,numbers", "--report", "jsonl"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "chi_star": "3", "nu_w": "1", "nu_star_w": "1", "tau_star_w": "1", "tau_w": "1"
+    }
+    assert captured.err == "warning: invariants 'chi_star,numbers' ignore weights H\n"
+    raw["weights"]["h"] = raw["weights"].pop("H")
+    path.write_text(json.dumps(raw))
+    assert main(["invariants", str(path), "--what", "chi_star"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["invariants", str(path), "--what", "numbers"]) == 0
+    assert "ignore weights h" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "raw, named",
     [

@@ -5,13 +5,20 @@ The hash is the sha256 of the suite's `mtk verify <suite> --seed 1
 update the pin.  list-bounds, the slowest suite by far, is pinned with a
 smaller enumeration budget (OVERRIDES), which still leaves it checks
 that resolve and claims that the caps leave undecided.
+
+Each decided record whose relation is ==, <=, >= or < and whose two
+sides print as values (p/q, inf, 0+) must also have the verdict that
+relation gives on those printed values.
 """
 
 import hashlib
+import operator
+from fractions import Fraction
 
 import pytest
 
 from mtk import verify
+from mtk.extval import EPS, INF
 
 PINNED = {
     "abm": "be0ccef7f26b2ee9984bc912e2ee1341f098a64388b54218f4703e4b45134c9d",
@@ -34,6 +41,18 @@ PINNED = {
 
 OVERRIDES = {"list-bounds": dict(count=10, budget=30_000)}
 
+RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt}
+
+
+def _value(text):
+    """The value a record side prints, or None for a description."""
+    if text in ("inf", "0+"):
+        return INF if text == "inf" else EPS
+    try:
+        return Fraction(text)
+    except ValueError:
+        return None
+
 
 def test_every_suite_is_pinned():
     assert set(PINNED) == set(verify.SUITES)
@@ -42,5 +61,11 @@ def test_every_suite_is_pinned():
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_records_match_pin(name):
     records = verify.run_suite(name, seed=1, **OVERRIDES.get(name, {}))
+    for r in records:
+        lhs, rhs = _value(r.lhs), _value(r.rhs)
+        if r.verdict == "skipped(cap)" or r.relation not in RELATIONS or None in (lhs, rhs):
+            continue
+        decided = "holds" if RELATIONS[r.relation](lhs, rhs) else "violated"
+        assert r.verdict == decided, r
     text = "".join(r.to_json() + "\n" for r in records)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
