@@ -243,6 +243,11 @@ def cmd_invariants(args) -> int:
             out["matdim_upper"] = str(matdim_upper(c)[0])
             if c.n <= MATDIM_MAX_N:
                 out["matdim_exact"] = str(matdim_exact(c))
+            else:
+                print(
+                    f"warning: matdim_exact left out: n = {c.n} > MATDIM_MAX_N = {MATDIM_MAX_N}",
+                    file=sys.stderr,
+                )
         else:
             raise Unsupported(f"unknown invariant {item!r}")
     read = {_WEIGHT_KEYS[item] for item in what if item in _WEIGHT_KEYS}

@@ -1,11 +1,13 @@
 """Chromatic, list-chromatic, and fractional-chromatic computation.
 
 A coloring of a complex covers the ground set by faces; chi is the
-least number of faces needed.  chi_list quantifies over all equal-size
-list systems (canonicalized up to renaming colors), and chi_star is the
-weighted fractional relaxation, solved as an exact LP over maximal-face
-columns.  matdim, the least number of matroids whose intersection is a
-complex, is bounded and computed here as chi of derived complexes.
+least number of faces needed.  min_cover is the one exact cover search:
+chi, polytopes.tau_w and meshulam.gamma_e_graph are its callers.
+chi_list quantifies over all equal-size list systems (canonicalized up
+to renaming colors), and chi_star is the weighted fractional
+relaxation, solved as an exact LP over maximal-face columns.  matdim,
+the least number of matroids whose intersection is a complex, is
+bounded and computed here as chi of derived complexes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (
     matching_complex,
     min_nonfaces,
 )
-from .errors import CapExceeded, Infeasible, Uncolorable
+from .errors import CapExceeded, DomainError, Infeasible, Uncolorable
 from .extval import INF, XRat, check_weights, max_ratio
 from .lp import solve_max_slack
 from .matroid import (
@@ -44,63 +46,75 @@ LIST_MAX_N = 8  # largest n chi_list enumerates list systems for
 MATDIM_MAX_N = 6  # matdim_exact is refused above this ground-set size
 
 
-def chi(c: Complex, return_cover: bool = False):
+def min_cover(options, target: int, lower: int = 0) -> tuple[int, list[int]]:
+    """A cheapest cover of the mask target by options, (mask, cost) pairs
+    with integer costs >= 0: returns (cost, the masks chosen).
+
+    An option is dropped first when a kept one covers a superset of its
+    part of target for no more cost.  Branch and bound on the uncovered
+    element with the fewest options, trying the cheapest option first
+    and the widest among equal costs; the bound is the cost spent plus
+    ceil(|uncovered| x the least cost per element).  lower is a known
+    lower bound on the answer: the search stops at a cover costing it.
+    Raises Uncolorable when some element of target lies in no option,
+    and DomainError on a negative cost.
+    """
+    kept: list[tuple[int, int]] = []
+    covered = 0
+    # In cost order, every kept option costs no more than the next one.
+    for mask, cost in sorted(options, key=lambda o: (o[1], -bit_count(o[0] & target))):
+        if cost < 0:
+            raise DomainError(f"option costs must be non-negative: {mask:#b} costs {cost}")
+        if not any(mask & target & ~k == 0 for k, _ in kept):
+            kept.append((mask, cost))
+            covered |= mask
+    if target & ~covered:
+        v = (target & ~covered).bit_length() - 1
+        raise Uncolorable(f"element {v} lies in no option")
+    by_elem = [[o for o in kept if (o[0] >> v) & 1] for v in range(target.bit_length())]
+    best = [sum(cost for _, cost in kept) + 1, []]
+    _cover(kept, by_elem, target, 0, [], best, lower)
+    return best[0], best[1]
+
+
+def _cover(kept, by_elem, uncov: int, spent: int, chosen: list[int], best: list, lower: int):
+    """Branch and bound for min_cover; best is [cost, masks], improved in place."""
+    if uncov == 0:
+        if spent < best[0]:
+            best[0] = spent
+            best[1] = chosen[:]
+        return
+    left = bit_count(uncov)
+    bound = spent + min(
+        -(-left * cost // bit_count(mask & uncov)) for mask, cost in kept if mask & uncov
+    )
+    if max(bound, lower) >= best[0]:
+        return
+    v = min(iter_bits(uncov), key=lambda w: len(by_elem[w]))
+    for mask, cost in sorted(by_elem[v], key=lambda o: (o[1], -bit_count(o[0] & uncov))):
+        chosen.append(mask)
+        _cover(kept, by_elem, uncov & ~mask, spent + cost, chosen, best, lower)
+        chosen.pop()
+
+
+def chi(c: Complex) -> int:
     """Exact minimum number of faces covering [0, n).
 
-    Branch and bound over maximal faces; raises Uncolorable when some
+    A cover by maximal faces at unit cost; raises Uncolorable when some
     ground element lies in no face.
     """
+    return _face_cover(c)[0]
+
+
+def _face_cover(c: Complex) -> tuple[int, list[int]]:
+    """chi(c) and the maximal faces of one least cover, searched from the
+    root lower bound: the simplicial expansion number, cheap sizes only."""
     full = (1 << c.n) - 1
-    if c.n == 0:
-        return (0, []) if return_cover else 0
-    if c.vertices_mask() != full:
-        raise Uncolorable("some element lies in no face")
-    faces = list(c.maximal_faces)
-
-    # Greedy upper bound.
-    uncov = full
-    greedy: list[int] = []
-    while uncov:
-        f = max(faces, key=lambda g: bit_count(g & uncov))
-        greedy.append(f)
-        uncov &= ~f
-    best = len(greedy)
-    best_cover = greedy
-
-    # Root lower bound (the simplicial expansion number, cheap sizes only).
     if (1 << c.n) <= (1 << 16):
         lower = math.ceil(max_ratio(c.rank_of, full))
     else:
-        lower = max(1, -(-c.n // c.rank()))
-    if best == lower:
-        if return_cover:
-            return best, list(best_cover)
-        return best
-
-    cover_by = [[f for f in faces if (f >> v) & 1] for v in range(c.n)]
-    incumbent = [best, best_cover]
-    _smallest_cover(faces, cover_by, full, 0, [], incumbent)
-    best, best_cover = incumbent
-    if return_cover:
-        return best, best_cover
-    return best
-
-
-def _smallest_cover(faces, cover_by, uncov: int, count: int, chosen: list[int], incumbent: list):
-    """Branch and bound for chi; incumbent is [size, cover], improved in place."""
-    if uncov == 0:
-        if count < incumbent[0]:
-            incumbent[0] = count
-            incumbent[1] = chosen[:]
-        return
-    biggest = max(bit_count(f & uncov) for f in faces)
-    if count + -(-bit_count(uncov) // biggest) >= incumbent[0]:
-        return
-    v = min(iter_bits(uncov), key=lambda w: len(cover_by[w]))
-    for f in sorted(cover_by[v], key=lambda g: -bit_count(g & uncov)):
-        chosen.append(f)
-        _smallest_cover(faces, cover_by, uncov & ~f, count + 1, chosen, incumbent)
-        chosen.pop()
+        lower = -(-c.n // max(c.rank(), 1))
+    return min_cover([(f, 1) for f in c.maximal_faces], full, lower)
 
 
 def delta_rank(m: Matroid, h: Sequence[Fraction] | None = None) -> Fraction | XRat:
@@ -421,7 +435,7 @@ def matdim_upper(c: Complex) -> tuple[int, list[GenPartitionMatroid]]:
     # Matchings of nf = independent sets of its line graph; an exact
     # minimum cover of E(nf) by matchings is chi of that complex.
     mc = matching_complex(nf)
-    k, classes = chi(mc, return_cover=True)
+    k, classes = _face_cover(mc)
     full = (1 << c.n) - 1
     witnesses = []
     for cls in classes:

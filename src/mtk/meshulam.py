@@ -1,7 +1,8 @@
 """Domination lower bounds for the connectivity of independence complexes.
 
 gamma_e_graph is the least number of edges whose union dominates every
-vertex; gamma_e_hyper minimizes |union K| - |K| over edge sequences
+vertex, a cover of the vertex set found by coloring.min_cover;
+gamma_e_hyper minimizes |union K| - |K| over edge sequences
 that are frugal (every step contributes at least two new vertices) and
 dominating (every leftover vertex is the sole remainder of some edge).
 Both quantities bound eta_h of the independence complex from below.
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coloring import min_cover
 from .core import Hypergraph, bit_count, iter_bits
-from .errors import CapExceeded, CertificateError
+from .errors import CapExceeded, CertificateError, Uncolorable
 from .extval import INF
 
 GAME_EXHAUSTIVE_EDGES = 12
@@ -70,36 +72,15 @@ def gamma_e_graph(g: Hypergraph):
     """
     if not g.is_uniform(2):
         raise ValueError("gamma_e_graph expects a 2-uniform hypergraph")
-    n = g.n
-    full = (1 << n) - 1
-    nbr = [0] * n
-    for e in g.edges:
-        u, v = e.bit_length() - 1, (e & -e).bit_length() - 1
+    ends = [(e.bit_length() - 1, (e & -e).bit_length() - 1) for e in g.edges]
+    nbr = [0] * g.n
+    for u, v in ends:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-    dominated_by = []
-    for e in g.edges:
-        u, v = e.bit_length() - 1, (e & -e).bit_length() - 1
-        dominated_by.append(nbr[u] | nbr[v])
-    # BFS over dominated-vertex masks.
-    dist = {0: 0}
-    frontier = [0]
-    steps = 0
-    while frontier:
-        if full in dist:
-            break
-        steps += 1
-        nxt = []
-        for mask in frontier:
-            for d in dominated_by:
-                new = mask | d
-                if new not in dist:
-                    dist[new] = steps
-                    nxt.append(new)
-        frontier = nxt
-    if full not in dist:
+    try:
+        return min_cover([(nbr[u] | nbr[v], 1) for u, v in ends], (1 << g.n) - 1)[0]
+    except Uncolorable:
         return INF
-    return dist[full]
 
 
 def gamma_e_hyper(h: Hypergraph):
@@ -225,7 +206,8 @@ def delete_contract_certificate(h: Hypergraph):
 
     Returns the lower bound on eta_h(I(h)) (int or inf) and the frugal
     dominating sequence of original edges (None when the bound is inf
-    or 0).
+    or 0).  Raises CertificateError when the replayed sequence's value
+    is not the bound or its union does not dominate.
     """
     exhaustive = len(h.edges) <= GAME_EXHAUSTIVE_EDGES
     vmask = (1 << h.n) - 1
@@ -251,4 +233,6 @@ def delete_contract_certificate(h: Hypergraph):
     certificate = FrugalSequence(edges=tuple(seq), value=_frugal_value(seq))
     if certificate.value != bound:
         raise CertificateError(f"replayed value {certificate.value} != {bound}")
+    if not is_dominating(h, certificate.union()):
+        raise CertificateError("replayed sequence does not dominate")
     return bound, certificate

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Complex, Hypergraph, bit_count, iter_bits
-from .coloring import chi_star
+from .coloring import chi_star, min_cover
 from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infeasible
 from .extval import INF, XRat, check_weights, max_ratio
 from .lp import LPProblem, solve, solve_max_slack
@@ -387,38 +387,8 @@ def tau_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
             raise CapExceeded("integral covers supported for w <= 1 only")
         if w[v] > 0:
             demands |= 1 << v
-    if demands == 0:
-        return ZERO
-    options: list[tuple[int, int]] = []  # (covered mask, cost)
-    for m in system:
-        for f in m.flats():
-            options.append((f & demands, m.rank(f)))
-    # Pareto-prune: drop options covered more cheaply elsewhere.
-    options.sort(key=lambda t: (t[1], -bit_count(t[0])))
-    kept: list[tuple[int, int]] = []
-    for cov, cost in options:
-        if not any(cov & ~c2 == 0 and cost >= cost2 for c2, cost2 in kept):
-            kept.append((cov, cost))
-    best = [sum(cost for _, cost in kept) + 1]
-    _cheapest_cover(kept, demands, 0, best, {})
-    return Fraction(best[0])
-
-
-def _cheapest_cover(kept, remaining: int, spent: int, best: list[int], memo: dict[int, int]):
-    """Branch and bound for tau_w; best[0] is the incumbent cost."""
-    if remaining == 0:
-        best[0] = min(best[0], spent)
-        return
-    if spent >= best[0]:
-        return
-    seen = memo.get(remaining)
-    if seen is not None and seen <= spent:
-        return
-    memo[remaining] = spent
-    low = next(iter_bits(remaining))
-    for cov, cost in kept:
-        if (cov >> low) & 1:
-            _cheapest_cover(kept, remaining & ~cov, spent + cost, best, memo)
+    cost, _ = min_cover([(f, m.rank(f)) for m in system for f in m.flats()], demands)
+    return Fraction(cost)
 
 
 @dataclass(frozen=True)
@@ -453,7 +423,7 @@ class HypergraphNumbers:
     nu_star: Fraction
     tau_star: Fraction
     tau: Fraction
-    w_star: Fraction | None  # None when some edge is empty
+    w_star: Fraction
 
 
 def hyper_nu_star_w(h: Hypergraph, w: Sequence[Fraction]) -> Fraction:
@@ -497,8 +467,9 @@ def hyper_tau_w(h: Hypergraph, w: Sequence[Fraction]) -> Fraction:
     demands = [math.ceil(x) for x in w]
     if any(d > 0 and e == 0 for d, e in zip(demands, h.edges)):
         raise Infeasible("empty edge with positive demand")
-    # Greedy start for the incumbent.
-    best = [sum(d * 1 for d in demands) * max(1, h.n)]
+    # sum(demands) is attained by one vertex of each edge, so one more
+    # is an incumbent every optimum beats.
+    best = [sum(demands) + 1]
     _smallest_multicover(h.edges, demands, [0] * h.n, 0, best)
     return Fraction(best[0])
 

@@ -267,6 +267,20 @@ def test_cli_invariants_names_the_weight_keys_it_ignores(tmp_path, capsys):
     assert "ignore weights h" in capsys.readouterr().err
 
 
+def test_cli_invariants_says_when_it_leaves_matdim_exact_out(tmp_path, capsys):
+    path = tmp_path / "seven.json"
+    path.write_text('{"complex": {"n": 7, "maximal_faces": [[0, 1, 2], [3, 4, 5], [6]]}}')
+    assert main(["invariants", str(path), "--what", "matdim", "--report", "jsonl"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"matdim_upper": "6"}
+    assert captured.err == "warning: matdim_exact left out: n = 7 > MATDIM_MAX_N = 6\n"
+    path.write_text('{"complex": {"n": 6, "maximal_faces": [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]}}')
+    assert main(["invariants", str(path), "--what", "matdim", "--report", "jsonl"]) == 0
+    captured = capsys.readouterr()
+    assert set(json.loads(captured.out)) == {"matdim_upper", "matdim_exact"}
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "raw, named",
     [

@@ -29,9 +29,11 @@ from mtk.coloring import (
     chi_star,
     delta_rank,
     matroid_list_color,
+    min_cover,
 )
-from mtk.errors import CapExceeded, Uncolorable
+from mtk.errors import CapExceeded, DomainError, Uncolorable
 from mtk.matroid import GenPartitionMatroid, GraphicMatroid, UniformMatroid
+from mtk.meshulam import gamma_e_graph
 from mtk.topology import expansions
 from mtk.verify import rand_matroid, rand_system
 
@@ -47,6 +49,51 @@ def test_chi_examples():
     assert chi(Complex(4, [[0], [1], [2], [3]])) == 4
     with pytest.raises(Uncolorable):
         chi(Complex(3, [[0, 1]]))
+
+
+def _cheapest_subset(options, target):
+    """The least total cost of a subset of options covering target, or
+    None when no subset does: every subset, smallest first."""
+    best = None
+    for r in range(len(options) + 1):
+        for sub in itertools.combinations(options, r):
+            union = 0
+            for mask, _ in sub:
+                union |= mask
+            cost = sum(c for _, c in sub)
+            if target & ~union == 0 and (best is None or cost < best):
+                best = cost
+    return best
+
+
+def test_min_cover_matches_the_cheapest_subset():
+    rng = random.Random(19)
+    uncoverable = 0
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        options = [(rng.randrange(1 << n), rng.randint(0, 3)) for _ in range(rng.randint(0, 8))]
+        target = (1 << n) - 1 if rng.random() < 0.5 else rng.randrange(1 << n)
+        want = _cheapest_subset(options, target)
+        if want is None:
+            uncoverable += 1
+            with pytest.raises(Uncolorable):
+                min_cover(options, target)
+            continue
+        cost, chosen = min_cover(options, target)
+        assert cost == want, (options, target)
+        union = 0
+        for mask in chosen:
+            union |= mask
+        assert target & ~union == 0
+        assert len(set(chosen)) == len(chosen)
+        assert sum(min(c for m, c in options if m == mask) for mask in chosen) == cost
+        assert min_cover(options, target, lower=want)[0] == want
+    assert 0 < uncoverable < 300
+
+
+def test_min_cover_refuses_a_negative_cost():
+    with pytest.raises(DomainError):
+        min_cover([(0b11, 1), (0b01, -1)], 0b11)
 
 
 def test_chi_matroid_examples():
@@ -412,10 +459,11 @@ def test_chi_search_leaves_no_reference_cycles():
     gc.disable()
     try:
         assert chi(c) == 3
-        assert chi(c, return_cover=True)[0] == 3
+        assert min_cover([(f, 1) for f in c.maximal_faces], 0b11111)[0] == 3
         assert chi_list_number(cycle4) == (2, 2)
         assert chi_list_number(cycle4, budget=20) == (2, 4)
         assert ab_check(cycle4, 3, 1, "choosable")
+        assert gamma_e_graph(Hypergraph(4, [[0, 1], [1, 2], [2, 3]])) == 1
         assert gc.collect() == 0
     finally:
         gc.enable()

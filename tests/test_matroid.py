@@ -5,7 +5,9 @@ import random
 import pytest
 
 from mtk.core import Complex, bit_count, iter_bits, mask_of, min_nonfaces
+from mtk import verify
 from mtk.coloring import matdim_exact, matdim_upper
+from mtk.errors import CertificateError
 from mtk.matroid import (
     DualMatroid,
     ExplicitMatroid,
@@ -231,6 +233,18 @@ def test_matdim_examples():
 
     assert matdim_exact(UniformMatroid(2, 3).to_complex()) == 1
     assert matdim_exact(Complex(3, [[0, 1, 2]])) == 1
+
+
+def test_suite_matdim_refuses_witnesses_that_miss_the_complex(monkeypatch):
+    # the free matroid is no intersection witness: the record would
+    # still print `upper >= exact`, so the suite must refuse instead
+    def free_witness(c):
+        upper, _ = matdim_upper(c)
+        return upper, [UniformMatroid(c.n, c.n)]
+
+    monkeypatch.setattr(verify, "matdim_upper", free_witness)
+    with pytest.raises(CertificateError, match="intersection is not the complex"):
+        verify.suite_matdim()
 
 
 def test_matdim_upper_witnesses_always_intersect_to_c():

@@ -1,10 +1,12 @@
 """Domination bounds and the delete/contract game."""
 
+import itertools
 import random
 
 import pytest
 
-from mtk.core import Hypergraph, independence_complex, mask_of
+from mtk.core import Hypergraph, independence_complex, iter_bits, mask_of
+from mtk.errors import CertificateError
 from mtk.extval import INF
 from mtk import meshulam
 from mtk.matroid import MatroidSystem
@@ -17,7 +19,7 @@ from mtk.meshulam import (
 )
 from mtk.topology import eta_h
 from mtk.coloring import delta_rank
-from mtk.verify import rand_matroid
+from mtk.verify import rand_graph, rand_matroid
 
 
 def test_gamma_e_graph_examples():
@@ -28,6 +30,38 @@ def test_gamma_e_graph_examples():
     # path on 4 vertices needs the middle edge
     p4 = Hypergraph(4, [[0, 1], [1, 2], [2, 3]])
     assert gamma_e_graph(p4) == 1
+
+
+def _brute_gamma_e_graph(g):
+    """The least number of edges whose union dominates V(G): edge sets
+    by size, smallest first; inf when even all edges leave a vertex
+    without a neighbor."""
+    full = (1 << g.n) - 1
+    nbr = [0] * g.n
+    for e in g.edges:
+        for v in iter_bits(e):
+            nbr[v] |= e & ~(1 << v)
+    if any(x == 0 for x in nbr):
+        return INF
+    for r in range(len(g.edges) + 1):
+        for sub in itertools.combinations(g.edges, r):
+            dominated = 0
+            for e in sub:
+                for v in iter_bits(e):
+                    dominated |= nbr[v]
+            if dominated == full:
+                return r
+
+
+def test_gamma_e_graph_matches_brute_force():
+    rng = random.Random(19)
+    values = set()
+    for _ in range(200):
+        g = rand_graph(rng, rng.randint(1, 7), rng.uniform(0.15, 0.7))
+        want = _brute_gamma_e_graph(g)
+        assert gamma_e_graph(g) == want, g.edges
+        values.add(want)
+    assert INF in values and len(values) >= 3
 
 
 def test_gamma_e_hyper_examples():
@@ -64,6 +98,14 @@ def test_delete_contract_examples():
     assert eta_h(independence_complex(pairs)) == 1
     b, seq = delete_contract_certificate(Hypergraph(3, []))
     assert b == INF and seq is None
+
+
+def test_delete_contract_refuses_a_sequence_that_does_not_dominate(monkeypatch):
+    # the sequence is the one edge {0, 1}; a union that leaves it out
+    # strands both vertices
+    monkeypatch.setattr(FrugalSequence, "union", lambda self: 0)
+    with pytest.raises(CertificateError, match="does not dominate"):
+        delete_contract_certificate(Hypergraph(2, [[0, 1]]))
 
 
 def test_delete_contract_sandwich():
