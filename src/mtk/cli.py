@@ -114,9 +114,12 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
 
 
 def _int(x, field: str) -> int:
-    """x when it is an integer; JSON true, false and floats are refused."""
+    """x when it is an integer >= 0: every integer in an instance file is
+    a size, rank, cap or vertex.  JSON true, false and floats are refused."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValidationError(f"{field}: expected an integer, got {x!r}")
+    if x < 0:
+        raise ValidationError(f"{field}: expected a non-negative integer, got {x}")
     return x
 
 

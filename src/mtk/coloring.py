@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .core import (
     Complex,
+    _undominated,
     bit_count,
     check_sweep,
     iter_bits,
@@ -59,19 +60,19 @@ def min_cover(options, target: int, lower: int = 0) -> tuple[int, list[int]]:
     Raises Uncolorable when some element of target lies in no option,
     and DomainError on a negative cost.
     """
-    kept: list[tuple[int, int]] = []
-    covered = 0
     # In cost order, every kept option costs no more than the next one.
-    for mask, cost in sorted(options, key=lambda o: (o[1], -bit_count(o[0] & target))):
-        if cost < 0:
-            raise DomainError(f"option costs must be non-negative: {mask:#b} costs {cost}")
-        if not any(mask & target & ~k == 0 for k, _ in kept):
-            kept.append((mask, cost))
-            covered |= mask
-    if target & ~covered:
-        v = (target & ~covered).bit_length() - 1
-        raise Uncolorable(f"element {v} lies in no option")
+    kept = _undominated(
+        options,
+        lambda o: (o[1], -bit_count(o[0] & target)),
+        lambda o, k: o[0] & target & ~k[0] == 0,
+    )
+    if kept and kept[0][1] < 0:  # the first option kept is the cheapest
+        mask, cost = kept[0]
+        raise DomainError(f"option costs must be non-negative: {mask:#b} costs {cost}")
     by_elem = [[o for o in kept if (o[0] >> v) & 1] for v in range(target.bit_length())]
+    missing = [v for v in iter_bits(target) if not by_elem[v]]
+    if missing:
+        raise Uncolorable(f"element {missing[-1]} lies in no option")
     best = [sum(cost for _, cost in kept) + 1, []]
     _cover(kept, by_elem, target, 0, [], best, lower)
     return best[0], best[1]
@@ -110,10 +111,13 @@ def _face_cover(c: Complex) -> tuple[int, list[int]]:
     """chi(c) and the maximal faces of one least cover, searched from the
     root lower bound: the simplicial expansion number, cheap sizes only."""
     full = (1 << c.n) - 1
+    missing = full & ~c.vertices_mask()
+    if missing:
+        raise Uncolorable(f"vertex {missing.bit_length() - 1} lies in no face")
     if (1 << c.n) <= (1 << 16):
         lower = math.ceil(max_ratio(c.rank_of, full))
     else:
-        lower = -(-c.n // max(c.rank(), 1))
+        lower = -(-c.n // c.rank())
     return min_cover([(f, 1) for f in c.maximal_faces], full, lower)
 
 
@@ -466,13 +470,10 @@ def _enumerate_matroid_coverages(c: Complex, nonfaces: list[int]) -> list[int]:
     for r in range(rank_c, n + 1):
         rsets = [mask_of(combo) for combo in itertools.combinations(range(n), r)]
         idx = {m: i for i, m in enumerate(rsets)}
-        # Precompute exchange targets for pruning inside the DFS-free scan.
         for fam_bits in range(1, 1 << len(rsets)):
             fam = [rsets[i] for i in iter_bits(fam_bits)]
             # Containment of c first (cheap): every maximal face in a base.
-            if not all(
-                any(f & ~b == 0 for b in fam) for f in c.maximal_faces
-            ):
+            if not all(any(f & ~b == 0 for b in fam) for f in c.maximal_faces):
                 continue
             if not _is_basis_family(fam, idx, fam_bits):
                 continue
@@ -488,18 +489,12 @@ def _is_basis_family(fam: list[int], idx: dict[int, int], fam_bits: int) -> bool
     """Basis exchange: for B1, B2 and x in B1-B2 some B1-x+y is present."""
     for b1 in fam:
         for b2 in fam:
-            if b1 == b2:
-                continue
-            diff = b1 & ~b2
-            for x in iter_bits(diff):
-                ok = False
+            for x in iter_bits(b1 & ~b2):  # none when b1 == b2
                 for y in iter_bits(b2 & ~b1):
-                    cand = (b1 & ~(1 << x)) | (1 << y)
-                    j = idx.get(cand)
-                    if j is not None and (fam_bits >> j) & 1:
-                        ok = True
+                    # B1-x+y has B1's size, so idx holds it.
+                    if (fam_bits >> idx[(b1 & ~(1 << x)) | (1 << y)]) & 1:
                         break
-                if not ok:
+                else:
                     return False
     return True
 

@@ -152,7 +152,9 @@ class Complex:
     __slots__ = ("n", "maximal_faces")
 
     def __init__(self, n: int, faces: Iterable[int | Iterable[int]] = ()):
-        maximal = _antichain_max(_coerce_masks(faces)) or [0]
+        # Larger faces first: no face follows one it lies inside.
+        masks = set(_coerce_masks(faces))
+        maximal = _undominated(masks, lambda f: -f.bit_count(), lambda f, g: f & ~g == 0) or [0]
         full = (1 << n) - 1
         # A face outside [0, n) lies in a maximal face outside it too.
         for f in maximal:
@@ -215,14 +217,19 @@ class Complex:
         return Complex(len(new_to_old), faces), new_to_old
 
 
-def _antichain_max(masks: list[int]) -> list[int]:
-    """Containment-maximal elements of the given list."""
-    uniq = sorted(set(masks), key=bit_count, reverse=True)
-    out: list[int] = []
-    for m in uniq:
-        if not any(m & ~kept == 0 for kept in out):
-            out.append(m)
-    return out
+def _undominated(items, key, below) -> list:
+    """The items below no item kept before them, sorted by key: the one
+    prune of dominated items in mtk.  below(a, b) says b dominates a and
+    holds when a == b, so of equal items the first is kept; key must
+    never put an item after one it lies below."""
+    kept: list = []
+    for item in sorted(items, key=key):
+        for k in kept:
+            if below(item, k):
+                break
+        else:
+            kept.append(item)
+    return kept
 
 
 def complex_of(n: int, member) -> Complex:
@@ -240,17 +247,12 @@ def min_nonfaces(c: Complex) -> Hypergraph:
     faces, so a single sweep over all subsets suffices.
     """
     check_sweep(c.n)
-    out = []
-    for s in range(1, 1 << c.n):
-        if c.is_face(s):
-            continue
-        minimal = True
-        for v in iter_bits(s):
-            if not c.is_face(s & ~(1 << v)):
-                minimal = False
-                break
-        if minimal:
-            out.append(s)
+    face = c.is_face
+    out = [
+        s
+        for s in range(1, 1 << c.n)
+        if not face(s) and all(face(s & ~(1 << v)) for v in iter_bits(s))
+    ]
     return Hypergraph(c.n, out)
 
 

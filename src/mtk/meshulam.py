@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import min_cover
-from .core import Hypergraph, bit_count, iter_bits
+from .core import Hypergraph, _undominated, bit_count, iter_bits
 from .errors import CapExceeded, CertificateError, Uncolorable
 from .extval import INF
 
@@ -148,12 +148,11 @@ def _reduce_singletons(vmask: int, edges: tuple[tuple[int, int], ...]):
 
 
 def _offers(edges, exhaustive: bool):
-    """The containment-minimal edges the offering side may propose: all
-    of them, or only the first when the game is not exhaustive."""
-    out = []
-    for cur, orig in edges:
-        if not any(other & ~cur == 0 and other != cur for other, _ in edges):
-            out.append((cur, orig))
+    """The containment-minimal edges in input order: all of them, or only
+    the first when the game is not exhaustive."""
+    # Smaller edges first: an edge never follows one that lies inside it.
+    minimal = set(_undominated(edges, lambda e: bit_count(e[0]), lambda e, k: k[0] & ~e[0] == 0))
+    out = [e for e in edges if e in minimal]
     return out if exhaustive else out[:1]
 
 

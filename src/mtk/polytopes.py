@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Complex, Hypergraph, bit_count, iter_bits
+from .core import Complex, Hypergraph, _undominated, bit_count, iter_bits
 from .coloring import chi_star, min_cover
 from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infeasible
 from .extval import INF, XRat, check_weights, max_ratio
@@ -283,22 +283,21 @@ def _undominated_vertices(z: PolytopeRef) -> list[tuple[Fraction, ...]]:
     """The vertices of z below no other vertex coordinatewise.
 
     On P these are the indicators of the maximal faces.  On Q and R each
-    vertex is taken as integer numerators over its common denominator,
-    in order of decreasing coordinate sum: a vertex never follows one it
-    lies below, so it is compared only with the vertices kept so far.
+    vertex is taken as integer numerators over its common denominator
+    and pruned by core._undominated in order of decreasing coordinate
+    sum, which never puts a vertex after one it lies below.
     """
     if z.kind == "P":
         return [_indicator(z.n, f) for f in z.complex_.maximal_faces]
     forms = []
     for v in vertices(z):
         d = math.lcm(*(x.denominator for x in v))
-        p = [x.numerator * (d // x.denominator) for x in v]
-        forms.append((Fraction(sum(p), d), p, d, v))
-    forms.sort(key=lambda form: form[0], reverse=True)
-    kept: list[tuple[list[int], int, tuple[Fraction, ...]]] = []
-    for _, p, d, v in forms:
-        if not any(all(a * e <= b * d for a, b in zip(p, q)) for q, e, _ in kept):
-            kept.append((p, d, v))
+        forms.append(([x.numerator * (d // x.denominator) for x in v], d, v))
+    kept = _undominated(
+        forms,
+        lambda form: -Fraction(sum(form[0]), form[1]),
+        lambda form, k: all(a * k[1] <= b * form[1] for a, b in zip(form[0], k[0])),
+    )
     return [v for _, _, v in kept]
 
 

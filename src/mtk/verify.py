@@ -23,6 +23,7 @@ from .coloring import matdim_exact, matdim_upper
 from .core import (
     Complex,
     Hypergraph,
+    _undominated,
     bit_count,
     contract,
     independence_complex,
@@ -549,9 +550,10 @@ def _append_genmeshulam(records, h: Hypergraph, lhs, tag, per_edge_cap) -> int:
     """lhs = eta(I(H)) >= min(eta(I(H-e)), eta(I(H/e)) + |e| - 1) per minimal e."""
     checks = 0
     bad = None
+    minimal = set(_undominated(h.edges, bit_count, lambda e, k: k & ~e == 0))
     for e in h.edges[:per_edge_cap]:
-        if any(o != e and o & ~e == 0 for o in h.edges):
-            continue  # not containment-minimal
+        if e not in minimal:
+            continue
         minus = Hypergraph(h.n, [o for o in h.edges if o != e])
         eta_minus = _eta_ih(minus)
         contracted, _ = contract(h, e)

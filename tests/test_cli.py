@@ -343,6 +343,35 @@ def test_cli_rejects_booleans_and_floats_as_numbers(raw, named, tmp_path, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"complex": {"n": -1, "maximal_faces": []}},
+         "complex.n: expected a non-negative integer, got -1"),
+        ({"complex": {"n": 3, "maximal_faces": [[0, -1]]}},
+         "complex.maximal_faces[0][1]: expected a non-negative integer, got -1"),
+        ({"hypergraph": {"n": 3, "edges": [[0, -2]]}},
+         "hypergraph.edges[0][1]: expected a non-negative integer, got -2"),
+    ],
+)
+def test_cli_rejects_negative_integers(raw, message, tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        instance_from_dict(raw)
+    assert main(["invariants", str(path), "--what", "chi"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_cli_chi_names_the_vertex_in_no_face(tmp_path, capsys):
+    path = tmp_path / "uncovered.json"
+    path.write_text('{"complex": {"n": 3, "maximal_faces": [[0, 1]]}}')
+    assert main(["invariants", str(path), "--what", "chi"]) == 2
+    assert "error: vertex 2 lies in no face" in capsys.readouterr().err
+
+
 def test_a_violation_payload_does_not_import_the_cli():
     code = (
         "import sys\n"

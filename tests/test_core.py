@@ -7,6 +7,7 @@ import pytest
 from mtk.core import (
     Complex,
     Hypergraph,
+    _undominated,
     contract,
     independence_complex,
     induced,
@@ -136,6 +137,24 @@ def test_complex_basics_and_rank():
     void = Complex(2, [])
     assert void.maximal_faces == (0,)
     assert void.is_face(0)
+
+
+def test_complex_keeps_exactly_the_maximal_faces():
+    # against the quadratic definition: duplicates, the empty set and n = 0 included
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 10))]
+        masks += rng.sample(masks, min(2, len(masks)))
+        maximal = sorted({m for m in masks if not any(m != o and m & ~o == 0 for o in masks)})
+        assert Complex(n, masks).maximal_faces == tuple(maximal or [0])
+
+
+def test_undominated_keeps_the_first_of_equal_items_in_key_order():
+    pairs = [(3, "a"), (1, "b"), (3, "c"), (2, "d"), (1, "e")]
+    kept = _undominated(pairs, lambda p: p[0], lambda p, k: p[0] == k[0])
+    assert kept == [(1, "b"), (2, "d"), (3, "a")]
+    assert _undominated([], lambda p: p, lambda p, k: True) == []
 
 
 def test_min_nonfaces_examples():

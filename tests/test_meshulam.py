@@ -108,6 +108,31 @@ def test_delete_contract_refuses_a_sequence_that_does_not_dominate(monkeypatch):
         delete_contract_certificate(Hypergraph(2, [[0, 1]]))
 
 
+def test_offers_are_the_minimal_edges_in_input_order():
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        curs = list({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 8))})
+        rng.shuffle(curs)
+        edges = tuple((cur, rng.randrange(1 << 8)) for cur in curs)
+        minimal = [e for e in edges if not any(o != e[0] and o & ~e[0] == 0 for o, _ in edges)]
+        assert meshulam._offers(edges, True) == minimal
+        assert meshulam._offers(edges, False) == minimal[:1]
+
+
+def test_greedy_game_offers_the_first_minimal_edge():
+    # 13 edges, above GAME_EXHAUSTIVE_EDGES: the game is greedy.  Offering
+    # the minimal edges smallest first instead would give the bound 2.
+    h = Hypergraph(8, [
+        [1, 3], [0, 1, 3], [1, 2, 3, 4], [3, 5], [2, 3, 5], [1, 4, 5], [0, 4, 6],
+        [0, 3, 4, 6], [1, 3, 5, 6], [2, 3, 5, 6], [2, 7], [3, 7], [4, 7],
+    ])
+    assert len(h.edges) > meshulam.GAME_EXHAUSTIVE_EDGES
+    bound, seq = delete_contract_certificate(h)
+    assert bound == 3
+    assert [sorted(iter_bits(e)) for e in seq.edges] == [[1, 4, 5], [1, 3, 5, 6]]
+
+
 def test_delete_contract_sandwich():
     # gamma_e <= game bound <= eta_h(I(H)); the game sequence is frugal
     # and dominating.  (The bound can exceed gamma_e: the game cannot
