@@ -34,8 +34,10 @@ def parse_instance(path: str) -> Instance:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"no such file: {path}")
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text at byte {e.start}")
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
     return instance_from_dict(raw, origin=path)
@@ -308,8 +310,12 @@ def cmd_gen(args) -> int:
     inst = canned(args.name, **params)
     payload = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as e:
+            print(f"cannot write {args.output}: {e.strerror}", file=sys.stderr)
+            return 2
     else:
         print(payload)
     return 0

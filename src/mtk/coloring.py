@@ -35,6 +35,7 @@ from .matroid import (
     GenPartitionMatroid,
     Matroid,
     UniformMatroid,
+    _is_basis_family,
     check_matroid_axioms,
     max_common_independent,
 )
@@ -457,46 +458,35 @@ def matdim_upper(c: Complex) -> tuple[int, list[GenPartitionMatroid]]:
 
 
 def _enumerate_matroid_coverages(c: Complex, nonfaces: list[int]) -> list[int]:
-    """Coverage masks over min-nonfaces, one per matroid containing c.
+    """Coverage masks over min-nonfaces, one per rank(c) matroid containing c.
 
-    Matroids are enumerated by their basis families (equal-size families
-    with the basis-exchange property).  Only the coverage profile of
-    each matroid matters for the set-cover search, so profiles are
-    deduplicated; the complex they span drops the dominated ones.
+    Truncating a matroid that contains c to rank(c) still contains c and
+    makes more sets dependent, so higher ranks add only dominated
+    profiles.  Every maximal face of size rank(c) must be a basis; the
+    families are those faces plus any subset of the other r-sets that
+    passes basis exchange and puts each smaller maximal face in a basis.
+    Profiles are deduplicated; the complex they span drops the dominated
+    ones.
     """
-    n = c.n
-    rank_c = c.rank()
+    r = c.rank()
+    forced = [f for f in c.maximal_faces if bit_count(f) == r]
+    smaller = [f for f in c.maximal_faces if bit_count(f) < r]
+    rsets = (mask_of(combo) for combo in itertools.combinations(range(c.n), r))
+    others = [m for m in rsets if m not in forced]
     coverages: set[int] = set()
-    for r in range(rank_c, n + 1):
-        rsets = [mask_of(combo) for combo in itertools.combinations(range(n), r)]
-        idx = {m: i for i, m in enumerate(rsets)}
-        for fam_bits in range(1, 1 << len(rsets)):
-            fam = [rsets[i] for i in iter_bits(fam_bits)]
-            # Containment of c first (cheap): every maximal face in a base.
-            if not all(any(f & ~b == 0 for b in fam) for f in c.maximal_faces):
-                continue
-            if not _is_basis_family(fam, idx, fam_bits):
-                continue
-            cov = 0
-            for j, nf in enumerate(nonfaces):
-                if not any(nf & ~b == 0 for b in fam):
-                    cov |= 1 << j
-            coverages.add(cov)
+    subsets = (itertools.combinations(others, k) for k in range(len(others) + 1))
+    for chosen in itertools.chain.from_iterable(subsets):
+        fam = {*forced, *chosen}
+        if not all(any(f & ~b == 0 for b in fam) for f in smaller):
+            continue
+        if not _is_basis_family(fam):
+            continue
+        cov = 0
+        for j, nf in enumerate(nonfaces):
+            if not any(nf & ~b == 0 for b in fam):
+                cov |= 1 << j
+        coverages.add(cov)
     return sorted(coverages)
-
-
-def _is_basis_family(fam: list[int], idx: dict[int, int], fam_bits: int) -> bool:
-    """Basis exchange: for B1, B2 and x in B1-B2 some B1-x+y is present."""
-    for b1 in fam:
-        for b2 in fam:
-            for x in iter_bits(b1 & ~b2):  # none when b1 == b2
-                for y in iter_bits(b2 & ~b1):
-                    # B1-x+y has B1's size, so idx holds it.
-                    if (fam_bits >> idx[(b1 & ~(1 << x)) | (1 << y)]) & 1:
-                        break
-                else:
-                    return False
-    return True
 
 
 def matdim_exact(c: Complex) -> int:

@@ -95,19 +95,12 @@ def _is_prime(q: int) -> bool:
 
 
 def _normalized_points(q: int) -> list[tuple[int, int, int]]:
-    """1-dimensional subspaces of F_q^3, first non-zero coordinate 1."""
-    pts = set()
-    for x in range(q):
-        for y in range(q):
-            for z in range(q):
-                if x == y == z == 0:
-                    continue
-                for s in range(1, q):
-                    sx, sy, sz = (s * x) % q, (s * y) % q, (s * z) % q
-                    if sx == 1 or (sx == 0 and (sy == 1 or (sy == 0 and sz == 1))):
-                        pts.add((sx, sy, sz))
-                        break
-    return sorted(pts)
+    """1-dimensional subspaces of F_q^3, first non-zero coordinate 1, sorted."""
+    return (
+        [(0, 0, 1)]
+        + [(0, 1, z) for z in range(q)]
+        + [(1, y, z) for y in range(q) for z in range(q)]
+    )
 
 
 def projective_plane(q: int) -> Hypergraph:

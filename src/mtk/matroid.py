@@ -204,34 +204,33 @@ class DualMatroid(Matroid):
 
 
 def check_matroid_axioms(c: Complex) -> bool:
-    """True iff c is a matroid: downward-closed (built in) plus exchange.
-
-    Uses the equivalent condition that every induced subcomplex is pure:
-    all maximal faces of c[U] have size rank(U) for every U.
-    """
+    """True iff c is a matroid: its maximal faces pass basis exchange."""
     if c.n > AXIOMS_MAX_N:
         raise CapExceeded(f"axiom check limited to n <= {AXIOMS_MAX_N}")
-    for u in range(1 << c.n):
-        target = c.rank_of(u)
-        # Greedy from every maximal-face trace; purity fails iff some
-        # maximal face of c[U] is smaller than the rank.
-        for f in c.maximal_faces:
-            t = f & u
-            # t is a face of c[U]; extend greedily inside U.
-            size = bit_count(t)
-            if size == target:
-                continue
-            grown = True
-            while grown and size < target:
-                grown = False
-                for v in iter_bits(u & ~t):
-                    if c.is_face(t | (1 << v)):
-                        t |= 1 << v
-                        size += 1
-                        grown = True
+    return _is_basis_family(set(c.maximal_faces))
+
+
+def _is_basis_family(bases: set[int]) -> bool:
+    """Basis exchange: for B1, B2 and x in B1-B2 some B1-x+y, y in B2-B1,
+    is in bases.
+
+    On an antichain, such as the maximal faces of a complex, exchange
+    alone forces equal sizes, so the family is the bases of a matroid.
+    """
+    for b1 in bases:
+        for b2 in bases:
+            out, into = b1 & ~b2, b2 & ~b1  # both 0 when b1 == b2
+            while out:  # x, then y, run over single bits, lowest first
+                x = out & -out
+                out ^= x
+                left = into
+                while left:
+                    y = left & -left
+                    if (b1 ^ x) | y in bases:
                         break
-            if size < target:
-                return False
+                    left ^= y
+                else:
+                    return False
     return True
 
 

@@ -105,29 +105,23 @@ def gamma_e_hyper(h: Hypergraph):
 def _frugal_steps(h: Hypergraph) -> dict[int, int]:
     """Max number of frugal steps reaching each achievable union mask.
 
-    Every step adds at least two vertices, so relaxing masks in
-    ascending popcount order is a topological pass.
+    Every step adds at least two vertices, so a mask's predecessors all
+    lie in smaller popcount buckets: one pass over the buckets in
+    ascending order finds the masks and settles each before it is
+    extended.
     """
-    reachable = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
+    steps = {0: 0}
+    buckets = [[0]] + [[] for _ in range(h.n)]
+    for bucket in buckets:
+        for mask in bucket:
+            p = steps[mask] + 1
             for e in h.edges:
                 if bit_count(e & ~mask) > 1:
                     new = mask | e
-                    if new not in reachable:
-                        reachable.add(new)
-                        nxt.append(new)
-        frontier = nxt
-    steps = {0: 0}
-    for mask in sorted(reachable, key=bit_count):
-        p = steps[mask]
-        for e in h.edges:
-            if bit_count(e & ~mask) > 1:
-                new = mask | e
-                if steps.get(new, -1) < p + 1:
-                    steps[new] = p + 1
+                    if new not in steps:
+                        buckets[bit_count(new)].append(new)
+                    if steps.get(new, 0) < p:
+                        steps[new] = p
     return steps
 
 

@@ -852,8 +852,12 @@ def suite_ratio_rq(rng, count=12, max_n=6, max_k=3) -> list[VerificationRecord]:
         n = sizes[t % len(sizes)]
         k = rng.randint(2, max_k)
         system = rand_system(rng, n, k, loopless=False)
-        c = system.intersection_complex()
         tag = f"#{t}(n={n},k={k})"
+        if n > polytopes.VERTICES_MAX_N:
+            note = f"n > {polytopes.VERTICES_MAX_N}, the vertex enumeration's cap on n"
+            records.append(_skip("thm:ratioRQ=ratio", tag, note=note))
+            continue
+        c = system.intersection_complex()
         via_vertices = polytopes.ratio(PolytopeRef.R(system), PolytopeRef.Q(c))
         via_thm = polytopes.ratio_rq_via_matchings(system)
         records.append(_rec("thm:ratioRQ=ratio", tag, via_vertices, via_thm, "=="))

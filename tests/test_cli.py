@@ -60,6 +60,29 @@ def test_parse_rejects_malformed(tmp_path):
         parse_instance(str(path2))
 
 
+@pytest.mark.parametrize("command", ["invariants", "ratio"])
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda p: p.mkdir(), "Is a directory"),
+        (lambda p: p.write_bytes(b'\xff{"complex": {}}'), "not UTF-8 text at byte 0"),
+    ],
+    ids=["directory", "not-utf8"],
+)
+def test_cli_refuses_an_unreadable_file_with_exit_2(command, make, reason, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    make(path)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and reason in err
+
+
+def test_cli_gen_says_when_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "qk.json"
+    assert main(["gen", "q_k", "--param", "q=2", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"cannot write {out}: No such file or directory\n"
+
+
 def test_weights_parse_as_exact_rationals():
     inst = instance_from_dict(
         {
@@ -471,6 +494,22 @@ def test_cli_verify_max_n_caps_every_instance(suite, capsys):
         for m in re.findall(r"\(n=(\d+)", json.loads(line)["instance"])
     ]
     assert sizes and max(sizes) == 3
+
+
+def test_ratio_rq_skips_past_the_vertex_cap_after_drawing(monkeypatch):
+    drawn = []
+
+    def spy_rand_system(rng, n, k, **kw):
+        drawn.append(n)
+        return rand_system(rng, n, k, **kw)
+
+    monkeypatch.setattr(verify, "rand_system", spy_rand_system)
+    records = verify.suite_ratio_rq(random.Random(1), max_n=9)
+    assert drawn == [3, 4, 4, 5, 5, 9] * 2
+    skipped = [r for r in records if r.verdict == "skipped(cap)"]
+    assert [r.instance for r in skipped] == ["#5(n=9,k=3)", "#11(n=9,k=2)"]
+    assert skipped[0].witness == {"note": "n > 8, the vertex enumeration's cap on n"}
+    assert all(r.verdict == "holds" for r in records if r not in skipped)
 
 
 def test_whitney_catalog_drops_matroids_past_max_n():

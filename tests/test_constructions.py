@@ -6,6 +6,7 @@ import pytest
 
 from mtk.core import Hypergraph, bit_count, matching_complex
 from mtk.constructions import (
+    _normalized_points,
     assoc_matroids,
     canned,
     projective_plane,
@@ -49,6 +50,17 @@ def test_pg3_incidence():
     assert pg.is_uniform(4)
     for a, b in itertools.combinations(pg.edges, 2):
         assert bit_count(a & b) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_plane_points_are_the_sorted_normalized_representatives(q):
+    # each non-zero vector of F_q^3 scaled to first non-zero coordinate 1
+    want = set()
+    for v in itertools.product(range(q), repeat=3):
+        if any(v):
+            s = pow(next(x for x in v if x), -1, q)
+            want.add(tuple(s * x % q for x in v))
+    assert _normalized_points(q) == sorted(want)
 
 
 def test_plane_requires_prime():

@@ -1,12 +1,13 @@
 """Matroid oracles, derived structure, intersection, and matdim."""
 
+import itertools
 import random
 
 import pytest
 
 from mtk.core import Complex, bit_count, iter_bits, mask_of, min_nonfaces
 from mtk import verify
-from mtk.coloring import matdim_exact, matdim_upper
+from mtk.coloring import _enumerate_matroid_coverages, matdim_exact, matdim_upper
 from mtk.errors import CertificateError
 from mtk.matroid import (
     DualMatroid,
@@ -18,7 +19,7 @@ from mtk.matroid import (
     check_matroid_axioms,
     max_common_independent,
 )
-from mtk.verify import rand_matroid
+from mtk.verify import rand_matroid, rand_system
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -102,11 +103,80 @@ def test_dual_and_contraction():
     assert tri.rank(mask_of([2]) | x) - tri.rank(x) == 0
 
 
+def all_complexes(n: int) -> list[Complex]:
+    """Every complex on [0, n), grown in mask order: a mask's subsets
+    are smaller masks, so each is decided before the mask itself."""
+    families = [[0]]
+    for s in range(1, 1 << n):
+        families += [
+            fam + [s] for fam in families if all(s & ~(1 << v) in fam for v in iter_bits(s))
+        ]
+    return [Complex(n, fam) for fam in families]
+
+
+def rand_complex(rng: random.Random, n: int) -> Complex:
+    return Complex(
+        n, [rng.sample(range(n), rng.randint(1, n - 1)) for _ in range(rng.randint(2, 5))]
+    )
+
+
+def is_pure_everywhere(c: Complex) -> bool:
+    """The purity oracle: c is a matroid iff every induced subcomplex
+    c[U] has all its maximal faces of size rank(U).  Each maximal-face
+    trace on U is grown greedily inside U; it falls short iff c[U] has
+    a maximal face smaller than rank(U)."""
+    for u in range(1 << c.n):
+        target = c.rank_of(u)
+        for f in c.maximal_faces:
+            t = f & u
+            size = bit_count(t)
+            grown = True
+            while grown and size < target:
+                grown = False
+                for v in iter_bits(u & ~t):
+                    if c.is_face(t | (1 << v)):
+                        t |= 1 << v
+                        size += 1
+                        grown = True
+                        break
+            if size < target:
+                return False
+    return True
+
+
 def test_check_matroid_axioms():
     assert check_matroid_axioms(Complex(3, [[0, 1, 2]]))
     assert not check_matroid_axioms(Complex(4, [[0, 1], [2, 3]]))
     gp = GenPartitionMatroid(4, [[0, 1, 2], [3]], [2, 1])
     assert check_matroid_axioms(gp.to_complex())
+    # maximal faces of two sizes can pass no exchange
+    assert not check_matroid_axioms(Complex(3, [[0, 1], [2]]))
+
+
+def test_basis_exchange_matches_the_purity_oracle_on_every_small_complex():
+    # labelled matroids on n elements, loops allowed: OEIS A058673
+    counts = []
+    for n in range(5):
+        cases = all_complexes(n)
+        verdicts = [check_matroid_axioms(c) for c in cases]
+        assert verdicts == [is_pure_everywhere(c) for c in cases]
+        counts.append(sum(verdicts))
+    assert len(cases) == 167
+    assert counts == [1, 2, 5, 16, 68]
+
+
+def test_basis_exchange_matches_the_purity_oracle_on_seeded_complexes():
+    rng = random.Random(21)
+    verdicts = []
+    for n in range(5, 9):
+        cases = [rand_complex(rng, n) for _ in range(12)]
+        cases += [rand_matroid(rng, n, loopless=False).to_complex() for _ in range(6)]
+        cases += [rand_system(rng, n, 2, loopless=False).intersection_complex() for _ in range(6)]
+        for c in cases:
+            verdict = check_matroid_axioms(c)
+            assert verdict == is_pure_everywhere(c), c
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_explicit_matroid_validates():
@@ -233,6 +303,45 @@ def test_matdim_examples():
 
     assert matdim_exact(UniformMatroid(2, 3).to_complex()) == 1
     assert matdim_exact(Complex(3, [[0, 1, 2]])) == 1
+
+
+def all_ranks_coverages(c: Complex, nonfaces: list[int]) -> list[int]:
+    """The enumerator oracle: coverage masks of every basis family, of
+    every rank from rank(c) to n, that puts each maximal face of c in a
+    basis, with its own exchange test."""
+    n = c.n
+    coverages = set()
+    for r in range(c.rank(), n + 1):
+        rsets = [mask_of(combo) for combo in itertools.combinations(range(n), r)]
+        idx = {m: i for i, m in enumerate(rsets)}
+        for fam_bits in range(1, 1 << len(rsets)):
+            fam = [rsets[i] for i in iter_bits(fam_bits)]
+            if not all(any(f & ~b == 0 for b in fam) for f in c.maximal_faces):
+                continue
+            if not all(
+                any((fam_bits >> idx[(b1 & ~(1 << x)) | (1 << y)]) & 1 for y in iter_bits(b2 & ~b1))
+                for b1 in fam
+                for b2 in fam
+                for x in iter_bits(b1 & ~b2)
+            ):
+                continue
+            cov = 0
+            for j, nf in enumerate(nonfaces):
+                if not any(nf & ~b == 0 for b in fam):
+                    cov |= 1 << j
+            coverages.add(cov)
+    return sorted(coverages)
+
+
+def test_rank_c_coverages_span_the_all_ranks_coverage_complex():
+    rng = random.Random(5)
+    cases = [c for n in range(5) for c in all_complexes(n)]
+    cases += [rand_complex(rng, 5) for _ in range(40)]
+    for c in cases:
+        nonfaces = list(min_nonfaces(c).edges)
+        new = _enumerate_matroid_coverages(c, nonfaces)
+        old = all_ranks_coverages(c, nonfaces)
+        assert Complex(len(nonfaces), new) == Complex(len(nonfaces), old), c
 
 
 def test_suite_matdim_refuses_witnesses_that_miss_the_complex(monkeypatch):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mtk.core import Hypergraph, independence_complex, iter_bits, mask_of
+from mtk.core import Hypergraph, bit_count, independence_complex, iter_bits, mask_of
 from mtk.errors import CertificateError
 from mtk.extval import INF
 from mtk import meshulam
@@ -70,6 +70,37 @@ def test_gamma_e_hyper_examples():
     assert gamma_e_hyper(tri) == 2
     assert eta_h(independence_complex(tri)) == 2
     assert gamma_e_hyper(Hypergraph(3, [[0, 1]])) == INF  # vertex 2 stranded
+
+
+def _brute_gamma_e_hyper(h):
+    """min |union K| - |K| over every ordered sequence K of distinct
+    edges in which each edge adds at least two new vertices and whose
+    union dominates; inf when no such sequence exists."""
+    best = INF
+    for r in range(len(h.edges) + 1):
+        for seq in itertools.permutations(h.edges, r):
+            union = 0
+            for e in seq:
+                if bit_count(e & ~union) < 2:
+                    break
+                union |= e
+            else:
+                if is_dominating(h, union):
+                    best = min(best, bit_count(union) - r)
+    return best
+
+
+def test_gamma_e_hyper_matches_brute_force():
+    rng = random.Random(23)
+    values = set()
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        edges = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(2, 6))]
+        h = Hypergraph(n, edges)
+        want = _brute_gamma_e_hyper(h)
+        assert gamma_e_hyper(h) == want, h.edges
+        values.add(want)
+    assert INF in values and len(values) >= 4
 
 
 def test_frugal_sequence_invariants():
