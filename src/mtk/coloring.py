@@ -3,11 +3,13 @@
 A coloring of a complex covers the ground set by faces; chi is the
 least number of faces needed.  min_cover is the one exact cover search:
 chi, polytopes.tau_w and meshulam.gamma_e_graph are its callers.
-chi_list quantifies over all equal-size list systems (canonicalized up
-to renaming colors), and chi_star is the weighted fractional
-relaxation, solved as an exact LP over maximal-face columns.  matdim,
-the least number of matroids whose intersection is a complex, is
-bounded and computed here as chi of derived complexes.
+chi_list and ab_check quantify over equal-size list systems, listed up
+to renaming colors; by Hall's theorem only systems on fewer than b*n
+colors (b = 1 for chi_list) can fail, so no others are listed.
+chi_star is the weighted fractional relaxation, solved as an exact LP
+over maximal-face columns.  matdim, the least number of matroids whose
+intersection is a complex, is bounded and computed here as chi of
+derived complexes.
 """
 
 from __future__ import annotations
@@ -174,44 +176,60 @@ def chi_star(c: Complex, h: Sequence[Fraction]) -> Fraction:
 # -- list coloring --------------------------------------------------------
 
 
-def _canonical_systems(n: int, p: int, budget: int):
-    """Canonical size-p list systems: multisets {(F_c, mult)} with every
-    vertex covered exactly p times.
+def _canonical_systems(n: int, p: int, max_colors: int, budget: int, singletons: bool = True):
+    """Canonical size-p list systems on at most max_colors colors:
+    multisets {(F_c, mult)} with every vertex covered exactly p times.
 
     Up to renaming colors, a list system is exactly such a multiset
-    (F_c = vertices whose list holds color c).  Masks are tried in
-    ascending order; a mask is usable only while all its vertices still
-    need coverage.
+    (F_c = vertices whose list holds color c).  Each step covers the
+    lowest vertex that still needs colors, by a mask inside the vertices
+    that still need them and above the last mask taken for that vertex,
+    so every multiset comes once.  Without singletons, no F_c is a
+    single vertex.
     """
-    yield from _extend_systems((1 << n) - 1, [p] * n, [budget], 1, ())
+    fresh = -1 if singletons else 0
+    yield from _extend_systems([(1 << n) - 1] * p, max_colors, fresh, None, fresh, [budget], ())
 
 
-def _extend_systems(full: int, out_deg: list[int], left: list[int], mask: int, chosen: tuple):
-    """The systems extending `chosen` by the masks from `mask` up to the
-    full set; out_deg[v] is the coverage vertex v still needs and left[0]
-    the nodes the budget allows."""
-    left[0] -= 1
-    if left[0] < 0:
+def _extend_systems(need, left: int, fresh: int, rest, s: int, budget: list[int], chosen):
+    """The systems extending `chosen`.  need[k] is the mask of vertices
+    that still need more than k colors, left the colors still allowed
+    and budget[0] the nodes still allowed.  The next mask is the lowest
+    live vertex plus a submask of rest past s; at a vertex with no mask
+    yet rest is None and s is fresh (-1, or 0 to skip the singleton)."""
+    budget[0] -= 1
+    if budget[0] < 0:
         raise CapExceeded("list-system enumeration beyond budget")
-    live = 0
-    for v, deg in enumerate(out_deg):
-        if deg:
-            live |= 1 << v
-    if live == 0:
+    live = need[0]
+    if not live:
         yield chosen
         return
-    if mask > full:
-        return
-    maxmult = 0
-    if mask & ~live == 0:
-        maxmult = min(out_deg[v] for v in iter_bits(mask))
-    yield from _extend_systems(full, out_deg, left, mask + 1, chosen)
-    for mult in range(1, maxmult + 1):
-        for v in iter_bits(mask):
-            out_deg[v] -= 1
-        yield from _extend_systems(full, out_deg, left, mask + 1, chosen + ((mask, mult),))
-    for v in iter_bits(mask):
-        out_deg[v] += maxmult
+    if left < len(need) and need[left]:
+        return  # some vertex needs more colors than are left
+    low = live & -live
+    if rest is None:
+        rest = live ^ low
+    top = min(left, len(need))
+    while s != rest:
+        s = (s - rest) & rest
+        mask = low | s
+        mult = 1
+        while mult <= top and mask & ~need[mult - 1] == 0:
+            nxt = [
+                nk & ~mask | (need[k + mult] & mask if k + mult < len(need) else 0)
+                for k, nk in enumerate(need)
+            ]
+            more = nxt[0] & low  # low's later masks come past this one
+            yield from _extend_systems(
+                nxt,
+                left - mult,
+                fresh,
+                rest if more else None,
+                s if more else fresh,
+                budget,
+                chosen + ((mask, mult),),
+            )
+            mult += 1
 
 
 def _b_fold_colorable(c: Complex, system, b: int) -> bool:
@@ -254,8 +272,27 @@ def _pick(c: Complex, groups, classes, b: int, v: int, g: int, i: int, left: int
 
 
 def _first_uncolorable(c: Complex, p: int, b: int, budget: int):
-    """The first canonical size-p system with no b-fold coloring, or None."""
-    for system in _canonical_systems(c.n, p, budget):
+    """The first canonical size-p system with no b-fold coloring, or None.
+
+    Every vertex must be a face: only then do the bounds below hold.
+    """
+    # Only systems on at most b*n - 1 colors, and for b = 1 only systems
+    # without single-vertex classes, need a search:
+    # 1. A system with a b-fold system of distinct representatives is
+    #    colored by singleton classes, which are faces.
+    # 2. Otherwise Koenig's deficiency form of Hall's theorem gives a set
+    #    S whose lists use fewer than b|S| colors.  Take S of largest
+    #    deficiency: the vertices outside S have b-fold representatives
+    #    among the other colors, so the system is colorable iff its
+    #    S-part is.  Giving every vertex outside S p of S's colors keeps
+    #    it uncolorable and uses at most b*n - 1 colors.
+    # 3. For b = 1, shrink that S to a minimal set with an uncolorable
+    #    part; it still uses at most n - 1 colors.  A color in the list
+    #    of only one vertex v of S would color v once S - v is colored,
+    #    so every color class has at least 2 vertices.
+    # The argument of 3 does not carry over to b >= 2, so b-fold systems
+    # keep single-vertex classes.
+    for system in _canonical_systems(c.n, p, b * c.n - 1, budget, singletons=b > 1):
         if not _b_fold_colorable(c, system, b):
             return system
     return None
@@ -265,7 +302,8 @@ def chi_list(c: Complex, p: int, budget: int = LIST_ENUM_BUDGET):
     """True iff every size-p list system admits a c-respecting coloring.
 
     Returns (verdict, witness): witness is a bad canonical system when
-    the verdict is False.
+    the verdict is False.  Raises CapExceeded past n = LIST_MAX_N or
+    past `budget` enumeration nodes.
     """
     full = (1 << c.n) - 1
     if c.vertices_mask() != full or chi(c) > p:
@@ -275,8 +313,8 @@ def chi_list(c: Complex, p: int, budget: int = LIST_ENUM_BUDGET):
     # always exists: lists are size p >= n, so Hall's condition holds.
     if p >= c.n:
         return True, None
-    if c.n > LIST_MAX_N or p > 4:
-        raise CapExceeded(f"chi_list search limited to n <= {LIST_MAX_N}, p <= 4")
+    if c.n > LIST_MAX_N:
+        raise CapExceeded(f"chi_list search limited to n <= {LIST_MAX_N}")
     bad = _first_uncolorable(c, p, 1, budget)
     return bad is None, bad
 
@@ -286,10 +324,10 @@ def chi_list_number(c: Complex, budget: int = LIST_ENUM_BUDGET) -> tuple[int, in
     colorable.
 
     The search climbs p = chi, chi + 1, ...; the first choosable p gives
-    (p, p).  A size the search cannot decide (the budget, or chi_list's
-    cap p <= 4) gives (p, n): every smaller size failed, and size n is
-    choosable by the SDR shortcut.  Past chi_list's cap n <= LIST_MAX_N
-    no size below n can be searched, and the CapExceeded propagates.
+    (p, p).  A size the node budget cannot decide gives (p, n): every
+    smaller size failed, and size n is choosable by the SDR shortcut.
+    Past chi_list's cap n <= LIST_MAX_N no size below n can be searched,
+    and the CapExceeded propagates.
     """
     p = chi(c)
     while True:
@@ -408,11 +446,12 @@ def matroid_list_color(m: Matroid, lists):
 # -- (a, b) fractional list colorings -------------------------------------
 
 
-def ab_check(c: Complex, a: int, b: int, mode: str, budget: int = LIST_ENUM_BUDGET) -> bool:
+def ab_check(c: Complex, a: int, b: int, mode: str) -> bool:
     """(a, b)-colorable or (a, b)-choosable, by exhaustive search.
 
     Colorable: the one system of a colors on every vertex has a b-fold
-    coloring.  Choosable: every size-a list system has one.
+    coloring.  Choosable: every size-a list system has one; none does
+    when some vertex lies in no face.
     """
     if not (1 <= b <= a):
         raise ValueError("need a >= b >= 1")
@@ -421,7 +460,9 @@ def ab_check(c: Complex, a: int, b: int, mode: str, budget: int = LIST_ENUM_BUDG
     if mode == "colorable":
         return _b_fold_colorable(c, (((1 << c.n) - 1, a),), b)
     if mode == "choosable":
-        return _first_uncolorable(c, a, b, budget) is None
+        if c.vertices_mask() != (1 << c.n) - 1:
+            return False
+        return _first_uncolorable(c, a, b, LIST_ENUM_BUDGET) is None
     raise ValueError(f"unknown mode {mode!r}")
 
 

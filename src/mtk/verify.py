@@ -32,7 +32,7 @@ from .core import (
     matching_complex,
     min_nonfaces,
 )
-from .errors import CapExceeded, CertificateError, DomainError, Uncolorable
+from .errors import CertificateError, DomainError, Uncolorable
 from .extval import INF, XRat
 from .matroid import (
     DualMatroid,
@@ -892,10 +892,7 @@ def suite_appendix_c(rng, count=8) -> list[VerificationRecord]:
                         )
                     )
                 if n <= 4 and a <= 4 and b <= 2:
-                    try:
-                        choosable = coloring.ab_check(c, a, b, "choosable", budget=300_000)
-                    except CapExceeded:
-                        continue
+                    choosable = coloring.ab_check(c, a, b, "choosable")
                     if choosable:
                         if best is None or Fraction(a, b) < best:
                             best = Fraction(a, b)

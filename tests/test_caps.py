@@ -147,10 +147,10 @@ def test_ground_set_limits_refuse_one_past_their_value():
     with pytest.raises(CapExceeded):
         topological_hall_check(TripwireComplex(1, [[0]]), [1] * (HALL_MAX_SETS + 1))
 
-    # chi = n - 1 lies past chi_list's cap p <= 4: a bracket up to n,
-    # until no size below n can be searched at all
+    # chi = n - 1 is decided exactly at n = LIST_MAX_N; past it no size
+    # below n can be searched at all
     line = [[0, 1]] + [[v] for v in range(2, LIST_MAX_N + 1)]
-    assert chi_list_number(Complex(LIST_MAX_N, line[:-1])) == (LIST_MAX_N - 1, LIST_MAX_N)
+    assert chi_list_number(Complex(LIST_MAX_N, line[:-1])) == (LIST_MAX_N - 1, LIST_MAX_N - 1)
     with pytest.raises(CapExceeded):
         chi_list_number(Complex(LIST_MAX_N + 1, line))
 

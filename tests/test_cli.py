@@ -109,12 +109,12 @@ def test_cli_gen_and_invariants(tmp_path, capsys):
 
 
 def test_cli_chi_list_prints_a_bracket_past_the_search_cap(tmp_path, capsys):
-    # chi = 5 on six vertices: size 5 lies past chi_list's cap p <= 4,
-    # and size 6 = n is choosable
+    # chi = 5 on six vertices: size 5 was past a former cap p <= 4 and
+    # printed [5,6]; the Hall-bounded search decides it exactly
     path = tmp_path / "c.json"
     path.write_text('{"complex": {"n": 6, "maximal_faces": [[0, 1], [2], [3], [4], [5]]}}')
     assert main(["invariants", str(path), "--what", "chi_list", "--report", "jsonl"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"chi_list": "[5,6]"}
+    assert json.loads(capsys.readouterr().out) == {"chi_list": "5"}
     path.write_text('{"complex": {"n": 2, "maximal_faces": [[0], [1]]}}')
     assert main(["invariants", str(path), "--what", "chi_list", "--report", "jsonl"]) == 0
     assert json.loads(capsys.readouterr().out) == {"chi_list": "2"}

@@ -17,10 +17,12 @@ from mtk.core import (
     matching_complex,
 )
 from mtk.coloring import (
+    LIST_ENUM_BUDGET,
     Coloring,
     ListColorFailure,
     _b_fold_colorable,
     _canonical_systems,
+    _first_uncolorable,
     ab_check,
     chi,
     chi_list,
@@ -36,6 +38,8 @@ from mtk.matroid import GenPartitionMatroid, GraphicMatroid, UniformMatroid
 from mtk.meshulam import gamma_e_graph
 from mtk.topology import expansions
 from mtk.verify import rand_matroid, rand_system
+
+from list_oracle import first_uncolorable, systems_by_mask
 
 F = Fraction
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -246,7 +250,7 @@ def test_chi_list_number_brackets_the_exact_value():
         c = rand_system(rng, n, rng.randint(2, 3), loopless=True).intersection_complex()
         exact, exact_hi = chi_list_number(c)
         assert exact == exact_hi
-        lo, hi = chi_list_number(c, budget=60)
+        lo, hi = chi_list_number(c, budget=20)
         assert lo <= exact <= hi <= n
         assert lo < hi or lo == exact
         open_brackets += lo < hi
@@ -254,6 +258,130 @@ def test_chi_list_number_brackets_the_exact_value():
     # past chi_list's cap on n no size below n can be searched
     with pytest.raises(CapExceeded):
         chi_list_number(Complex(9, [(1 << 9) - 1]))
+
+
+def test_hall_bounded_generator_lists_the_mask_oracle_systems():
+    # with room for p*n colors no system is cut: the same multisets as
+    # the ascending-mask walk, each once; a color bound or leaving out
+    # single-vertex classes keeps exactly the oracle systems that fit
+    for n in range(5):
+        for p in range(1, 4):
+            oracle = {tuple(sorted(s)) for s in systems_by_mask(n, p)}
+            for max_colors in range(p * n + 1):
+                for singletons in (True, False):
+                    got = [
+                        tuple(sorted(s))
+                        for s in _canonical_systems(n, p, max_colors, 10**6, singletons)
+                    ]
+                    fits = {
+                        s
+                        for s in oracle
+                        if sum(mult for _, mult in s) <= max_colors
+                        and (singletons or all(f & (f - 1) for f, _ in s))
+                    }
+                    assert len(got) == len(set(got)), (n, p, max_colors, singletons)
+                    assert set(got) == fits, (n, p, max_colors, singletons)
+    assert len(list(_canonical_systems(4, 3, 12, 10**6))) == len(oracle) == 862
+
+
+def _oracle_choosable(c, p, b, budget=60_000):
+    """The mask oracle's verdict, or None past `budget` nodes."""
+    try:
+        return first_uncolorable(c, p, b, budget) is None
+    except CapExceeded:
+        return None
+
+
+def _small_complexes(rng, count, max_n):
+    """Seeded complexes on 1..max_n vertices, most with every vertex a face."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        faces = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.8:
+            faces += [[v] for v in range(n)]
+        out.append(Complex(n, faces))
+    return out
+
+
+def _bipartite_graph_complexes(rng, count):
+    """Independence complexes of K_{2,4}, K_{3,3} and of seeded dense
+    bipartite graphs on 6 vertices: chi 2, often not 2-choosable."""
+    graphs = [
+        Hypergraph(6, [[a, b] for a in (0, 1) for b in range(2, 6)]),
+        Hypergraph(6, [[a, b] for a in (0, 1, 2) for b in range(3, 6)]),
+    ]
+    for _ in range(count):
+        side = rng.choice([2, 3])
+        edges = [[a, b] for a in range(side) for b in range(side, 6) if rng.random() < 0.9]
+        graphs.append(Hypergraph(6, edges))
+    return [independence_complex(g) for g in graphs]
+
+
+def test_chi_list_agrees_with_the_mask_oracle():
+    # the oracle walks every system on n <= 4; on the 6-vertex graphs it
+    # finds each failure within 70k nodes but needs 5.4M to show 2-choosability,
+    # so those cases are left out
+    rng = random.Random(51)
+    cases = [(c, p) for c in _small_complexes(rng, 40, 4) for p in range(1, 4)]
+    cases += [(c, 2) for c in _bipartite_graph_complexes(rng, 8)]
+    verdicts = []
+    for c, p in cases:
+        want = _oracle_choosable(c, p, 1, 60_000 if c.n <= 4 else 70_000)
+        if want is None:
+            assert c.n == 6
+            continue
+        got, witness = chi_list(c, p)
+        assert got == want, (c, p)
+        if not got:
+            assert not _b_fold_colorable(c, witness, 1), (c, p, witness)
+        verdicts.append((c.n, got))
+    assert verdicts.count((6, False)) >= 4, verdicts
+    assert set(verdicts) >= {(n, v) for n in (2, 3, 4) for v in (True, False)}
+
+
+def test_ab_choosable_agrees_with_the_mask_oracle():
+    rng = random.Random(52)
+    cases = [
+        (c, a, b)
+        for c in _small_complexes(rng, 40, 4)
+        for b in range(1, 4)
+        for a in range(b, (6 if c.n <= 3 else 3) + 1)
+    ]
+    cases += [(c, 2, b) for c in _bipartite_graph_complexes(rng, 0) for b in (1, 2)]
+    verdicts = set()
+    for c, a, b in cases:
+        want = _oracle_choosable(c, a, b, 70_000)
+        assert want is not None, (c, a, b)
+        assert ab_check(c, a, b, "choosable") == want, (c, a, b)
+        if not want and c.vertices_mask() == (1 << c.n) - 1:
+            witness = _first_uncolorable(c, a, b, LIST_ENUM_BUDGET)
+            assert not _b_fold_colorable(c, witness, b), (c, a, b, witness)
+        verdicts.add((b, want))
+    assert verdicts == {(b, v) for b in (1, 2, 3) for v in (True, False)}
+
+
+def test_ab_choosable_at_the_hall_bound():
+    # a vertex in no face: no system is colorable, though b*n - 1 = 1
+    # color leaves no size-4 system to search
+    assert not ab_check(Complex(2, [[0]]), 4, 1, "choosable")
+    # the only uncolorable systems use all b*n - 1 colors: one less
+    # would leave none to find
+    singles = Complex(3, [[0], [1], [2]])
+    assert not ab_check(singles, 2, 1, "choosable")
+    assert not ab_check(singles, 5, 2, "choosable")
+    assert ab_check(singles, 3, 1, "choosable")
+    assert ab_check(singles, 6, 2, "choosable")
+
+
+def test_largest_appendix_c_search_stays_far_under_the_budget():
+    # appendix-c asks ab_check(..., "choosable") for n <= 4, a <= 4 and
+    # b <= 2 at the default budget, with no fallback for a budget hit;
+    # its largest walk, every system for (n, a, b) = (4, 4, 2), takes
+    # 3139 nodes
+    for a in range(1, 5):
+        for b in range(1, min(a, 2) + 1):
+            list(_canonical_systems(4, a, 2 * 4 - 1, LIST_ENUM_BUDGET // 1000, b > 1))
 
 
 def test_matroid_list_color_success_paths():
@@ -422,7 +550,7 @@ def test_b_fold_search_matches_brute_force_on_every_small_system():
             for fam in itertools.combinations(nonempty, r)
         }
         for a in range(1, 4):
-            systems = list(_canonical_systems(n, a, 10**6))
+            systems = list(_canonical_systems(n, a, a * n, 10**6))
             for b in range(1, a + 1):
                 for c in complexes:
                     for system in systems:

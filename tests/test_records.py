@@ -2,9 +2,8 @@
 
 The hash is the sha256 of the suite's `mtk verify <suite> --seed 1
 --report jsonl` output.  A change that alters a record must say why and
-update the pin.  list-bounds, the slowest suite by far, is pinned with a
-smaller enumeration budget (OVERRIDES), which still leaves it checks
-that resolve and claims that the caps leave undecided.
+update the pin.  Every suite, list-bounds included, runs at its CLI
+defaults.
 
 Each decided record whose relation is ==, <=, >= or < and whose two
 sides print as values (p/q, inf, 0+) must also have the verdict that
@@ -26,7 +25,7 @@ PINNED = {
     "duality-chain": "eae8d2931017f6007c63831fed4392581a19629e2066ce45503b00989866ca72",
     "edmonds-k2": "8d7f5aeee98a3239b2c971fc57cf65bca55bb9a324de13e19cf02af8f9a8b375",
     "furedi-fks": "f7f6c847d8040134aacb4973612c908a9657f19716c9532786d6b21bcef04d8f",
-    "list-bounds": "993d9f8de4ab141178adfa35775a07f4489c60629557095648ce25938d086016",
+    "list-bounds": "579a0a3955869d18f8d76b585dce293dbe36b5e7c0fac2c49e521f7217669cbc",
     "matdim": "f7e6783320b829ca7c07d55a7d74cff0092614a6325fc299c28668c273b611fa",
     "meshulam": "848d00e0c4b3f8d9fdd52e5544e118cb622ba30035148b3d506ff26817ca6be8",
     "pq-witnesses": "9d1bc9305c3bcc75cb4aa4f63a78b87e125ddeae68ad6b13d7b2bd36b57d9e64",
@@ -37,9 +36,6 @@ PINNED = {
     "whitney": "2a6515f090f43186e1118fdb4c90742b6e15972eeb4df5a21cf6430f6a2aaafb",
     "williams": "4a06b94e33e5f974154e4d3fed13d8963b9245f35a59f9f2364c022376bc0452",
 }
-
-
-OVERRIDES = {"list-bounds": dict(count=10, budget=30_000)}
 
 RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt}
 
@@ -60,7 +56,7 @@ def test_every_suite_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_records_match_pin(name):
-    records = verify.run_suite(name, seed=1, **OVERRIDES.get(name, {}))
+    records = verify.run_suite(name, seed=1)
     for r in records:
         lhs, rhs = _value(r.lhs), _value(r.rhs)
         if r.verdict == "skipped(cap)" or r.relation not in RELATIONS or None in (lhs, rhs):
