@@ -99,12 +99,9 @@ def instance_from_dict(raw: dict, origin: str = "<dict>") -> Instance:
     for key, vals in raw_weights.items():
         if not isinstance(vals, list):
             raise ParseError(f"{origin}: weights[{key}] must be a list")
-        try:
-            weights[key] = tuple(
-                _rational(s, f"{origin}: weights[{key}][{i}]") for i, s in enumerate(vals)
-            )
-        except (ValueError, TypeError, ZeroDivisionError) as e:
-            raise ValidationError(f"{origin}: weights[{key}]: {e}")
+        weights[key] = tuple(
+            _rational(s, f"{origin}: weights[{key}][{i}]") for i, s in enumerate(vals)
+        )
     return Instance(
         provenance=raw.get("provenance", origin),
         hypergraph=hypergraph,
@@ -138,11 +135,12 @@ def _rational(x, field: str) -> Fraction:
     """x when it is an integer or a string such as "1/3" or "0.1"; JSON
     true, false and floats are refused, as a float is rarely the
     rational it was written as."""
-    if isinstance(x, (bool, float)):
-        raise ValidationError(
-            f'{field}: expected an integer or a string such as "1/3", got {x!r}'
-        )
-    return Fraction(x)
+    if not isinstance(x, (bool, float)):
+        try:
+            return Fraction(x)
+        except (ValueError, TypeError, ZeroDivisionError):
+            pass
+    raise ValidationError(f'{field}: expected an integer or a string such as "1/3", got {x!r}')
 
 
 def _need(obj, name, keys, origin):
@@ -201,8 +199,11 @@ _WEIGHT_KEYS = {"chi_star": "h", "expansions": "h", "numbers": "w", "hyper_numbe
 
 def cmd_invariants(args) -> int:
     inst = parse_instance(args.file)
-    c = _main_complex(inst)
     what = args.what.split(",") if args.what else ["eta_h", "chi", "chi_star"]
+    # numbers and hyper_numbers read the system and the hypergraph, not the
+    # main complex, which can be past the 2^n sweep cap where they are not
+    if set(what) - {"numbers", "hyper_numbers"}:
+        c = _main_complex(inst)
     h = inst.weights.get("h")
     out = {}
     for item in what:

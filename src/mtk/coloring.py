@@ -450,20 +450,19 @@ def ab_check(c: Complex, a: int, b: int, mode: str) -> bool:
     """(a, b)-colorable or (a, b)-choosable, by exhaustive search.
 
     Colorable: the one system of a colors on every vertex has a b-fold
-    coloring.  Choosable: every size-a list system has one; none does
-    when some vertex lies in no face.
+    coloring.  Choosable: every size-a list system has one.  That one
+    system is a size-a list system too, so it is tried first in both
+    modes; it fails at once when some vertex lies in no face.
     """
     if not (1 <= b <= a):
         raise ValueError("need a >= b >= 1")
     if a > 6 or b > 3 or c.n > 6:
         raise CapExceeded("ab_check limited to a <= 6, b <= 3, n <= 6")
-    if mode == "colorable":
-        return _b_fold_colorable(c, (((1 << c.n) - 1, a),), b)
-    if mode == "choosable":
-        if c.vertices_mask() != (1 << c.n) - 1:
-            return False
-        return _first_uncolorable(c, a, b, LIST_ENUM_BUDGET) is None
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("colorable", "choosable"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not _b_fold_colorable(c, (((1 << c.n) - 1, a),), b):
+        return False
+    return mode == "colorable" or _first_uncolorable(c, a, b, LIST_ENUM_BUDGET) is None
 
 
 # -- matdim --------------------------------------------------------------

@@ -19,7 +19,6 @@ from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infea
 from .extval import INF, XRat, check_weights, max_ratio
 from .lp import LPProblem, solve, solve_max_slack
 from .matroid import Matroid, MatroidSystem
-from .topology import snf_diagonal
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -161,10 +160,14 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
     It runs in integers: each point x is kept as the primitive integer
     vector (p_0, ..., p_{n-1}, d) with x = p / d, d > 0 and gcd 1, so
     equal points have equal tuples.  The right-hand sides are integer
-    ranks, so row values and tightness are integer sums compared with
-    r * d.  Constraint normals are the 0/1 mask rows plus the
-    non-negativity rows; rows hold each mask at most once.  The
-    singleton rows bound the box, so the region is a polytope.
+    ranks, so row values are integer sums compared with r * d.  Each
+    point also keeps its tight set, a bitmask over the rows processed so
+    far, and adjacency is decided from those alone (Fukuda and Prodon,
+    "Double description method revisited", 1996): two vertices of a
+    polytope span an edge exactly when no third vertex is tight on every
+    row they share, as the shared rows cut out the least face holding
+    both.  Rows hold each mask at most once.  The singleton rows bound
+    the box, so the region is a polytope.
     """
     ubs = [None] * n
     for mask, r in rows:
@@ -178,16 +181,8 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
     cons = [((v,), ubs[v]) for v in range(n)] + [
         (tuple(iter_bits(mask)), r) for mask, r in rows if bit_count(mask) != 1
     ]
-    normals: list[tuple[int, ...]] = []
-    for v in range(n):
-        e = [0] * n
-        e[v] = -1
-        normals.append(tuple(e))
-    for support, _ in cons:
-        normals.append(tuple(1 if v in support else 0 for v in range(n)))
-    nbox = 2 * n
 
-    # Box vertices with tight bitmasks over the first nbox constraints.
+    # Box vertices with tight bitmasks over the first 2n constraints.
     uniq: dict[tuple[int, ...], int] = {}
     for bits in range(1 << n):
         p = tuple(ubs[v] if (bits >> v) & 1 else 0 for v in range(n)) + (1,)
@@ -200,62 +195,41 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
         uniq[p] = tight
     verts = list(uniq.items())
 
-    processed = nbox
-    for ridx in range(nbox, len(normals)):
+    for ridx in range(2 * n, n + len(cons)):
         support, rhs = cons[ridx - n]
         # s has the sign of a.x - rhs: s = d (a.x - rhs)
         vals = [sum(p[v] for v in support) - rhs * p[n] for p, _ in verts]
-        keep = [i for i, s in enumerate(vals) if s <= 0]
-        out = [i for i, s in enumerate(vals) if s > 0]
-        if not out:
-            verts = [
-                (p, tight | (1 << ridx) if vals[i] == 0 else tight)
-                for i, (p, tight) in enumerate(verts)
-            ]
-            processed += 1
-            continue
+        tights = [tight for _, tight in verts]
+        out = [j for j, s in enumerate(vals) if s > 0]
         newpts: dict[tuple[int, ...], int] = {}
-        for i in keep:
-            si = vals[i]
-            if si == 0:
-                continue  # already on the new hyperplane
+        for i, si in enumerate(vals):
+            if si >= 0:
+                continue  # on the new hyperplane or cut off
             pi, ti = verts[i]
             for j in out:
                 pj, tj = verts[j]
                 common = ti & tj
+                # An edge has n - 1 independent tight rows.  The
+                # third-vertex test below implies this count, but the
+                # cheap check first keeps the DD several times faster.
                 if bit_count(common) < n - 1:
                     continue
-                if not _tight_rank_at_least(normals, common, n - 1):
+                # A third vertex tight on common makes the face that i
+                # and j span larger than an edge.
+                if any(tk & common == common for k, tk in enumerate(tights) if k != i and k != j):
                     continue
-                # sj pi - si pj has a.x = rhs and weights sj, -si > 0.
+                # sj pi - si pj has a.x = rhs and weights sj, -si > 0;
+                # inside the edge it is tight exactly where both ends are.
                 sj = vals[j]
                 p = [sj * a - si * b for a, b in zip(pi, pj)]
                 g = math.gcd(*p)
-                p = tuple(a // g for a in p)
-                tight = 1 << ridx
-                for v in range(n):
-                    if p[v] == 0:
-                        tight |= 1 << v
-                for idx in range(n, processed):
-                    support_i, rhs_i = cons[idx - n]
-                    if sum(p[v] for v in support_i) == rhs_i * p[n]:
-                        tight |= 1 << idx
-                newpts.setdefault(p, tight)
-        keep_set = set(keep)
+                newpts.setdefault(tuple(a // g for a in p), common | 1 << ridx)
         verts = [
             (p, tight | (1 << ridx) if vals[i] == 0 else tight)
             for i, (p, tight) in enumerate(verts)
-            if i in keep_set
+            if vals[i] <= 0
         ] + list(newpts.items())
-        processed += 1
     return [tuple(Fraction(a, p[n]) for a in p[:n]) for p, _ in verts]
-
-
-def _tight_rank_at_least(normals, common: int, need: int) -> bool:
-    """Do the tight normals in common span >= need dimensions?  Over the
-    rationals the rank is the number of non-zero SNF diagonal entries."""
-    mat = [list(normals[i]) for i in iter_bits(common)]
-    return sum(1 for d in snf_diagonal(mat) if d) >= need
 
 
 # -- ratios ---------------------------------------------------------------

@@ -1,5 +1,8 @@
 """The double description in Fraction arithmetic, kept as the oracle for
-`mtk.polytopes._dd_vertices`, which runs the same steps in integers.
+`mtk.polytopes._dd_vertices`, which runs in integers.  Here two vertices
+are adjacent when the normals of their common tight rows have rank
+n - 1, and each new point's tight rows are found by evaluating every
+row; `_dd_vertices` reads both from the tight sets alone.
 
 `dd_vertices_fraction(n, rows)` returns the vertices of
 {x >= 0, x[mask] <= r} as Fraction tuples, in the order the method

@@ -265,6 +265,23 @@ def test_cli_invariants_names_the_missing_input(tmp_path, capsys):
     assert "'hyper_numbers' needs a hypergraph" in capsys.readouterr().err
 
 
+def test_cli_hyper_numbers_do_not_build_the_independence_complex(tmp_path, capsys):
+    # 2^24 vertex subsets are past the sweep cap; the numbers need only
+    # the three edges
+    path = tmp_path / "path.json"
+    path.write_text('{"hypergraph": {"n": 24, "edges": [[0, 1], [1, 2], [2, 3]]}}')
+    assert main(["invariants", str(path), "--what", "hyper_numbers", "--report", "jsonl"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "hyper_nu_w": "2",
+        "hyper_nu_star_w": "2",
+        "hyper_tau_star_w": "2",
+        "hyper_tau_w": "2",
+        "w_star": "1",
+    }
+    assert captured.err == ""
+
+
 def test_cli_invariants_names_the_weight_keys_it_ignores(tmp_path, capsys):
     # a misspelt `h` would otherwise silently become all-ones weights
     raw = {
@@ -333,6 +350,12 @@ def test_cli_invariants_rejects_malformed_fields(raw, named, tmp_path, capsys):
         ({"complex": {"n": 1, "maximal_faces": [[0]]}, "weights": {"h": [0.1]}}, "weights[h][0]"),
         ({"complex": {"n": 2, "maximal_faces": [[0, 1]]}, "weights": {"h": ["1", True]}},
          "weights[h][1]"),
+        ({"complex": {"n": 1, "maximal_faces": [[0]]}, "weights": {"h": ["1/0"]}},
+         "weights[h][0]"),
+        ({"complex": {"n": 1, "maximal_faces": [[0]]}, "weights": {"h": ["abc"]}},
+         "weights[h][0]"),
+        ({"complex": {"n": 1, "maximal_faces": [[0]]}, "weights": {"h": [None]}},
+         "weights[h][0]"),
         ({"complex": {"n": True, "maximal_faces": [[False]]}}, "complex.n"),
         ({"complex": {"n": 1, "maximal_faces": [[False]]}}, "complex.maximal_faces[0][0]"),
         ({"complex": {"n": 2.0, "maximal_faces": [[0]]}}, "complex.n"),

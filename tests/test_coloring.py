@@ -348,7 +348,8 @@ def test_ab_choosable_agrees_with_the_mask_oracle():
         for b in range(1, 4)
         for a in range(b, (6 if c.n <= 3 else 3) + 1)
     ]
-    cases += [(c, 2, b) for c in _bipartite_graph_complexes(rng, 0) for b in (1, 2)]
+    bipartite = _bipartite_graph_complexes(rng, 0)
+    cases += [(c, 2, b) for c in bipartite for b in (1, 2)]
     verdicts = set()
     for c, a, b in cases:
         want = _oracle_choosable(c, a, b, 70_000)
@@ -359,6 +360,10 @@ def test_ab_choosable_agrees_with_the_mask_oracle():
             assert not _b_fold_colorable(c, witness, b), (c, a, b, witness)
         verdicts.add((b, want))
     assert verdicts == {(b, v) for b in (1, 2, 3) for v in (True, False)}
+    # K_{2,4} is not (3, 2)-colorable, so the system with every list
+    # equal decides it at once; the canonical order lists that system last
+    assert _oracle_choosable(bipartite[0], 3, 2, 70_000) is False
+    assert not ab_check(bipartite[0], 3, 2, "choosable")
 
 
 def test_ab_choosable_at_the_hall_bound():

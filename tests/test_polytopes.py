@@ -254,15 +254,23 @@ def test_vertices_match_brute_force():
 
 def test_integer_dd_matches_the_fraction_oracle():
     # the same vertices in the same order, on R rows and Q rows; loops
-    # give zero singleton bounds, so the box has repeated points
+    # give zero singleton bounds, so the box has repeated points.  The
+    # oracle decides adjacency by the rank of the tight normals, the DD
+    # by its tight sets alone.
     rng = random.Random(64)
     zero_bounds = 0
+    cases = []
     for t in range(120):
         n = rng.randint(1, 6)
         system = rand_system(rng, n, rng.randint(1, 3), loopless=t % 3 == 0)
-        for rows in (_system_rows(system), _reduced_rows_complex(system.intersection_complex())):
-            zero_bounds += any(r == 0 and bit_count(m) == 1 for m, r in rows)
-            assert _dd_vertices(n, rows) == dd_vertices_fraction(n, rows)
+        cases.append((n, _system_rows(system)))
+        cases.append((n, _reduced_rows_complex(system.intersection_complex())))
+    for n in (7, 7, 8, 8):
+        cases.append((n, _system_rows(rand_system(rng, n, rng.randint(2, 3)))))
+    cases.append((5, _reduced_rows_complex(canned("md_lower", n=5).complex_)))
+    for n, rows in cases:
+        zero_bounds += any(r == 0 and bit_count(m) == 1 for m, r in rows)
+        assert _dd_vertices(n, rows) == dd_vertices_fraction(n, rows)
     assert zero_bounds >= 30
 
 
