@@ -23,7 +23,6 @@ from fractions import Fraction
 from .core import (
     Complex,
     _undominated,
-    bit_count,
     check_sweep,
     iter_bits,
     mask_of,
@@ -31,7 +30,7 @@ from .core import (
     min_nonfaces,
 )
 from .errors import CapExceeded, DomainError, Infeasible, Uncolorable
-from .extval import INF, XRat, check_weights, max_ratio
+from .extval import XRat, check_weights, max_ratio
 from .lp import solve_max_slack
 from .matroid import (
     GenPartitionMatroid,
@@ -66,7 +65,7 @@ def min_cover(options, target: int, lower: int = 0) -> tuple[int, list[int]]:
     # In cost order, every kept option costs no more than the next one.
     kept = _undominated(
         options,
-        lambda o: (o[1], -bit_count(o[0] & target)),
+        lambda o: (o[1], -(o[0] & target).bit_count()),
         lambda o, k: o[0] & target & ~k[0] == 0,
     )
     if kept and kept[0][1] < 0:  # the first option kept is the cheapest
@@ -88,14 +87,14 @@ def _cover(kept, by_elem, uncov: int, spent: int, chosen: list[int], best: list,
             best[0] = spent
             best[1] = chosen[:]
         return
-    left = bit_count(uncov)
+    left = uncov.bit_count()
     bound = spent + min(
-        -(-left * cost // bit_count(mask & uncov)) for mask, cost in kept if mask & uncov
+        -(-left * cost // (mask & uncov).bit_count()) for mask, cost in kept if mask & uncov
     )
     if max(bound, lower) >= best[0]:
         return
     v = min(iter_bits(uncov), key=lambda w: len(by_elem[w]))
-    for mask, cost in sorted(by_elem[v], key=lambda o: (o[1], -bit_count(o[0] & uncov))):
+    for mask, cost in sorted(by_elem[v], key=lambda o: (o[1], -(o[0] & uncov).bit_count())):
         chosen.append(mask)
         _cover(kept, by_elem, uncov & ~mask, spent + cost, chosen, best, lower)
         chosen.pop()
@@ -143,10 +142,6 @@ def chi_matroid(m: Matroid) -> int:
 
 def chi_matroid_restricted(m: Matroid, fmask: int):
     """chi of m restricted to fmask (int, or inf when a loop is inside)."""
-    if fmask == 0:
-        return 0
-    if m.loops() & fmask:
-        return INF
     return math.ceil(max_ratio(m.rank, fmask))
 
 
@@ -420,7 +415,7 @@ def matroid_list_color(m: Matroid, lists):
     p_matroid = GenPartitionMatroid(len(pairs), star_parts, [1] * m.n)
     q_matroid = _ColorwiseMatroid(m, pairs)
     common = max_common_independent(p_matroid, q_matroid)
-    if bit_count(common) == m.n:
+    if common.bit_count() == m.n:
         assignment = [0] * m.n
         for i in iter_bits(common):
             v, col = pairs[i]
@@ -430,7 +425,7 @@ def matroid_list_color(m: Matroid, lists):
     full = m.full
 
     def lhs_of(t: int) -> int:
-        return bit_count(t) + sum(
+        return t.bit_count() + sum(
             m.rank(fmask[col] & ~t) for col in colors
         )
 
@@ -486,13 +481,13 @@ def matdim_upper(c: Complex) -> tuple[int, list[GenPartitionMatroid]]:
     for cls in classes:
         edges = [nf.edges[i] for i in iter_bits(cls)]
         parts = list(edges)
-        caps = [bit_count(e) - 1 for e in edges]
+        caps = [e.bit_count() - 1 for e in edges]
         rest = full
         for e in edges:
             rest &= ~e
         if rest:
             parts.append(rest)
-            caps.append(bit_count(rest))
+            caps.append(rest.bit_count())
         witnesses.append(GenPartitionMatroid(c.n, parts, caps))
     return k, witnesses
 
@@ -509,8 +504,8 @@ def _enumerate_matroid_coverages(c: Complex, nonfaces: list[int]) -> list[int]:
     ones.
     """
     r = c.rank()
-    forced = [f for f in c.maximal_faces if bit_count(f) == r]
-    smaller = [f for f in c.maximal_faces if bit_count(f) < r]
+    forced = [f for f in c.maximal_faces if f.bit_count() == r]
+    smaller = [f for f in c.maximal_faces if f.bit_count() < r]
     rsets = (mask_of(combo) for combo in itertools.combinations(range(c.n), r))
     others = [m for m in rsets if m not in forced]
     coverages: set[int] = set()
@@ -537,10 +532,7 @@ def matdim_exact(c: Complex) -> int:
     """
     if c.n > MATDIM_MAX_N:
         raise CapExceeded(f"matdim_exact limited to n <= {MATDIM_MAX_N}")
-    nf = min_nonfaces(c)
-    if not nf.edges:
-        return 1
     if check_matroid_axioms(c):
         return 1
-    nonfaces = list(nf.edges)
+    nonfaces = list(min_nonfaces(c).edges)
     return chi(Complex(len(nonfaces), _enumerate_matroid_coverages(c, nonfaces)))

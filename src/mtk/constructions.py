@@ -12,7 +12,7 @@ import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Complex, Hypergraph, bit_count, complex_of, induced, iter_bits, mask_of
+from .core import Complex, Hypergraph, complex_of, induced, iter_bits, mask_of
 from .errors import DomainError, Unsupported
 from .matroid import (
     GenPartitionMatroid,
@@ -175,7 +175,7 @@ def check_sides(h: Hypergraph, parts: tuple[int, ...]) -> None:
     if cover != (1 << h.n) - 1:
         raise DomainError("sides must cover the vertex set")
     for e in h.edges:
-        if any(bit_count(e & p) != 1 for p in parts):
+        if any((e & p).bit_count() != 1 for p in parts):
             raise DomainError("some edge is not a transversal of the sides")
 
 
@@ -231,7 +231,7 @@ def _canned_ab(m: int, a: int = 1) -> Instance:
 def _canned_md_lower(n: int) -> Instance:
     special = n - 1
     half = n // 2
-    c = complex_of(n, lambda s: bit_count(s) <= half or not (s >> special) & 1)
+    c = complex_of(n, lambda s: s.bit_count() <= half or not (s >> special) & 1)
     return Instance(
         provenance=f"md_lower(n={n})",
         complex_=c,

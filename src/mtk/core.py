@@ -13,6 +13,7 @@ SWEEP_CAP bounds every 2^n sweep in mtk.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyEdge
 
@@ -42,18 +43,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bit_count(mask: int) -> int:
-    return mask.bit_count()
-
-
 def _coerce_masks(edges: Iterable[int | Iterable[int]]) -> list[int]:
     return [e if isinstance(e, int) else mask_of(e) for e in edges]
 
 
+@dataclass(frozen=True, slots=True)
 class Hypergraph:
     """A set of subsets (edges) of the ground set [0, n)."""
 
-    __slots__ = ("n", "edges")
+    n: int
+    edges: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[int | Iterable[int]] = ()):
         masks = _coerce_masks(edges)
@@ -64,28 +63,14 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(set(masks))))
 
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Hypergraph is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hypergraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
     def __repr__(self) -> str:
-        sets = [sorted(iter_bits(e)) for e in self.edges]
-        return f"Hypergraph(n={self.n}, edges={sets})"
+        return f"Hypergraph(n={self.n}, edges={self.edge_sets()})"
 
     def edge_sets(self) -> list[list[int]]:
         return [sorted(iter_bits(e)) for e in self.edges]
 
     def is_uniform(self, k: int) -> bool:
-        return all(bit_count(e) == k for e in self.edges)
+        return all(e.bit_count() == k for e in self.edges)
 
 
 def _relabel_map(kept_mask: int) -> tuple[dict[int, int], list[int]]:
@@ -141,6 +126,7 @@ def line_graph(h: Hypergraph) -> Hypergraph:
     return Hypergraph(m, pairs)
 
 
+@dataclass(frozen=True, slots=True)
 class Complex:
     """An abstract simplicial complex stored by its maximal faces.
 
@@ -149,7 +135,8 @@ class Complex:
     some maximal face.
     """
 
-    __slots__ = ("n", "maximal_faces")
+    n: int
+    maximal_faces: tuple[int, ...]
 
     def __init__(self, n: int, faces: Iterable[int | Iterable[int]] = ()):
         # Larger faces first: no face follows one it lies inside.
@@ -162,19 +149,6 @@ class Complex:
                 raise ValueError(f"face {bin(f)} not within ground set of size {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "maximal_faces", tuple(sorted(maximal)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Complex is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Complex)
-            and self.n == other.n
-            and self.maximal_faces == other.maximal_faces
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.maximal_faces))
 
     def __repr__(self) -> str:
         sets = [sorted(iter_bits(f)) for f in self.maximal_faces]
@@ -191,17 +165,17 @@ class Complex:
 
     def rank_of(self, s: int) -> int:
         """max |T| over faces T contained in s."""
-        return max(bit_count(f & s) for f in self.maximal_faces)
+        return max((f & s).bit_count() for f in self.maximal_faces)
 
     def rank(self) -> int:
-        return max(bit_count(f) for f in self.maximal_faces)
+        return max(f.bit_count() for f in self.maximal_faces)
 
     def faces(self) -> list[int]:
         """All faces, ascending as masks.  Raises CapExceeded above
         SWEEP_CAP faces."""
         seen = {0}
         for f in self.maximal_faces:
-            check_sweep(bit_count(f))
+            check_sweep(f.bit_count())
             s = f & -f
             while s:  # the non-empty submasks of f, ascending
                 seen.add(s)
@@ -209,12 +183,6 @@ class Complex:
                     raise CapExceeded(f"face enumeration beyond cap {SWEEP_CAP}")
                 s = (s - f) & f
         return sorted(seen)
-
-    def induced(self, s: int) -> tuple["Complex", list[int]]:
-        """Induced subcomplex on s, densely re-indexed; new->old map returned."""
-        old_to_new, new_to_old = _relabel_map(s)
-        faces = [_relabel_mask(f & s, old_to_new) for f in self.maximal_faces]
-        return Complex(len(new_to_old), faces), new_to_old
 
 
 def _undominated(items, key, below) -> list:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .core import Complex, bit_count, check_sweep, complex_of, iter_bits, mask_of
+from .core import Complex, check_sweep, complex_of, iter_bits, mask_of
 from .errors import CapExceeded
 
 # check_matroid_axioms is refused above this ground-set size.
@@ -42,7 +42,7 @@ class Matroid:
         return r
 
     def is_independent(self, s: int) -> bool:
-        return self.rank(s) == bit_count(s)
+        return self.rank(s) == s.bit_count()
 
     def full_rank(self) -> int:
         return self.rank(self.full)
@@ -91,7 +91,7 @@ class UniformMatroid(Matroid):
         self.r = r
 
     def _rank(self, s: int) -> int:
-        return min(bit_count(s), self.r)
+        return min(s.bit_count(), self.r)
 
     def __repr__(self):
         return f"UniformMatroid(r={self.r}, n={self.n})"
@@ -116,14 +116,14 @@ class GenPartitionMatroid(Matroid):
         if union != self.full:
             raise ValueError("parts must cover the ground set")
         for p, c in zip(masks, caps):
-            if not 0 <= c <= bit_count(p):
+            if not 0 <= c <= p.bit_count():
                 raise ValueError("cap out of range for its part")
         self.parts = tuple(masks)
         self.caps = tuple(caps)
 
     def _rank(self, s: int) -> int:
         return sum(
-            min(bit_count(s & p), c) for p, c in zip(self.parts, self.caps)
+            min((s & p).bit_count(), c) for p, c in zip(self.parts, self.caps)
         )
 
     def __repr__(self):
@@ -194,7 +194,7 @@ class DualMatroid(Matroid):
 
     def _rank(self, s: int) -> int:
         return (
-            bit_count(s)
+            s.bit_count()
             + self.inner.rank(self.full & ~s)
             - self.inner.full_rank()
         )

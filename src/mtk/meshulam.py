@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import min_cover
-from .core import Hypergraph, _undominated, bit_count, iter_bits
+from .core import Hypergraph, _undominated, iter_bits
 from .errors import CapExceeded, CertificateError, Uncolorable
 from .extval import INF
 
@@ -45,7 +45,7 @@ def _frugal_value(edges) -> int:
     seen = 0
     total = 0
     for e in edges:
-        new = bit_count(e & ~seen)
+        new = (e & ~seen).bit_count()
         if new <= 1:
             raise ValueError("sequence is not frugal")
         total += new - 1
@@ -96,7 +96,7 @@ def gamma_e_hyper(h: Hypergraph):
     best = None
     for mask, p in steps.items():
         if is_dominating(h, mask):
-            val = bit_count(mask) - p
+            val = mask.bit_count() - p
             if best is None or val < best:
                 best = val
     return INF if best is None else best
@@ -116,10 +116,10 @@ def _frugal_steps(h: Hypergraph) -> dict[int, int]:
         for mask in bucket:
             p = steps[mask] + 1
             for e in h.edges:
-                if bit_count(e & ~mask) > 1:
+                if (e & ~mask).bit_count() > 1:
                     new = mask | e
                     if new not in steps:
-                        buckets[bit_count(new)].append(new)
+                        buckets[new.bit_count()].append(new)
                     if steps.get(new, 0) < p:
                         steps[new] = p
     return steps
@@ -133,7 +133,7 @@ def _reduce_singletons(vmask: int, edges: tuple[tuple[int, int], ...]):
     while True:
         single = 0
         for cur, _ in edges:
-            if bit_count(cur) == 1:
+            if cur.bit_count() == 1:
                 single |= cur
         if not single:
             return vmask, edges
@@ -145,7 +145,7 @@ def _offers(edges, exhaustive: bool):
     """The containment-minimal edges in input order: all of them, or only
     the first when the game is not exhaustive."""
     # Smaller edges first: an edge never follows one that lies inside it.
-    minimal = set(_undominated(edges, lambda e: bit_count(e[0]), lambda e, k: k[0] & ~e[0] == 0))
+    minimal = set(_undominated(edges, lambda e: e[0].bit_count(), lambda e, k: k[0] & ~e[0] == 0))
     out = [e for e in edges if e in minimal]
     return out if exhaustive else out[:1]
 
@@ -182,7 +182,7 @@ def _branch(memo: dict, exhaustive: bool, vmask: int, edges, cur: int):
     deleted = tuple((c, o) for c, o in edges if c != cur)
     del_val = _game_value(memo, exhaustive, vmask, deleted)
     con_val = _game_value(memo, exhaustive, vmask & ~cur, _contract_edges(edges, cur))
-    con_total = con_val if con_val is INF else con_val + bit_count(cur) - 1
+    con_total = con_val if con_val is INF else con_val + cur.bit_count() - 1
     if del_val <= con_total:
         return del_val, "delete"
     return con_total, "contract"

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Complex, Hypergraph, _undominated, bit_count, iter_bits
+from .core import Complex, Hypergraph, _undominated, iter_bits
 from .coloring import chi_star, min_cover
 from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infeasible
 from .extval import INF, XRat, check_weights, max_ratio
@@ -68,8 +68,6 @@ def psi(z: PolytopeRef, h: Sequence[Fraction]) -> Fraction | XRat:
     largest over the system's matroids on R.
     """
     h = check_weights(h, z.n)
-    if all(v == 0 for v in h):
-        return ZERO
     if z.kind == "P":
         try:
             return chi_star(z.complex_, h)
@@ -91,7 +89,7 @@ def _reduced_rows_matroid(m: Matroid) -> list[tuple[int, int]]:
     singletons."""
     rows = {}
     for f in m.flats():
-        if f and m.rank(f) < bit_count(f):
+        if f and m.rank(f) < f.bit_count():
             rows[f] = m.rank(f)
     for v in range(m.n):
         b = 1 << v
@@ -117,10 +115,10 @@ def _reduced_rows_complex(c: Complex) -> list[tuple[int, int]]:
         b = 1 << v
         rows[b] = c.rank_of(b)
     for s in range(1, 1 << c.n):
-        if bit_count(s) < 2:
+        if s.bit_count() < 2:
             continue
         r = c.rank_of(s)
-        if r >= bit_count(s):
+        if r >= s.bit_count():
             continue
         reducible = False
         for v in iter_bits(s):
@@ -171,7 +169,7 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
     """
     ubs = [None] * n
     for mask, r in rows:
-        if bit_count(mask) == 1:
+        if mask.bit_count() == 1:
             ubs[mask.bit_length() - 1] = r
     if any(u is None for u in ubs):
         raise ValueError("singleton bounds required for boundedness")
@@ -179,7 +177,7 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
     # box rows x_v <= ubs[v], then the other rows; cons[i - n] holds the
     # support and right-hand side of row i >= n.
     cons = [((v,), ubs[v]) for v in range(n)] + [
-        (tuple(iter_bits(mask)), r) for mask, r in rows if bit_count(mask) != 1
+        (tuple(iter_bits(mask)), r) for mask, r in rows if mask.bit_count() != 1
     ]
 
     # Box vertices with tight bitmasks over the first 2n constraints.
@@ -212,7 +210,7 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
                 # An edge has n - 1 independent tight rows.  The
                 # third-vertex test below implies this count, but the
                 # cheap check first keeps the DD several times faster.
-                if bit_count(common) < n - 1:
+                if common.bit_count() < n - 1:
                     continue
                 # A third vertex tight on common makes the face that i
                 # and j span larger than an edge.
@@ -470,7 +468,7 @@ def hyper_w_star(h: Hypergraph) -> Fraction:
     amat = []
     bvec = []
     for i, s in enumerate(h.edges):
-        amat.append([Fraction(bit_count(t & s)) for t in h.edges])
+        amat.append([Fraction((t & s).bit_count()) for t in h.edges])
         bvec.append(ONE)
     # Dual form: max sum g with sum_S g_S |T & S| <= 1 for every T.
     value, _, _ = solve_max_slack(amat, bvec, [ONE] * m)

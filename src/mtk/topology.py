@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Complex, bit_count, iter_bits
+from .core import Complex, iter_bits
 from .errors import CapExceeded
 from .extval import INF, XRat, check_weights, max_ratio
 
@@ -109,12 +109,10 @@ class HomologyProfile:
 
 def _faces_by_size(c: Complex) -> list[list[int]]:
     faces = c.faces()
-    top = max(bit_count(f) for f in faces)
+    top = max(f.bit_count() for f in faces)
     by = [[] for _ in range(top + 1)]
     for f in faces:
-        by[bit_count(f)].append(f)
-    for lst in by:
-        lst.sort()
+        by[f.bit_count()].append(f)
     return by
 
 
@@ -174,8 +172,7 @@ class ExpansionRecord:
 def _eta_of_induced(c: Complex, s: int, cache: dict[int, object]):
     v = cache.get(s)
     if v is None:
-        sub, _ = c.induced(s)
-        v = eta_h(sub)
+        v = eta_h(Complex(c.n, [f & s for f in c.maximal_faces]))
         cache[s] = v
     return v
 
@@ -232,7 +229,7 @@ def topological_hall_check(c: Complex, subsets: list[int]) -> HallRecord:
         for i in iter_bits(imask):
             union |= subsets[i]
         eta = _eta_of_induced(c, union, cache)
-        if eta < bit_count(imask):
+        if eta < imask.bit_count():
             hypothesis = False
             break
     witness = _rainbow_face(c, subsets, set(), 0, 0, ())

@@ -24,7 +24,6 @@ from .core import (
     Complex,
     Hypergraph,
     _undominated,
-    bit_count,
     contract,
     independence_complex,
     iter_bits,
@@ -152,7 +151,7 @@ def _rand_matroid_once(rng, n, kind):
         if kind == "partition":
             caps = [1] * len(parts)
         else:
-            caps = [rng.randint(1, bit_count(p)) for p in parts]
+            caps = [rng.randint(1, p.bit_count()) for p in parts]
         return GenPartitionMatroid(n, parts, caps)
     if kind == "graphic":
         vertices = rng.randint(2, 5)
@@ -550,7 +549,7 @@ def _append_genmeshulam(records, h: Hypergraph, lhs, tag, per_edge_cap) -> int:
     """lhs = eta(I(H)) >= min(eta(I(H-e)), eta(I(H/e)) + |e| - 1) per minimal e."""
     checks = 0
     bad = None
-    minimal = set(_undominated(h.edges, bit_count, lambda e, k: k & ~e == 0))
+    minimal = set(_undominated(h.edges, int.bit_count, lambda e, k: k & ~e == 0))
     for e in h.edges[:per_edge_cap]:
         if e not in minimal:
             continue
@@ -558,7 +557,7 @@ def _append_genmeshulam(records, h: Hypergraph, lhs, tag, per_edge_cap) -> int:
         eta_minus = _eta_ih(minus)
         contracted, _ = contract(h, e)
         eta_con = _eta_ih(contracted)
-        add = bit_count(e) - 1
+        add = e.bit_count() - 1
         branch = INF if eta_con is INF else eta_con + add
         rhs = min(eta_minus, branch)
         checks += 1
@@ -687,7 +686,7 @@ def suite_seymour(rng, count=20, max_n=8, max_k=3) -> list[VerificationRecord]:
             res = coloring.matroid_list_color(m, lists)
             if isinstance(res, coloring.ListColorFailure):
                 wit_checked += 1
-                lhs = bit_count(res.t_mask) + sum(
+                lhs = res.t_mask.bit_count() + sum(
                     m.rank(fm & ~res.t_mask) for fm in fmask.values()
                 )
                 records.append(
@@ -800,7 +799,7 @@ def suite_pq_witnesses(rng=None) -> list[VerificationRecord]:
         )
     )
     nf = min_nonfaces(inst.complex_)
-    flag = all(bit_count(e) == 2 for e in nf.edges)
+    flag = all(e.bit_count() == 2 for e in nf.edges)
     records.append(
         _rec(
             "ex:PnotQpartition/flag",

@@ -12,7 +12,7 @@ vertices that satisfy it followed by the new ones cut on it.
 
 from fractions import Fraction
 
-from mtk.core import bit_count, iter_bits
+from mtk.core import iter_bits
 from mtk.topology import snf_diagonal
 
 ZERO = Fraction(0)
@@ -21,7 +21,7 @@ ZERO = Fraction(0)
 def dd_vertices_fraction(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ...]]:
     ubs = [None] * n
     for mask, r in rows:
-        if bit_count(mask) == 1:
+        if mask.bit_count() == 1:
             ubs[mask.bit_length() - 1] = Fraction(r)
     if any(u is None for u in ubs):
         raise ValueError("singleton bounds required for boundedness")
@@ -34,7 +34,7 @@ def dd_vertices_fraction(n: int, rows: list[tuple[int, int]]) -> list[tuple[Frac
         e[v] = -1
         normals.append(tuple(e))
         rhss.append(ZERO)
-    other_rows = [(mask, Fraction(r)) for mask, r in rows if bit_count(mask) != 1]
+    other_rows = [(mask, Fraction(r)) for mask, r in rows if mask.bit_count() != 1]
     for mask, r in [(1 << v, ubs[v]) for v in range(n)] + other_rows:
         normals.append(tuple((mask >> v) & 1 for v in range(n)))
         rhss.append(r)
@@ -76,7 +76,7 @@ def dd_vertices_fraction(n: int, rows: list[tuple[int, int]]) -> list[tuple[Frac
             for j in out:
                 cj, tj = verts[j]
                 common = ti & tj
-                if bit_count(common) < n - 1:
+                if common.bit_count() < n - 1:
                     continue
                 if not _tight_rank_at_least(normals, common, n - 1):
                     continue

@@ -11,7 +11,6 @@ import pytest
 from mtk.core import (
     Complex,
     Hypergraph,
-    bit_count,
     independence_complex,
     iter_bits,
     matching_complex,
@@ -28,13 +27,15 @@ from mtk.coloring import (
     chi_list,
     chi_list_number,
     chi_matroid,
+    chi_matroid_restricted,
     chi_star,
     delta_rank,
     matroid_list_color,
     min_cover,
 )
 from mtk.errors import CapExceeded, DomainError, Uncolorable
-from mtk.matroid import GenPartitionMatroid, GraphicMatroid, UniformMatroid
+from mtk.extval import INF, max_ratio
+from mtk.matroid import DualMatroid, GenPartitionMatroid, GraphicMatroid, UniformMatroid
 from mtk.meshulam import gamma_e_graph
 from mtk.topology import expansions
 from mtk.verify import rand_matroid, rand_system
@@ -114,6 +115,35 @@ def test_chi_matroid_equals_brute_chi():
     for _ in range(30):
         m = rand_matroid(rng, rng.randint(2, 6))
         assert chi_matroid(m) == chi(m.to_complex())
+
+
+def test_chi_matroid_restricted_matches_the_three_branch_definition():
+    def three_branch(m, fmask):
+        if fmask == 0:
+            return 0
+        if m.loops() & fmask:
+            return INF
+        return math.ceil(max_ratio(m.rank, fmask))
+
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        vertices = rng.randint(2, 4)
+        u = rng.randrange(vertices)
+        # (u, u) is a loop; a part of cap 0 is a set of loops, and one
+        # whose cap is its size a set of coloops, which the dual turns
+        # into loops
+        edges = [tuple(rng.sample(range(vertices), 2)) for _ in range(n - 1)] + [(u, u)]
+        rng.shuffle(edges)
+        cut = rng.randint(1, n - 1)
+        gp = GenPartitionMatroid(n, [range(cut), range(cut, n)], [cut, rng.randint(0, n - cut)])
+        for m in (GraphicMatroid(vertices, edges), DualMatroid(gp), gp, rand_matroid(rng, n, False)):
+            for fmask in range(1 << n):
+                got = chi_matroid_restricted(m, fmask)
+                assert got == three_branch(m, fmask)
+                seen.add(got is INF)
+    assert seen == {True, False}
 
 
 def test_chi_star_examples():
@@ -512,7 +542,7 @@ def brute_ab_colorable(c, a, b):
         if i == len(faces) or slots == 0:
             return False
         needed = sum(deg)
-        biggest = max((bit_count(f) for f in faces[i:]), default=0)
+        biggest = max((f.bit_count() for f in faces[i:]), default=0)
         if biggest == 0 or needed > slots * biggest:
             return False
         f = faces[i]

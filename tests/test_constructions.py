@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from mtk.core import Hypergraph, bit_count, matching_complex
+from mtk.core import Hypergraph, matching_complex
 from mtk.constructions import (
     _normalized_points,
     assoc_matroids,
@@ -37,7 +37,7 @@ def test_fano_plane():
     assert fano.n == 7 and len(fano.edges) == 7
     assert fano.is_uniform(3)
     for a, b in itertools.combinations(fano.edges, 2):
-        assert bit_count(a & b) == 1
+        assert (a & b).bit_count() == 1
     # two points determine a unique line
     for u, v in itertools.combinations(range(7), 2):
         lines = [e for e in fano.edges if (e >> u) & 1 and (e >> v) & 1]
@@ -49,7 +49,7 @@ def test_pg3_incidence():
     assert pg.n == 13 and len(pg.edges) == 13
     assert pg.is_uniform(4)
     for a, b in itertools.combinations(pg.edges, 2):
-        assert bit_count(a & b) == 1
+        assert (a & b).bit_count() == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -74,7 +74,7 @@ def test_truncated_plane_t3():
     t3, parts = truncated_projective_plane(2)
     assert t3.n == 6 and len(t3.edges) == 4
     assert t3.is_uniform(3)
-    assert len(parts) == 3 and all(bit_count(p) == 2 for p in parts)
+    assert len(parts) == 3 and all(p.bit_count() == 2 for p in parts)
     assert all(degree(t3, v) == 2 for v in range(6))
     nums = hyper_numbers(t3)
     assert nums.nu == 1 and nums.nu_star == 2 and nums.tau == 2
@@ -91,13 +91,13 @@ def test_q_k_structure():
     assert q3.n == 9 and len(q3.edges) == 9
     assert q3.is_uniform(3)
     assert all(degree(q3, v) == 3 for v in range(9))
-    assert len(parts3) == 3 and all(bit_count(p) == 3 for p in parts3)
+    assert len(parts3) == 3 and all(p.bit_count() == 3 for p in parts3)
     # parallel classes of the affine plane are pairwise cross-intersecting:
     # edges meeting a common side vertex aside, any two edges from
     # different classes of Q_k share a vertex iff they come from
     # different parallel classes of the affine plane
     mc = matching_complex(q3)
-    classes = [f for f in mc.maximal_faces if bit_count(f) == 3]
+    classes = [f for f in mc.maximal_faces if f.bit_count() == 3]
     assert len(classes) == 3  # exactly the parallel classes survive
 
 
@@ -139,15 +139,15 @@ def test_assoc_matroids_and_round_trip():
     assert system.k == 3 and system.n == 4
     for m in system:
         assert isinstance(m, GenPartitionMatroid) and set(m.caps) == {1}
-        assert len(m.parts) == 2 and all(bit_count(p) == 2 for p in m.parts)
+        assert len(m.parts) == 2 and all(p.bit_count() == 2 for p in m.parts)
     # intersection of L(H) is the matching complex of H
     assert system.intersection_complex() == matching_complex(t3)
 
     back = parts_hypergraph(system)
     assert back.n == t3.n and len(back.edges) == len(t3.edges)
     # identical up to relabeling: degree multisets and pairwise meets agree
-    assert sorted(bit_count(e) for e in back.edges) == sorted(
-        bit_count(e) for e in t3.edges
+    assert sorted(e.bit_count() for e in back.edges) == sorted(
+        e.bit_count() for e in t3.edges
     )
 
     q3, parts3 = q_k(3)
@@ -155,7 +155,7 @@ def test_assoc_matroids_and_round_trip():
     back3 = parts_hypergraph(system3)
     assert back3.n == q3.n and len(back3.edges) == len(q3.edges)
     meets = lambda h: sorted(
-        bit_count(a & b) for a, b in itertools.combinations(h.edges, 2)
+        (a & b).bit_count() for a, b in itertools.combinations(h.edges, 2)
     )
     assert meets(back3) == meets(q3)
 

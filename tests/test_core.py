@@ -217,10 +217,33 @@ def test_join_associative_and_count():
         )
 
 
-def test_faces_enumeration_and_induced():
+def test_faces_enumeration():
     c = Complex(3, [[0, 1], [1, 2]])
     assert c.faces() == [0, 1, 2, 3, 4, 6]
-    sub, new_to_old = c.induced(mask_of([0, 2]))
-    assert sub.n == 2
-    assert sub.maximal_faces == (1, 2)
-    assert new_to_old == [0, 2]
+
+
+def test_hypergraphs_and_complexes_are_values():
+    rng = random.Random(8)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        sets = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(1, 5))]
+        # the same sets, each listed backwards, in another order, one twice
+        again = [s[::-1] for s in sets] + [sets[0]]
+        rng.shuffle(again)
+        for cls in (Hypergraph, Complex):
+            a, b = cls(n, sets), cls(n, again)
+            assert a == b and hash(a) == hash(b)
+            masks = a.edges if cls is Hypergraph else a.maximal_faces
+            # set iteration orders, and so the records, rest on this hash
+            assert hash(a) == hash((n, masks))
+        c = Complex(n, sets)
+        h = Hypergraph(n, c.maximal_faces)
+        assert c != h and h != c
+        for obj, field in ((h, "edges"), (c, "maximal_faces")):
+            for name in ("n", field):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, 0)
+            # a frozen dataclass with slots raises TypeError on a name
+            # that is not a field
+            with pytest.raises((AttributeError, TypeError)):
+                obj.other = 0

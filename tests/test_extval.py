@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mtk import polytopes
-from mtk.core import Complex, Hypergraph, bit_count, iter_bits
+from mtk.core import Complex, Hypergraph, iter_bits
 from mtk.coloring import chi_star, delta_rank
 from mtk.errors import DomainError
 from mtk.extval import EPS, INF, XRat, check_weights, max_ratio
@@ -29,7 +29,7 @@ def brute_max_ratio(den, universe, h=None) -> str:
         if s & ~universe:
             continue
         if h is None:
-            num = Fraction(bit_count(s))
+            num = Fraction(s.bit_count())
         else:
             num = sum((Fraction(h[v]) for v in iter_bits(s)), Fraction(0))
         if num == 0:
@@ -141,7 +141,7 @@ def test_max_ratio_with_infinite_denominators():
             return INF
 
         def small_inf(s):
-            return INF if bit_count(s) <= 2 else m.rank(s)
+            return INF if s.bit_count() <= 2 else m.rank(s)
 
         for den in (all_inf, small_inf):
             for h, universe in _cases(rng, n):

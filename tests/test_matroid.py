@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mtk.core import Complex, bit_count, iter_bits, mask_of, min_nonfaces
+from mtk.core import Complex, iter_bits, mask_of, min_nonfaces
 from mtk import verify
 from mtk.coloring import _enumerate_matroid_coverages, matdim_exact, matdim_upper
 from mtk.errors import CertificateError
@@ -27,10 +27,10 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 def nc_matroid(n: int, u: int) -> GenPartitionMatroid:
     """NC(U) = sets not containing U, as a generalized partition matroid."""
     rest = ((1 << n) - 1) & ~u
-    parts, caps = [u], [bit_count(u) - 1]
+    parts, caps = [u], [u.bit_count() - 1]
     if rest:
         parts.append(rest)
-        caps.append(bit_count(rest))
+        caps.append(rest.bit_count())
     return GenPartitionMatroid(n, parts, caps)
 
 
@@ -44,8 +44,8 @@ def oracle_equal(m, other) -> bool:
 def brute_max_common_independent(m1, m2) -> int:
     best = 0
     for s in range(1 << m1.n):
-        if bit_count(s) > best and m1.is_independent(s) and m2.is_independent(s):
-            best = bit_count(s)
+        if s.bit_count() > best and m1.is_independent(s) and m2.is_independent(s):
+            best = s.bit_count()
     return best
 
 
@@ -86,7 +86,7 @@ def test_circuits_examples():
     assert [sorted(iter_bits(e)) for e in min_nonfaces(nc.to_complex()).edges] == [[0, 1]]
     k4 = GraphicMatroid(4, K4_EDGES)
     circ = min_nonfaces(k4.to_complex())
-    sizes = sorted(bit_count(e) for e in circ.edges)
+    sizes = sorted(e.bit_count() for e in circ.edges)
     assert sizes == [3, 3, 3, 3, 4, 4, 4]
 
 
@@ -129,7 +129,7 @@ def is_pure_everywhere(c: Complex) -> bool:
         target = c.rank_of(u)
         for f in c.maximal_faces:
             t = f & u
-            size = bit_count(t)
+            size = t.bit_count()
             grown = True
             while grown and size < target:
                 grown = False
@@ -189,11 +189,11 @@ def test_max_common_independent_examples():
     m1 = GenPartitionMatroid(3, [[0, 1], [2]], [1, 1])
     m2 = GenPartitionMatroid(3, [[0], [1, 2]], [1, 1])
     got = max_common_independent(m1, m2)
-    assert bit_count(got) == 2
+    assert got.bit_count() == 2
     assert m1.is_independent(got) and m2.is_independent(got)
 
     u = UniformMatroid(2, 4)
-    assert bit_count(max_common_independent(u, u)) == 2
+    assert max_common_independent(u, u).bit_count() == 2
 
     # perfect matching in bipartite C6 as two partition matroids on edges
     edges = [(0, 3), (1, 4), (2, 5), (0, 4), (1, 5), (2, 3)]
@@ -203,7 +203,7 @@ def test_max_common_independent_examples():
     right = GenPartitionMatroid(
         6, [mask_of(i for i, e in enumerate(edges) if e[1] == v + 3) for v in range(3)], [1, 1, 1]
     )
-    assert bit_count(max_common_independent(left, right)) == 3
+    assert max_common_independent(left, right).bit_count() == 3
 
 
 def test_max_common_independent_random_vs_brute():
@@ -215,7 +215,7 @@ def test_max_common_independent_random_vs_brute():
         got = max_common_independent(m1, m2)
         assert m1.is_independent(got) and m2.is_independent(got)
         best = brute_max_common_independent(m1, m2)
-        assert bit_count(got) == best
+        assert got.bit_count() == best
         assert best == min_rank_partition(m1, m2)
 
 
@@ -227,7 +227,7 @@ def test_rank_monotone_submodular_and_span_closure():
         full = 1 << n
         for s in range(full):
             rs = m.rank(s)
-            assert m.is_independent(s) == (rs == bit_count(s))
+            assert m.is_independent(s) == (rs == s.bit_count())
             sp = m.span(s)
             assert sp & s == s
             assert m.span(sp) == sp
@@ -280,7 +280,7 @@ def test_flag_complex_is_intersection_of_nc_matroids():
             [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 4))],
         )
         nf = min_nonfaces(c)
-        if not nf.edges or any(bit_count(e) != 2 for e in nf.edges):
+        if not nf.edges or any(e.bit_count() != 2 for e in nf.edges):
             continue
         tested += 1
         system = MatroidSystem([nc_matroid(n, e) for e in nf.edges])
@@ -296,13 +296,15 @@ def test_matdim_examples():
     assert MatroidSystem(wits).intersection_complex() == ab
 
     md = Complex(
-        4, [s for s in range(16) if bit_count(s) <= 2 or not (s >> 3) & 1]
+        4, [s for s in range(16) if s.bit_count() <= 2 or not (s >> 3) & 1]
     )
     assert matdim_exact(md) == 3
     assert matdim_upper(md)[0] >= 3
 
     assert matdim_exact(UniformMatroid(2, 3).to_complex()) == 1
-    assert matdim_exact(Complex(3, [[0, 1, 2]])) == 1
+    # a full simplex has no non-faces and passes the axiom check
+    for n in range(7):
+        assert matdim_exact(Complex(n, [range(n)])) == 1
 
 
 def all_ranks_coverages(c: Complex, nonfaces: list[int]) -> list[int]:

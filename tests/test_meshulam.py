@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mtk.core import Hypergraph, bit_count, independence_complex, iter_bits, mask_of
+from mtk.core import Hypergraph, independence_complex, iter_bits, mask_of
 from mtk.errors import CertificateError
 from mtk.extval import INF
 from mtk import meshulam
@@ -81,12 +81,12 @@ def _brute_gamma_e_hyper(h):
         for seq in itertools.permutations(h.edges, r):
             union = 0
             for e in seq:
-                if bit_count(e & ~union) < 2:
+                if (e & ~union).bit_count() < 2:
                     break
                 union |= e
             else:
                 if is_dominating(h, union):
-                    best = min(best, bit_count(union) - r)
+                    best = min(best, union.bit_count() - r)
     return best
 
 

@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 from mtk.constructions import canned
-from mtk.core import Complex, Hypergraph, bit_count, iter_bits
+from mtk.core import Complex, Hypergraph, iter_bits
 from mtk.errors import DomainError
 from mtk.extval import INF
 from mtk.matroid import (
+    GenPartitionMatroid,
     Matroid,
     MatroidSystem,
     UniformMatroid,
@@ -135,6 +136,20 @@ def test_psi_examples():
     for z in (PolytopeRef.P(sing), PolytopeRef.Q(sing)):
         with pytest.raises(DomainError):
             psi(z, (1, 1, 1, 1, 5))
+
+
+def test_psi_is_zero_at_zero_weights():
+    # vertex 3 lies in no face of c and is a loop of the second matroid
+    c = Complex(4, [[0, 1], [1, 2]])
+    system = MatroidSystem([UniformMatroid(2, 4), GenPartitionMatroid(4, [[0, 1, 2], [3]], [2, 0])])
+    refs = [PolytopeRef.P(c), PolytopeRef.Q(c), PolytopeRef.R(system)]
+    rng = random.Random(53)
+    for _ in range(10):
+        n = rng.randint(1, 5)
+        d = Complex(n, [rng.sample(range(n), rng.randint(1, n))])
+        refs += [PolytopeRef.P(d), PolytopeRef.Q(d), PolytopeRef.R(rand_system(rng, n, 2, loopless=False))]
+    for z in refs:
+        assert psi(z, [0] * z.n) == 0
 
 
 def _covering_lp(c: Complex, h):
@@ -269,7 +284,7 @@ def test_integer_dd_matches_the_fraction_oracle():
         cases.append((n, _system_rows(rand_system(rng, n, rng.randint(2, 3)))))
     cases.append((5, _reduced_rows_complex(canned("md_lower", n=5).complex_)))
     for n, rows in cases:
-        zero_bounds += any(r == 0 and bit_count(m) == 1 for m, r in rows)
+        zero_bounds += any(r == 0 and m.bit_count() == 1 for m, r in rows)
         assert _dd_vertices(n, rows) == dd_vertices_fraction(n, rows)
     assert zero_bounds >= 30
 
@@ -498,8 +513,8 @@ def brute_rank_intersection(system, s):
     for sub in range(s + 1):
         if sub & ~s:
             continue
-        if bit_count(sub) > best and all(m.is_independent(sub) for m in system):
-            best = bit_count(sub)
+        if sub.bit_count() > best and all(m.is_independent(sub) for m in system):
+            best = sub.bit_count()
     return best
 
 

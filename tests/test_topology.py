@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from mtk import topology
-from mtk.core import Complex, Hypergraph, mask_of, matching_complex
+from mtk.core import Complex, Hypergraph, iter_bits, mask_of, matching_complex
 from mtk.extval import EPS, INF
 from mtk.matroid import UniformMatroid
 from mtk.topology import (
@@ -152,7 +152,6 @@ def test_homology_euler_characteristic_consistency():
     # alternating sum of reduced Betti numbers equals the reduced Euler
     # characteristic computed from face counts alone
     rng = random.Random(26)
-    from mtk.core import bit_count
 
     for _ in range(40):
         n = rng.randint(1, 6)
@@ -163,7 +162,7 @@ def test_homology_euler_characteristic_consistency():
         prof = reduced_homology(c)
         counts = {}
         for f in c.faces():
-            counts[bit_count(f)] = counts.get(bit_count(f), 0) + 1
+            counts[f.bit_count()] = counts.get(f.bit_count(), 0) + 1
         euler = sum((-1) ** (k - 1) * v for k, v in counts.items() if k >= 1) - 1
         betti_sum = sum((-1) ** i * b for i, b in enumerate(prof.betti))
         assert euler == betti_sum
@@ -194,6 +193,27 @@ def test_eta_h_is_one_plus_the_first_nonzero_homology_dimension():
             assert eta_h(c) is INF
         seen.add(eta_h(c))
     assert {0, 1, 2, INF} <= seen
+
+
+def dense_induced(c: Complex, s: int) -> Complex:
+    """The subcomplex induced on s, its vertices renumbered from 0 in
+    ascending order."""
+    new = {old: i for i, old in enumerate(iter_bits(s))}
+    faces = [mask_of(new[v] for v in iter_bits(f & s)) for f in c.maximal_faces]
+    return Complex(len(new), faces)
+
+
+def test_eta_of_induced_ignores_vertex_labels():
+    # _eta_of_induced keeps the vertices of s under their own labels
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        c = Complex(
+            n,
+            [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 5))],
+        )
+        for s in range(1 << n):
+            assert topology._eta_of_induced(c, s, {}) == eta_h(dense_induced(c, s))
 
 
 def test_chi_star_bounded_by_weighted_expansion():
