@@ -198,8 +198,15 @@ _WEIGHT_KEYS = {"chi_star": "h", "expansions": "h", "numbers": "w", "hyper_numbe
 
 
 def cmd_invariants(args) -> int:
-    inst = parse_instance(args.file)
     what = args.what.split(",") if args.what else ["eta_h", "chi", "chi_star"]
+    known = (
+        "eta_h", "chi", "chi_star", "chi_list", "expansions", "homology",
+        "numbers", "hyper_numbers", "matdim",
+    )
+    unknown = [item for item in what if item not in known]
+    if unknown:
+        raise Unsupported(f"unknown invariant {unknown[0]!r}; known: {', '.join(known)}")
+    inst = parse_instance(args.file)
     # numbers and hyper_numbers read the system and the hypergraph, not the
     # main complex, which can be past the 2^n sweep cap where they are not
     if set(what) - {"numbers", "hyper_numbers"}:
@@ -254,8 +261,6 @@ def cmd_invariants(args) -> int:
                     f"warning: matdim_exact left out: n = {c.n} > MATDIM_MAX_N = {MATDIM_MAX_N}",
                     file=sys.stderr,
                 )
-        else:
-            raise Unsupported(f"unknown invariant {item!r}")
     read = {_WEIGHT_KEYS[item] for item in what if item in _WEIGHT_KEYS}
     ignored = sorted(set(inst.weights) - read)
     if ignored:

@@ -351,7 +351,6 @@ class _ColorwiseMatroid(Matroid):
         super().__init__(len(pairs))
         self.base = base
         self.pairs = pairs
-        self.colors = sorted({col for _, col in pairs})
 
     def _rank(self, s: int) -> int:
         per: dict[int, int] = {}

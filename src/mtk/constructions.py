@@ -144,9 +144,7 @@ def q_k(q: int) -> tuple[Hypergraph, tuple[int, ...]]:
     Returns the k-partite hypergraph (k = q) and its sides: the point
     sets of the removed class's lines.
     """
-    if not _is_prime(q):
-        raise Unsupported("plane construction implemented for prime q only")
-    pg = projective_plane(q)
+    pg = projective_plane(q)  # raises Unsupported unless q is prime
     line_at_infinity = pg.edges[0]
     keep = ((1 << pg.n) - 1) & ~line_at_infinity
     affine, new_to_old = induced(pg, keep)

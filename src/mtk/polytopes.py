@@ -274,12 +274,14 @@ def _undominated_vertices(z: PolytopeRef) -> list[tuple[Fraction, ...]]:
 
 
 def ratio_rq_via_matchings(system: MatroidSystem):
-    """max over U of nu*(L_U) : nu(L_U) (0/0 skipped, x/0 infinite).
+    """max over U of nu*(L_U) : nu(L_U), skipping the U with nu(L_U) = 0.
 
     R(L_U) is R(L) cut to the points whose support lies in U, and R(L)
     is closed downwards, so nu*(L_U) = max 1.x over R(L_U) equals
     max 1_U.x over R(L): one row set, _system_rows(system), serves
-    every U.
+    every U.  A skipped U has nu*(L_U) = 0 as well: rank 0 in the
+    intersection complex makes every v in U a loop of some M_i, whose
+    singleton row caps x_v at 0.
     """
     c = system.intersection_complex()
     amat, bvec = _system_lp(system)
@@ -289,8 +291,6 @@ def ratio_rq_via_matchings(system: MatroidSystem):
         nu_star, _, _ = solve_max_slack(amat, bvec, indicator)
         nu = Fraction(c.rank_of(u))
         if nu == 0:
-            if nu_star > 0:
-                return INF
             continue
         v = nu_star / nu
         if v > best:

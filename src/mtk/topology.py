@@ -25,8 +25,9 @@ def snf_diagonal(mat: list[list[int]]) -> list[int]:
 
     The returned non-zero entries generate the cokernel torsion, so
     rank = number of non-zeros and torsion exists iff some |d| > 1.
-    Pivots are chosen as the smallest non-zero entry in the working
-    block to limit coefficient growth.
+    Each pass pivots on the smallest non-zero entry of the working
+    block, which limits coefficient growth; a pass that leaves a
+    remainder smaller than the pivot ends, and the next search finds it.
     """
     mat = [row[:] for row in mat]
     m = len(mat)
@@ -34,6 +35,8 @@ def snf_diagonal(mat: list[list[int]]) -> list[int]:
     diag: list[int] = []
     r = 0
     while r < m and r < n:
+        # Every row above r is zero past its own pivot, so the column
+        # operations below change rows r and beyond only.
         # Locate the smallest non-zero entry of the working block.
         bi = bj = -1
         babs = 0
@@ -54,47 +57,26 @@ def snf_diagonal(mat: list[list[int]]) -> list[int]:
         if bi != r:
             mat[bi], mat[r] = mat[r], mat[bi]
         if bj != r:
-            for row in mat:
+            for row in mat[r:]:
                 row[bj], row[r] = row[r], row[bj]
         if mat[r][r] < 0:
             mat[r] = [-v for v in mat[r]]
-        while True:
-            p = mat[r][r]
-            dirty = False
-            for i in range(r + 1, m):
-                v = mat[i][r]
-                if v:
-                    q = v // p
-                    if q:
-                        prow = mat[r]
-                        mat[i] = [a - q * b for a, b in zip(mat[i], prow)]
-                    if mat[i][r]:
-                        dirty = True
-            if dirty:
-                # A remainder strictly smaller than p appeared; adopt it.
-                for i in range(r + 1, m):
-                    if mat[i][r]:
-                        mat[i], mat[r] = mat[r], mat[i]
-                        break
-                continue
-            for j in range(r + 1, n):
-                v = mat[r][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for row in mat:
-                            row[j] -= q * row[r]
-                    if mat[r][j]:
-                        dirty = True
-            if dirty:
-                for j in range(r + 1, n):
-                    if mat[r][j]:
-                        for row in mat:
-                            row[j], row[r] = row[r], row[j]
-                        break
-                continue
-            break
-        diag.append(mat[r][r])
+        prow = mat[r]
+        p = prow[r]
+        for i in range(r + 1, m):
+            q = mat[i][r] // p
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], prow)]
+        if any(mat[i][r] for i in range(r + 1, m)):
+            continue
+        # Column r is now zero below row r too, so subtracting q times
+        # column r from column j changes row r alone: prow[j] %= p.
+        for j in range(r + 1, n):
+            if prow[j]:
+                prow[j] %= p
+        if any(prow[r + 1:]):
+            continue
+        diag.append(p)
         r += 1
     return diag
 

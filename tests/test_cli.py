@@ -418,6 +418,43 @@ def test_cli_chi_names_the_vertex_in_no_face(tmp_path, capsys):
     assert "error: vertex 2 lies in no face" in capsys.readouterr().err
 
 
+def test_cli_invariants_rejects_an_unknown_name_before_any_work(tmp_path, capsys):
+    # chi alone would fail on the vertex in no face; the bad name is named first
+    path = tmp_path / "uncovered.json"
+    path.write_text('{"complex": {"n": 3, "maximal_faces": [[0, 1]]}}')
+    assert main(["invariants", str(path), "--what", "chi,bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown invariant 'bogus'; known: eta_h, chi,")
+    assert captured.out == ""
+
+
+def test_cli_topology_of_a_hypergraph_only_instance(tmp_path, capsys):
+    # the independence complex of the path 0-1-2-3 is contractible
+    path = tmp_path / "path.json"
+    path.write_text('{"hypergraph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}')
+    argv = ["invariants", str(path), "--what", "eta_h,expansions,homology", "--report", "jsonl"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "eta_h": "inf",
+        "delta_r": "2",
+        "delta": "3",
+        "delta_eta": "3",
+        "delta_h": "3",
+        "betti": [0, 0],
+        "torsion": [False, False],
+    }
+
+
+def test_cli_names_an_instance_without_the_input_a_command_needs(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    assert main(["invariants", str(path)]) == 2
+    assert "error: instance holds no complex, system, or hypergraph" in capsys.readouterr().err
+    path.write_text('{"hypergraph": {"n": 2, "edges": [[0, 1]]}}')
+    assert main(["ratio", str(path)]) == 2
+    assert "error: ratio needs a matroid system" in capsys.readouterr().err
+
+
 def test_a_violation_payload_does_not_import_the_cli():
     code = (
         "import sys\n"

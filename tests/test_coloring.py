@@ -54,6 +54,8 @@ def test_chi_examples():
     assert chi(Complex(4, [[0], [1], [2], [3]])) == 4
     with pytest.raises(Uncolorable):
         chi(Complex(3, [[0, 1]]))
+    # past 2^16 subsets the root lower bound is ceil(n / rank), not delta_r
+    assert chi(Complex(18, [range(9), range(9, 18)])) == 2
 
 
 def _cheapest_subset(options, target):
@@ -288,6 +290,18 @@ def test_chi_list_number_brackets_the_exact_value():
     # past chi_list's cap on n no size below n can be searched
     with pytest.raises(CapExceeded):
         chi_list_number(Complex(9, [(1 << 9) - 1]))
+
+
+def test_chi_list_number_climbs_past_chi():
+    # K_{3,3} is 2-colorable but not 2-choosable: the search climbs to 3
+    k33 = Hypergraph(6, [[a, b] for a in (0, 1, 2) for b in (3, 4, 5)])
+    c = independence_complex(k33)
+    assert chi(c) == 2
+    assert chi_list_number(c) == (3, 3)
+    ok, witness = chi_list(c, 2)
+    assert not ok
+    assert [sum(mult for f, mult in witness if (f >> v) & 1) for v in range(6)] == [2] * 6
+    assert not brute_b_fold_colorable(c, witness, 1)
 
 
 def test_hall_bounded_generator_lists_the_mask_oracle_systems():

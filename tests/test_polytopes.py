@@ -412,6 +412,26 @@ def test_ratio_rq_via_matchings_matches_the_restricted_systems_route():
     assert with_loops >= 30
 
 
+def test_nu_star_vanishes_where_nu_does():
+    # ratio_rq_via_matchings skips the U with nu(L_U) = 0: each v in such
+    # a U is a loop of some M_i, whose singleton row caps x_v at 0
+    rng = random.Random(67)
+    kinds = itertools.cycle(KINDS)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        ms = [_rand_matroid_once(rng, n, next(kinds)) for _ in range(rng.randint(2, 3))]
+        ms[0] = RestrictionMatroid(ms[0], ms[0].full & ~(1 << rng.randrange(n)))
+        system = MatroidSystem(ms)
+        c = system.intersection_complex()
+        for u in range(1, 1 << n):
+            if c.rank_of(u) == 0:
+                ones = [ONE if (u >> v) & 1 else F(0) for v in range(n)]
+                assert nu_star_w(system, ones) == 0, (system, u)
+                checked += 1
+    assert checked >= 60
+
+
 def test_ratio_rp_bounded_by_k():
     rng = random.Random(56)
     for _ in range(10):

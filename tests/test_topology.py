@@ -6,7 +6,14 @@ import random
 from fractions import Fraction
 
 from mtk import topology
-from mtk.core import Complex, Hypergraph, iter_bits, mask_of, matching_complex
+from mtk.core import (
+    Complex,
+    Hypergraph,
+    independence_complex,
+    iter_bits,
+    mask_of,
+    matching_complex,
+)
 from mtk.extval import EPS, INF
 from mtk.matroid import UniformMatroid
 from mtk.topology import (
@@ -16,7 +23,18 @@ from mtk.topology import (
     snf_diagonal,
     topological_hall_check,
 )
-from mtk.verify import rand_matroid, run_suite
+from mtk.verify import rand_graph, rand_matroid, run_suite
+from snf_oracle import snf_diagonal as snf_oracle
+
+
+# The six-vertex triangulation of the real projective plane.
+RP2 = Complex(
+    6,
+    [
+        [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+        [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
+    ],
+)
 
 
 def join(c: Complex, d: Complex) -> Complex:
@@ -34,6 +52,53 @@ def test_snf_small_matrices():
     assert snf_diagonal([[0, 0], [0, 0]]) == []
     # cokernel of [[2]] has torsion Z/2
     assert snf_diagonal([[2]]) == [2]
+    # a remainder in the pivot row, a remainder in the pivot column, and both
+    assert snf_diagonal([[2, 3]]) == [1]
+    assert snf_diagonal([[2], [3]]) == [1]
+    assert snf_diagonal([[4, 6], [6, 4]]) == [2, 10]
+    # a diagonalization, not always the Smith form
+    assert snf_diagonal([[2, 0], [0, 3]]) == [2, 3]
+
+
+def boundary_matrices(c: Complex) -> list[list[list[int]]]:
+    """The integer boundary matrices of c between non-empty faces."""
+    by = topology._faces_by_size(c)
+    return [topology._boundary_matrix(by[i], by[i + 1]) for i in range(1, len(by) - 1)]
+
+
+def test_snf_diagonal_matches_the_oracle_on_boundary_matrices():
+    rng = random.Random(31)
+    complexes = [RP2]
+    for _ in range(150):
+        complexes.append(independence_complex(rand_graph(rng, rng.randint(2, 9), rng.random())))
+    for _ in range(40):
+        h = rand_graph(rng, rng.randint(3, 6), rng.random())
+        if h.edges:
+            complexes.append(matching_complex(h))
+    mats = [mat for c in complexes for mat in boundary_matrices(c)]
+    assert len(mats) >= 250
+    for mat in mats:
+        assert snf_diagonal(mat) == snf_oracle(mat)
+
+
+def snf_invariants(diag: list[int]) -> tuple[int, bool, int]:
+    """Rank, torsion flag and |product of the non-zero entries|: the last
+    one is the last non-zero determinantal divisor, so every integer
+    diagonalization of a matrix gives the same triple."""
+    nonzero = [d for d in diag if d]
+    return len(nonzero), any(abs(d) > 1 for d in nonzero), abs(math.prod(nonzero))
+
+
+def test_snf_diagonal_agrees_with_the_oracle_on_random_integer_matrices():
+    rng = random.Random(32)
+    differ = 0
+    for _ in range(5000):
+        cols = rng.randint(1, 8)
+        mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rng.randint(0, 8))]
+        diag, want = snf_diagonal(mat), snf_oracle(mat)
+        assert snf_invariants(diag) == snf_invariants(want), mat
+        differ += diag != want
+    assert differ > 0  # the pivot rules do differ; the invariants do not
 
 
 def test_homology_examples():
@@ -55,17 +120,10 @@ def test_homology_examples():
 
 
 def test_homology_torsion_rp2():
-    rp2 = Complex(
-        6,
-        [
-            [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
-            [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
-        ],
-    )
-    prof = reduced_homology(rp2)
+    prof = reduced_homology(RP2)
     assert prof.betti == (0, 0, 0)
     assert prof.torsion == (False, True, False)
-    assert eta_h(rp2) == 2
+    assert eta_h(RP2) == 2
 
 
 def test_eta_examples():
