@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     except MtkError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:  # a ground set too large to hold as a mask
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

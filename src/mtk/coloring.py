@@ -2,7 +2,7 @@
 
 A coloring of a complex covers the ground set by faces; chi is the
 least number of faces needed.  min_cover is the one exact cover search:
-chi, polytopes.tau_w and meshulam.gamma_e_graph are its callers.
+chi, matdim_upper, polytopes.tau_w and meshulam.gamma_e_graph call it.
 chi_list and ab_check quantify over equal-size list systems, listed up
 to renaming colors; by Hall's theorem only systems on fewer than b*n
 colors (b = 1 for chi_list) can fail, so no others are listed.
@@ -49,7 +49,7 @@ LIST_MAX_N = 8  # largest n chi_list enumerates list systems for
 MATDIM_MAX_N = 6  # matdim_exact is refused above this ground-set size
 
 
-def min_cover(options, target: int, lower: int = 0) -> tuple[int, list[int]]:
+def min_cover(options, target: int) -> tuple[int, list[int]]:
     """A cheapest cover of the mask target by options, (mask, cost) pairs
     with integer costs >= 0: returns (cost, the masks chosen).
 
@@ -57,10 +57,9 @@ def min_cover(options, target: int, lower: int = 0) -> tuple[int, list[int]]:
     part of target for no more cost.  Branch and bound on the uncovered
     element with the fewest options, trying the cheapest option first
     and the widest among equal costs; the bound is the cost spent plus
-    ceil(|uncovered| x the least cost per element).  lower is a known
-    lower bound on the answer: the search stops at a cover costing it.
-    Raises Uncolorable when some element of target lies in no option,
-    and DomainError on a negative cost.
+    ceil(|uncovered| x the least cost per element).  Raises Uncolorable
+    when some element of target lies in no option, and DomainError on a
+    negative cost.
     """
     # In cost order, every kept option costs no more than the next one.
     kept = _undominated(
@@ -76,11 +75,11 @@ def min_cover(options, target: int, lower: int = 0) -> tuple[int, list[int]]:
     if missing:
         raise Uncolorable(f"element {missing[-1]} lies in no option")
     best = [sum(cost for _, cost in kept) + 1, []]
-    _cover(kept, by_elem, target, 0, [], best, lower)
+    _cover(kept, by_elem, target, 0, [], best)
     return best[0], best[1]
 
 
-def _cover(kept, by_elem, uncov: int, spent: int, chosen: list[int], best: list, lower: int):
+def _cover(kept, by_elem, uncov: int, spent: int, chosen: list[int], best: list):
     """Branch and bound for min_cover; best is [cost, masks], improved in place."""
     if uncov == 0:
         if spent < best[0]:
@@ -91,12 +90,12 @@ def _cover(kept, by_elem, uncov: int, spent: int, chosen: list[int], best: list,
     bound = spent + min(
         -(-left * cost // (mask & uncov).bit_count()) for mask, cost in kept if mask & uncov
     )
-    if max(bound, lower) >= best[0]:
+    if bound >= best[0]:
         return
     v = min(iter_bits(uncov), key=lambda w: len(by_elem[w]))
     for mask, cost in sorted(by_elem[v], key=lambda o: (o[1], -(o[0] & uncov).bit_count())):
         chosen.append(mask)
-        _cover(kept, by_elem, uncov & ~mask, spent + cost, chosen, best, lower)
+        _cover(kept, by_elem, uncov & ~mask, spent + cost, chosen, best)
         chosen.pop()
 
 
@@ -106,21 +105,11 @@ def chi(c: Complex) -> int:
     A cover by maximal faces at unit cost; raises Uncolorable when some
     ground element lies in no face.
     """
-    return _face_cover(c)[0]
-
-
-def _face_cover(c: Complex) -> tuple[int, list[int]]:
-    """chi(c) and the maximal faces of one least cover, searched from the
-    root lower bound: the simplicial expansion number, cheap sizes only."""
     full = (1 << c.n) - 1
     missing = full & ~c.vertices_mask()
     if missing:
         raise Uncolorable(f"vertex {missing.bit_length() - 1} lies in no face")
-    if (1 << c.n) <= (1 << 16):
-        lower = math.ceil(max_ratio(c.rank_of, full))
-    else:
-        lower = -(-c.n // c.rank())
-    return min_cover([(f, 1) for f in c.maximal_faces], full, lower)
+    return min_cover([(f, 1) for f in c.maximal_faces], full)[0]
 
 
 def delta_rank(m: Matroid, h: Sequence[Fraction] | None = None) -> Fraction | XRat:
@@ -472,9 +461,10 @@ def matdim_upper(c: Complex) -> tuple[int, list[GenPartitionMatroid]]:
     if not nf.edges:
         return 1, [UniformMatroid(c.n, c.n)]
     # Matchings of nf = independent sets of its line graph; an exact
-    # minimum cover of E(nf) by matchings is chi of that complex.
+    # minimum cover of E(nf) by matchings is chi of that complex, and
+    # every edge is a matching on its own.
     mc = matching_complex(nf)
-    k, classes = _face_cover(mc)
+    k, classes = min_cover([(f, 1) for f in mc.maximal_faces], (1 << mc.n) - 1)
     full = (1 << c.n) - 1
     witnesses = []
     for cls in classes:

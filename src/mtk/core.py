@@ -47,7 +47,7 @@ def _coerce_masks(edges: Iterable[int | Iterable[int]]) -> list[int]:
     return [e if isinstance(e, int) else mask_of(e) for e in edges]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Hypergraph:
     """A set of subsets (edges) of the ground set [0, n)."""
 
@@ -126,7 +126,7 @@ def line_graph(h: Hypergraph) -> Hypergraph:
     return Hypergraph(m, pairs)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Complex:
     """An abstract simplicial complex stored by its maximal faces.
 

@@ -8,10 +8,10 @@ c/inf is the positive infinitesimal EPS, with ceil(EPS) = 1 (and
 `x is INF`, and take ceilings with math.ceil, which gives 1 on EPS and
 INF on INF.
 
-max_ratio is the one sweep for max over S of h(S)/den(S): the root
-bound of chi, the matroid expansion number delta_rank, the expansion
-numbers of a complex, and the gauges (hence membership) of the rank
-polytopes Q and R all go through it.
+max_ratio is the one sweep for max over S of h(S)/den(S): the matroid
+expansion number delta_rank, the expansion numbers of a complex, and
+the gauges (hence membership) of the rank polytopes Q and R all go
+through it.
 
 check_weights checks every weight vector or polytope point a public
 function takes: one non-negative int or Fraction per ground element (or

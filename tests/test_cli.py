@@ -418,6 +418,35 @@ def test_cli_chi_names_the_vertex_in_no_face(tmp_path, capsys):
     assert "error: vertex 2 lies in no face" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"complex": {"n": 10**12, "maximal_faces": [[0, 1]]}},
+        {"hypergraph": {"n": 10**12, "edges": [[0, 1]]}},
+        {"matroids": [{"kind": "uniform", "rank": 1, "n": 10**12}]},
+    ],
+)
+def test_cli_huge_ground_set_exits_2_in_one_line(raw, tmp_path):
+    # the ground-set mask alone needs 125 GB; the child caps its own
+    # address space first, so the allocation fails at once
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    code = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "from mtk.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(mtk.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "invariants", str(path), "--what", "chi"],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (2, "error: out of memory\n", "")
+
+
 def test_cli_invariants_rejects_an_unknown_name_before_any_work(tmp_path, capsys):
     # chi alone would fail on the vertex in no face; the bad name is named first
     path = tmp_path / "uncovered.json"

@@ -41,6 +41,7 @@ from mtk.topology import expansions
 from mtk.verify import rand_matroid, rand_system
 
 from list_oracle import first_uncolorable, systems_by_mask
+from test_caps import TripwireComplex
 
 F = Fraction
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -54,8 +55,14 @@ def test_chi_examples():
     assert chi(Complex(4, [[0], [1], [2], [3]])) == 4
     with pytest.raises(Uncolorable):
         chi(Complex(3, [[0, 1]]))
-    # past 2^16 subsets the root lower bound is ceil(n / rank), not delta_r
+    # 2^18 subsets, but the search only reads the two maximal faces
     assert chi(Complex(18, [range(9), range(9, 18)])) == 2
+
+
+def test_chi_reads_only_the_maximal_faces():
+    # no subset sweep: neither the rank oracle nor membership is asked
+    assert chi(TripwireComplex(5, [[0, 1], [2, 3], [4]])) == 3
+    assert chi(TripwireComplex(16, [range(8), range(8, 16), [0, 8]])) == 2
 
 
 def _cheapest_subset(options, target):
@@ -94,8 +101,24 @@ def test_min_cover_matches_the_cheapest_subset():
         assert target & ~union == 0
         assert len(set(chosen)) == len(chosen)
         assert sum(min(c for m, c in options if m == mask) for mask in chosen) == cost
-        assert min_cover(options, target, lower=want)[0] == want
     assert 0 < uncoverable < 300
+
+
+def test_chi_of_a_matroid_is_its_ceiled_expansion_number():
+    # Edmonds' covering theorem as the oracle for the search alone
+    rng = random.Random(26)
+    for _ in range(40):
+        m = rand_matroid(rng, rng.randint(9, 11))
+        assert chi(m.to_complex()) == math.ceil(delta_rank(m)), m
+
+
+def test_chi_of_intersections_matches_the_cheapest_subset():
+    rng = random.Random(27)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        c = rand_system(rng, n, rng.randint(2, 3)).intersection_complex()
+        want = _cheapest_subset([(f, 1) for f in c.maximal_faces], (1 << n) - 1)
+        assert chi(c) == want, c
 
 
 def test_min_cover_refuses_a_negative_cost():
