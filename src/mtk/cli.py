@@ -338,7 +338,7 @@ def cmd_ratio(args) -> int:
     system = inst.system
     refs = {"R": PolytopeRef.R(system)}
     if {bname, aname} != {"R"}:
-        # P and Q live on the intersection complex, a sweep over all 2^n subsets.
+        # P and Q live on the intersection complex, refused past the sweep cap.
         c = system.intersection_complex()
         refs.update(P=PolytopeRef.P(c), Q=PolytopeRef.Q(c))
     val = polytopes.ratio(refs[bname], refs[aname])

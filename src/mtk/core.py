@@ -4,10 +4,13 @@ Subsets of the ground set [0, n) are stored as integer bitmasks
 (element i is present iff bit i is set).  All values are immutable and
 every operation is pure.
 
-complex_of is the one builder of a complex from a membership test: it
-sweeps all 2^n subsets, and independence_complex, the matroid complex
-and the intersection complex of a matroid system all go through it.
-SWEEP_CAP bounds every 2^n sweep in mtk.
+complex_of is the one builder of a complex from a membership test:
+independence_complex, the matroid complex and the intersection complex
+of a matroid system all go through it.  It searches depth first from the
+empty set, so its member must be down-closed; member is asked at most
+once per set, never on the empty set, and only on a set whose part below
+its top element is a face.  SWEEP_CAP bounds every 2^n sweep in mtk,
+and complex_of refuses the same n before calling member.
 """
 
 from __future__ import annotations
@@ -201,11 +204,30 @@ def _undominated(items, key, below) -> list:
 
 
 def complex_of(n: int, member) -> Complex:
-    """The complex of the subsets s of [0, n) with member(s), by one sweep
-    over all 2^n subsets; member must be closed under taking subsets.
-    Raises CapExceeded above SWEEP_CAP subsets, before calling member."""
+    """The complex of the subsets s of [0, n) with member(s), by a depth-first
+    search from the empty set (the include/extend scheme of Lawler, Lenstra
+    and Rinnooy Kan, SIAM J. Comput. 9, 1980).
+
+    member must be down-closed.  Each face s tries s | 1 << v for every v
+    above its top element, so member is asked at most once per set, never
+    on the empty set, and only on a set whose part below its top element
+    is a face.  Every maximal face has no such extension; only these
+    leaves go to Complex, which keeps the maximal ones.  Raises
+    CapExceeded above SWEEP_CAP subsets, before calling member."""
     check_sweep(n)
-    return Complex(n, [s for s in range(1 << n) if member(s)])
+    leaves = []
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        leaf = True
+        for v in range(s.bit_length(), n):
+            t = s | 1 << v
+            if member(t):
+                stack.append(t)
+                leaf = False
+        if leaf:
+            leaves.append(s)
+    return Complex(n, leaves)
 
 
 def min_nonfaces(c: Complex) -> Hypergraph:

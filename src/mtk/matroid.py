@@ -256,7 +256,8 @@ class MatroidSystem:
         return self.k
 
     def intersection_complex(self) -> Complex:
-        """The common independent sets, built by one sweep per system."""
+        """The common independent sets, built once per system by the face
+        search of complex_of."""
         if self._complex_memo is None:
             ms = self.matroids
             self._complex_memo = complex_of(

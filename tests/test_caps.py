@@ -79,7 +79,7 @@ def _member(s):
 def test_complex_of_refuses_past_the_cap():
     with pytest.raises(CapExceeded):
         complex_of(N, _member)
-    # one element less is swept in full
+    # one element less is built in full
     assert complex_of(N - 1, lambda s: s == 0) == Complex(N - 1)
 
 

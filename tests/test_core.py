@@ -5,10 +5,12 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from mtk import constructions
 from mtk.core import (
     Complex,
     Hypergraph,
     _undominated,
+    complex_of,
     contract,
     independence_complex,
     induced,
@@ -19,6 +21,9 @@ from mtk.core import (
     min_nonfaces,
 )
 from mtk.errors import EmptyEdge
+from mtk.verify import _rand_matroid_once, rand_graph, rand_hypergraph, rand_system
+from sweep_oracle import complex_by_sweep
+from test_extval import KINDS as MATROID_KINDS
 from test_topology import join  # the join oracle behind the eta(A*B) test
 
 
@@ -149,6 +154,125 @@ def test_complex_keeps_exactly_the_maximal_faces():
         masks += rng.sample(masks, min(2, len(masks)))
         maximal = sorted({m for m in masks if not any(m != o and m & ~o == 0 for o in masks)})
         assert Complex(n, masks).maximal_faces == tuple(maximal or [0])
+
+
+def _search_agrees_with_the_sweep(n, member, built):
+    """built, the complex the search gave, is the sweep's complex, and the
+    search asks member only as complex_of promises: never on the empty
+    set, never twice, and only on a set whose part below its top element
+    is a face."""
+    assert built == complex_by_sweep(n, member)
+    asked = set()
+
+    def watched(s):
+        assert s and s not in asked
+        assert built.is_face(s & ~(1 << (s.bit_length() - 1)))
+        asked.add(s)
+        return member(s)
+
+    assert complex_of(n, watched) == built
+
+
+def _independent(edges):
+    return lambda s: all(e & ~s for e in edges)
+
+
+def test_complex_of_matches_the_sweep_on_graphs_and_hypergraphs():
+    rng = random.Random(27)
+    isolated = 0  # hypergraph instances with a vertex in no face
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        g = rand_graph(rng, n, rng.uniform(0.1, 0.7))
+        _search_agrees_with_the_sweep(n, _independent(g.edges), independence_complex(g))
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        h = rand_hypergraph(rng, n, 2 * n, 1, 4)
+        c = independence_complex(h)
+        _search_agrees_with_the_sweep(n, _independent(h.edges), c)
+        isolated += c.vertices_mask() != (1 << n) - 1
+    assert isolated
+
+
+def test_complex_of_matches_the_sweep_on_matching_complexes():
+    rng = random.Random(28)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        h = rand_hypergraph(rng, n, 9, 1, 3)
+        edges = h.edges
+
+        def matching(s, edges=edges):
+            chosen = [edges[i] for i in iter_bits(s)]
+            return all(a & b == 0 for i, a in enumerate(chosen) for b in chosen[i + 1:])
+
+        _search_agrees_with_the_sweep(len(edges), matching, matching_complex(h))
+
+
+@pytest.mark.parametrize("kind", MATROID_KINDS)
+def test_complex_of_matches_the_sweep_on_matroids(kind):
+    rng = random.Random(MATROID_KINDS.index(kind))
+    for _ in range(15):
+        m = _rand_matroid_once(rng, rng.randint(1, 9), kind)
+        _search_agrees_with_the_sweep(m.n, m.is_independent, m.to_complex())
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_complex_of_matches_the_sweep_on_intersection_complexes(k):
+    rng = random.Random(30 + k)
+    for _ in range(20):
+        system = rand_system(rng, rng.randint(1, 8), k, loopless=rng.random() < 0.5)
+        ms = system.matroids
+        _search_agrees_with_the_sweep(
+            system.n,
+            lambda s, ms=ms: all(m.is_independent(s) for m in ms),
+            system.intersection_complex(),
+        )
+
+
+def test_complex_of_matches_the_sweep_on_the_canned_complexes(monkeypatch):
+    built = []
+
+    def recording(n, member):
+        built.append((n, member))
+        return complex_of(n, member)
+
+    monkeypatch.setattr(constructions, "complex_of", recording)
+    cases = [("md_lower", {"n": n}) for n in range(2, 11)]
+    cases += [("lambdaPnotQ", {"k": k}) for k in range(2, 5)]
+    for name, params in cases:
+        c = constructions.canned(name, **params).complex_
+        (n, member), = built
+        built.clear()
+        _search_agrees_with_the_sweep(n, member, c)
+
+
+def test_complex_of_on_no_vertices_and_on_no_member():
+    for n in range(7):
+        assert complex_of(n, lambda s: False) == Complex(n) == complex_by_sweep(n, lambda s: False)
+    assert complex_of(0, lambda s: True) == Complex(0) == complex_by_sweep(0, lambda s: True)
+
+
+def test_complex_of_asks_member_only_along_ascending_chains():
+    calls = []
+
+    def at_most_one(s):
+        calls.append(s)
+        return s.bit_count() <= 1
+
+    assert complex_of(20, at_most_one) == Complex(20, [[v] for v in range(20)])
+    # the 20 singletons, then each pair once, from its lower vertex; a
+    # sweep asks all 2^20 sets
+    assert len(calls) == 210 == len(set(calls)) and 0 not in calls
+
+    rng = random.Random(29)
+    for member in [lambda s: s.bit_count() <= 1, _independent(rand_graph(rng, 14, 0.3).edges)]:
+
+        def strict(s, member=member):
+            below = s & ~(1 << (s.bit_length() - 1))
+            if below and not member(below):
+                raise AssertionError(f"asked {bin(s)}, whose part below the top is no face")
+            return member(s)
+
+        assert complex_of(14, strict) == complex_by_sweep(14, member)
 
 
 def test_undominated_keeps_the_first_of_equal_items_in_key_order():
