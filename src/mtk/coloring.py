@@ -23,7 +23,6 @@ from fractions import Fraction
 from .core import (
     Complex,
     _undominated,
-    check_sweep,
     iter_bits,
     mask_of,
     matching_complex,
@@ -36,6 +35,7 @@ from .matroid import (
     GenPartitionMatroid,
     Matroid,
     UniformMatroid,
+    _exchange_search,
     _is_basis_family,
     check_matroid_axioms,
     max_common_independent,
@@ -377,47 +377,35 @@ def matroid_list_color(m: Matroid, lists):
 
     lists: per-vertex collections of color ids, all the same size.
     Returns a Coloring on success, else a ListColorFailure whose T
-    violates the Edmonds bound.  The failure path sweeps all 2^n sets T,
-    so n past the sweep cap is refused up front.
+    violates the Edmonds bound.  T starts as the least T minimizing
+    |T| + sum_c rank(F_c - T), read off the certificate of the last
+    exchange-graph search, and drops vertices while it stays violated.
     """
-    check_sweep(m.n)
     lists = [sorted(set(lst)) for lst in lists]
     if len(lists) != m.n:
         raise ValueError("one list per ground element required")
-    sizes = {len(lst) for lst in lists}
-    if len(sizes) != 1:
+    if len({len(lst) for lst in lists}) > 1:
         raise ValueError("lists must share one size")
     pairs = [(v, col) for v in range(m.n) for col in lists[v]]
-    colors = sorted({col for _, col in pairs})
-    fmask = {col: 0 for col in colors}
-    for v, col in pairs:
-        fmask[col] |= 1 << v
-    star_parts = []
-    idx = 0
-    for v in range(m.n):
-        star = 0
-        for _ in lists[v]:
-            star |= 1 << idx
-            idx += 1
-        star_parts.append(star)
-    p_matroid = GenPartitionMatroid(len(pairs), star_parts, [1] * m.n)
+    fmask: dict[int, int] = {}  # color -> the vertices whose list has it
+    stars = [0] * m.n  # vertex -> its pairs
+    for i, (v, col) in enumerate(pairs):
+        fmask[col] = fmask.get(col, 0) | 1 << v
+        stars[v] |= 1 << i
+    # a vertex with an empty list has an empty star, capped at 0
+    p_matroid = GenPartitionMatroid(len(pairs), stars, [min(1, len(lst)) for lst in lists])
     q_matroid = _ColorwiseMatroid(m, pairs)
     common = max_common_independent(p_matroid, q_matroid)
-    if common.bit_count() == m.n:
-        assignment = [0] * m.n
-        for i in iter_bits(common):
-            v, col = pairs[i]
-            assignment[v] = col
-        return Coloring(tuple(assignment))
-    # Violated partition: brute-force the minimizing T, then shrink.
-    full = m.full
+    if common.bit_count() == m.n:  # one pair per vertex, in vertex order
+        return Coloring(tuple(pairs[i][1] for i in iter_bits(common)))
 
     def lhs_of(t: int) -> int:
-        return t.bit_count() + sum(
-            m.rank(fmask[col] & ~t) for col in colors
-        )
+        return t.bit_count() + sum(m.rank(f & ~t) for f in fmask.values())
 
-    worst = min(range(full + 1), key=lhs_of)
+    # lhs_of(T) is min r_P(A) + r_Q(pairs - A) over the A whose vertices
+    # are T, so the least minimizer U of r_P + r_Q gives the least T
+    _, reached = _exchange_search(p_matroid, q_matroid, common)
+    worst = mask_of(pairs[i][0] for i in iter_bits(reached))
     t = worst
     for v in iter_bits(worst):
         cand = t & ~(1 << v)
@@ -437,12 +425,12 @@ def ab_check(c: Complex, a: int, b: int, mode: str) -> bool:
     system is a size-a list system too, so it is tried first in both
     modes; it fails at once when some vertex lies in no face.
     """
+    if mode not in ("colorable", "choosable"):
+        raise ValueError(f"unknown mode {mode!r}")
     if not (1 <= b <= a):
         raise ValueError("need a >= b >= 1")
     if a > 6 or b > 3 or c.n > 6:
         raise CapExceeded("ab_check limited to a <= 6, b <= 3, n <= 6")
-    if mode not in ("colorable", "choosable"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not _b_fold_colorable(c, (((1 << c.n) - 1, a),), b):
         return False
     return mode == "colorable" or _first_uncolorable(c, a, b, LIST_ENUM_BUDGET) is None

@@ -267,63 +267,52 @@ class MatroidSystem:
 
 
 def max_common_independent(m1: Matroid, m2: Matroid) -> int:
-    """A maximum-cardinality common independent set, as a mask.
-
-    Standard exchange-graph algorithm with shortest (BFS) augmenting
-    paths.
-    """
+    """A maximum-cardinality common independent set, as a mask: augment
+    along shortest paths of the exchange graph until _exchange_search
+    finds none."""
     if m1.n != m2.n:
         raise ValueError("ground sets differ")
-    n = m1.n
-    full = m1.full
     cur = 0
     while True:
-        outside = full & ~cur
-        x1 = [y for y in iter_bits(outside) if m1.is_independent(cur | (1 << y))]
-        x2set = {
-            y for y in iter_bits(outside) if m2.is_independent(cur | (1 << y))
-        }
-        direct = [y for y in x1 if y in x2set]
-        if direct:
-            cur |= 1 << direct[0]
-            continue
-        if not x1 or not x2set:
+        found, path = _exchange_search(m1, m2, cur)
+        if not found:
             return cur
-        # BFS over the exchange digraph.
-        parent: dict[int, int | None] = {y: None for y in x1}
-        frontier = list(x1)
-        found = -1
-        while frontier and found < 0:
-            nxt = []
-            for node in frontier:
-                nb = 1 << node
-                if cur & nb:
-                    # node in I: arcs to y outside with I - node + y in M1
-                    base = cur & ~nb
-                    for y in iter_bits(outside):
-                        if y not in parent and m1.is_independent(base | (1 << y)):
-                            parent[y] = node
-                            if y in x2set:
-                                found = y
-                                break
-                            nxt.append(y)
-                else:
-                    # node outside: arcs to x in I with I - x + node in M2
-                    for x in iter_bits(cur):
-                        if x not in parent and m2.is_independent(
-                            (cur & ~(1 << x)) | nb
-                        ):
-                            parent[x] = node
-                            nxt.append(x)
-                if found >= 0:
-                    break
-            frontier = nxt
-        if found < 0:
-            return cur
-        path = []
-        node: int | None = found
-        while node is not None:
-            path.append(node)
-            node = parent[node]
-        for v in path:
-            cur ^= 1 << v
+        cur ^= path
+
+
+def _exchange_search(m1: Matroid, m2: Matroid, cur: int) -> tuple[bool, int]:
+    """Breadth-first search of the exchange graph of the common
+    independent set cur, backward from the sinks {y : cur + y in m2}.
+
+    For x in cur and y outside it the arc is x -> y when cur - x + y is
+    independent in m1 and y -> x when it is in m2.  Returns (True, P),
+    P a shortest path from a source {y : cur + y in m1} to a sink, so
+    cur ^ P is a common independent set one larger.  Else cur is
+    maximum and it returns (False, U), U the elements that reach a sink:
+    U lies in every minimizer A of r1(A) + r2(E - A) and attains |cur|
+    (Edmonds), so it is the least one.
+    """
+    outside = m1.full & ~cur
+    order = [y for y in iter_bits(outside) if m2.is_independent(cur | (1 << y))]
+    succ: dict[int, int | None] = dict.fromkeys(order)  # next step to a sink
+    for node in order:  # order grows as the search reaches new elements
+        nb = 1 << node
+        if cur & nb:  # arcs y -> node
+            m, ends = m2, outside
+        elif m1.is_independent(cur | nb):  # a source
+            path = 0
+            step: int | None = node
+            while step is not None:
+                path |= 1 << step
+                step = succ[step]
+            return True, path
+        else:  # arcs x -> node
+            m, ends = m1, cur
+        # either way cur ^ nb ^ (1 << p) is cur - x + y
+        preds = [
+            p for p in iter_bits(ends)
+            if p not in succ and m.is_independent(cur ^ nb ^ (1 << p))
+        ]
+        succ.update(dict.fromkeys(preds, node))
+        order.extend(preds)
+    return False, mask_of(succ)

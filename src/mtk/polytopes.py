@@ -287,11 +287,11 @@ def ratio_rq_via_matchings(system: MatroidSystem):
     amat, bvec = _system_lp(system)
     best = ZERO
     for u in range(1, 1 << system.n):
-        indicator = [ONE if (u >> v) & 1 else ZERO for v in range(system.n)]
-        nu_star, _, _ = solve_max_slack(amat, bvec, indicator)
-        nu = Fraction(c.rank_of(u))
+        nu = c.rank_of(u)
         if nu == 0:
             continue
+        indicator = [ONE if (u >> v) & 1 else ZERO for v in range(system.n)]
+        nu_star, _, _ = solve_max_slack(amat, bvec, indicator)
         v = nu_star / nu
         if v > best:
             best = v

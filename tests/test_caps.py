@@ -15,7 +15,6 @@ from mtk.coloring import (
     chi_list_number,
     delta_rank,
     matdim_exact,
-    matroid_list_color,
 )
 from mtk.core import (
     SWEEP_CAP,
@@ -107,8 +106,6 @@ def test_matroid_sweeps_refuse_past_the_cap():
         m.flats()
     with pytest.raises(CapExceeded):
         delta_rank(m)
-    with pytest.raises(CapExceeded):
-        matroid_list_color(m, [[0]] * N)
     system = MatroidSystem([m, TripwireMatroid(N)])
     with pytest.raises(CapExceeded):
         system.intersection_complex()

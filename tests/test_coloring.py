@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from mtk import coloring
 from mtk.core import (
     Complex,
     Hypergraph,
     independence_complex,
     iter_bits,
+    mask_of,
     matching_complex,
 )
 from mtk.coloring import (
@@ -38,8 +40,9 @@ from mtk.extval import INF, max_ratio
 from mtk.matroid import DualMatroid, GenPartitionMatroid, GraphicMatroid, UniformMatroid
 from mtk.meshulam import gamma_e_graph
 from mtk.topology import expansions
-from mtk.verify import rand_matroid, rand_system
+from mtk.verify import _rand_matroid_once, rand_matroid, rand_system
 
+from list_color_oracle import failure_by_sweep, lhs_function
 from list_oracle import first_uncolorable, systems_by_mask
 from test_caps import TripwireComplex
 
@@ -493,6 +496,96 @@ def test_matroid_list_color_random_hypothesis_satisfying():
         assert isinstance(res, Coloring)
         assert res.respects(m.is_independent)
         assert all(col in lists[v] for v, col in enumerate(res.assignment))
+
+
+def _seeded_list_failures(seed, count):
+    """(m, lists) pairs with n <= 8 that matroid_list_color must fail on:
+    the five matroid kinds in turn, lists of size 1-3 drawn from up to
+    two more colors than that."""
+    rng = random.Random(seed)
+    kinds = itertools.cycle(["uniform", "partition", "gen_partition", "graphic", "dual"])
+    found = []
+    while len(found) < count:
+        n = rng.randint(1, 8)
+        k = rng.randint(1, 3)
+        m = _rand_matroid_once(rng, n, next(kinds))
+        universe = list(range(k + rng.randint(0, 2)))
+        lists = [rng.sample(universe, k) for _ in range(n)]
+        if failure_by_sweep(m, lists) is not None:
+            found.append((m, lists))
+    return found
+
+
+def test_matroid_list_color_failure_matches_the_sweep_oracle():
+    # the exchange-graph certificate gives the very T of the 2^n sweep
+    cases = _seeded_list_failures(71, 500)
+    nonempty = 0
+    for m, lists in cases:
+        res = matroid_list_color(m, lists)
+        assert res == failure_by_sweep(m, lists), (m, lists)
+        nonempty += res.t_mask != 0
+    # a partition matroid reports the kind gen_partition
+    assert {m.kind for m, _ in cases} == {"uniform", "gen_partition", "graphic", "dual"}
+    assert sum(1 for m, _ in cases if m.loops()) >= 100
+    assert nonempty >= 40
+
+
+def test_list_color_certificate_attains_the_min_max(monkeypatch):
+    # before the shrink, T is the vertex set of the pairs that reach a
+    # sink: lhs(T) equals |max common independent set| (Edmonds) and T
+    # is the first minimizer of lhs in ascending mask order
+    seen = []
+
+    def recording(m1, m2, cur):
+        found, reached = search(m1, m2, cur)
+        seen.append((cur, found, reached))
+        return found, reached
+
+    search = coloring._exchange_search
+    monkeypatch.setattr(coloring, "_exchange_search", recording)
+    for m, lists in _seeded_list_failures(73, 150):
+        seen.clear()
+        matroid_list_color(m, lists)
+        [(common, found, reached)] = seen
+        assert not found
+        pairs = [(v, col) for v in range(m.n) for col in sorted(set(lists[v]))]
+        t = mask_of(pairs[i][0] for i in iter_bits(reached))
+        lhs_of = lhs_function(m, lists)
+        assert lhs_of(t) == common.bit_count() < m.n
+        assert t == min(range(m.full + 1), key=lhs_of)
+
+
+def test_matroid_list_color_answers_24_elements_both_ways():
+    # one part of six elements holding at most one, eighteen free: past
+    # the 2^20 sweep cap, yet six colors color it and two cannot
+    part, rest = mask_of(range(6)), mask_of(range(6, 24))
+    m = GenPartitionMatroid(24, [part, rest], [1, 18])
+    res = matroid_list_color(m, [range(6)] * 24)
+    assert isinstance(res, Coloring)
+    assert res.respects(m.is_independent)
+    # lhs(T) = |T| + 2 (r(part - T) + |rest - T|) is least, 20, at
+    # T = rest; the shrink then drops rest's three lowest vertices
+    res = matroid_list_color(m, [[0, 1]] * 24)
+    assert res == ListColorFailure(t_mask=mask_of(range(9, 24)), lhs=23, required=24)
+
+
+def test_matroid_list_color_edge_cases():
+    assert matroid_list_color(UniformMatroid(0, 0), []) == Coloring(())
+    assert matroid_list_color(UniformMatroid(2, 3), [[]] * 3) == ListColorFailure(
+        t_mask=0, lhs=0, required=3
+    )
+    with pytest.raises(ValueError):
+        matroid_list_color(UniformMatroid(2, 3), [[0], [0, 1], [1]])
+
+
+def test_ab_check_validates_before_its_cap():
+    big = Complex(7, [range(7)])
+    with pytest.raises(ValueError):
+        ab_check(big, 2, 1, "bogus")
+    with pytest.raises(ValueError):
+        ab_check(big, 1, 2, "colorable")
+    with pytest.raises(CapExceeded):
+        ab_check(big, 2, 1, "colorable")
 
 
 def test_ab_check_examples():

@@ -16,6 +16,7 @@ from mtk.matroid import (
     GraphicMatroid,
     MatroidSystem,
     UniformMatroid,
+    _exchange_search,
     check_matroid_axioms,
     max_common_independent,
 )
@@ -217,6 +218,36 @@ def test_max_common_independent_random_vs_brute():
         best = brute_max_common_independent(m1, m2)
         assert got.bit_count() == best
         assert best == min_rank_partition(m1, m2)
+
+
+def test_exchange_search_certifies_the_least_minimizer():
+    # at a maximum common independent set I the backward search finds no
+    # path, and the elements that reach a sink form the least A with
+    # r1(A) + r2(V - A) = |I|
+    rng = random.Random(13)
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        m1 = rand_matroid(rng, n, loopless=False)
+        m2 = rand_matroid(rng, n, loopless=False)
+        cur = max_common_independent(m1, m2)
+        found, reached = _exchange_search(m1, m2, cur)
+        assert not found
+        value = m1.rank(reached) + m2.rank(m1.full & ~reached)
+        assert value == cur.bit_count() == min_rank_partition(m1, m2)
+        assert all(
+            reached & ~a == 0
+            for a in range(m1.full + 1)
+            if m1.rank(a) + m2.rank(m1.full & ~a) == value
+        )
+
+
+def test_exchange_search_finds_a_shortest_augmenting_path():
+    # from I = {0} in two partition matroids the one path is 1 -> 0 -> 2
+    m1 = GenPartitionMatroid(3, [[0, 2], [1]], [1, 1])
+    m2 = GenPartitionMatroid(3, [[0, 1], [2]], [1, 1])
+    assert _exchange_search(m1, m2, 0b001) == (True, 0b111)
+    assert _exchange_search(m1, m2, 0b110) == (False, 0)
+    assert _exchange_search(m1, m2, 0) == (True, 0b001)
 
 
 def test_rank_monotone_submodular_and_span_closure():

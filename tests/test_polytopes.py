@@ -432,6 +432,28 @@ def test_nu_star_vanishes_where_nu_does():
     assert checked >= 60
 
 
+def test_ratio_rq_via_matchings_solves_no_lp_for_a_rank_zero_set(monkeypatch):
+    rng = random.Random(68)
+    calls = []
+
+    def counting(amat, bvec, c):
+        calls.append(c)
+        return solve(amat, bvec, c)
+
+    solve = polytopes.solve_max_slack
+    monkeypatch.setattr(polytopes, "solve_max_slack", counting)
+    for kind in KINDS:
+        n = 5
+        ms = [_rand_matroid_once(rng, n, kind), _rand_matroid_once(rng, n, "uniform")]
+        ms[0] = RestrictionMatroid(ms[0], ms[0].full & ~0b11)
+        system = MatroidSystem(ms)
+        c = system.intersection_complex()
+        calls.clear()
+        ratio_rq_via_matchings(system)
+        assert len(calls) == sum(1 for u in range(1, 1 << n) if c.rank_of(u))
+        assert len(calls) < (1 << n) - 1
+
+
 def test_ratio_rp_bounded_by_k():
     rng = random.Random(56)
     for _ in range(10):
