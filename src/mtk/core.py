@@ -6,7 +6,8 @@ every operation is pure.
 
 complex_of is the one builder of a complex from a membership test:
 independence_complex, the matroid complex and the intersection complex
-of a matroid system all go through it.  It searches depth first from the
+of a matroid system all go through it, and min_nonfaces reads the
+minimal non-faces off the same search.  It searches depth first from the
 empty set, so its member must be down-closed; member is asked at most
 once per set, never on the empty set, and only on a set whose part below
 its top element is a face.  SWEEP_CAP bounds every 2^n sweep in mtk,
@@ -233,16 +234,23 @@ def complex_of(n: int, member) -> Complex:
 def min_nonfaces(c: Complex) -> Hypergraph:
     """The containment-minimal subsets of [0, n) that are not faces.
 
-    A non-face is minimal iff all its one-element-smaller subsets are
-    faces, so a single sweep over all subsets suffices.
+    complex_of's search asks member on every t whose part below its top
+    element is a face, so on every minimal non-face; a rejected t is one
+    iff t minus each v below its top element is a face too.  Raises
+    CapExceeded above SWEEP_CAP subsets, before asking is_face.
     """
-    check_sweep(c.n)
     face = c.is_face
-    out = [
-        s
-        for s in range(1, 1 << c.n)
-        if not face(s) and all(face(s & ~(1 << v)) for v in iter_bits(s))
-    ]
+    out = []
+
+    def member(t: int) -> bool:
+        if face(t):
+            return True
+        below = t & ~(1 << (t.bit_length() - 1))
+        if all(face(t & ~(1 << v)) for v in iter_bits(below)):
+            out.append(t)
+        return False
+
+    complex_of(c.n, member)
     return Hypergraph(c.n, out)
 
 

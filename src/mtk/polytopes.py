@@ -1,9 +1,10 @@
 """The polytopes P(C), Q(C), R(L): membership, gauge, vertices, ratios,
 and the weighted matroidal / hypergraph matching and covering numbers.
 
-P(C) is the convex hull of face indicators, Q(C) the rank-constraint
-polytope, R(L) the intersection of the k matroids' rank polytopes.
-All arithmetic is exact.
+P(C) is the convex hull of face indicators.  Q(C) and R(L), the
+intersection of the k matroids' rank polytopes, are both {x >= 0 :
+x(S) <= rho(S)}, with rho the complex's rank on Q and min_i r_i on R;
+one gauge sweep and one row builder serve both.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Complex, Hypergraph, _undominated, iter_bits
+from .core import Complex, Hypergraph, _undominated, check_sweep, iter_bits, mask_of
 from .coloring import chi_star, min_cover
 from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infeasible
 from .extval import INF, XRat, check_weights, max_ratio
 from .lp import LPProblem, solve, solve_max_slack
-from .matroid import Matroid, MatroidSystem
+from .matroid import MatroidSystem
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,8 +65,8 @@ def psi(z: PolytopeRef, h: Sequence[Fraction]) -> Fraction | XRat:
     """Gauge: least t with h/t in Z (0 for h = 0, INF when unreachable).
 
     On P this is the weighted fractional chromatic number chi*(C, h),
-    by LP duality.  On Q and R it is max over S of h(S)/r(S), the
-    largest over the system's matroids on R.
+    by LP duality.  On Q and R it is max over S of h(S)/rho(S), in one
+    sweep: on R, max_i max_S h(S)/r_i(S) = max_S h(S)/min_i r_i(S).
     """
     h = check_weights(h, z.n)
     if z.kind == "P":
@@ -73,61 +74,48 @@ def psi(z: PolytopeRef, h: Sequence[Fraction]) -> Fraction | XRat:
             return chi_star(z.complex_, h)
         except Infeasible:
             return INF
-    full = (1 << z.n) - 1
+    return max_ratio(_rho(z), (1 << z.n) - 1, h)
+
+
+def _rho(z: PolytopeRef):
+    """The rank function rho with Q or R = {x >= 0 : x(S) <= rho(S)}:
+    the complex's rank on Q, the least of the matroids' ranks on R."""
     if z.kind == "Q":
-        return max_ratio(z.complex_.rank_of, full, h)
+        return z.complex_.rank_of
     if z.kind == "R":
-        return max(max_ratio(m.rank, full, h) for m in z.system)
+        return lambda s: min(m.rank(s) for m in z.system)
     raise ValueError(f"unknown polytope kind {z.kind!r}")
 
 
 # -- vertex enumeration ---------------------------------------------------
 
 
-def _reduced_rows_matroid(m: Matroid) -> list[tuple[int, int]]:
-    """(mask, rank) rows sufficient to cut Q(M): non-trivial flats plus
-    singletons."""
-    rows = {}
-    for f in m.flats():
-        if f and m.rank(f) < f.bit_count():
-            rows[f] = m.rank(f)
-    for v in range(m.n):
-        b = 1 << v
-        rows.setdefault(b, m.rank(b))
-    return sorted(rows.items())
+def _rank_rows(n: int, rho) -> list[tuple[int, int]]:
+    """(mask, rho(mask)) rows, ascending, cutting {x >= 0 : x(S) <= rho(S)}.
 
-
-def _system_rows(system: MatroidSystem) -> list[tuple[int, int]]:
-    """(mask, rank) rows cutting R(L): every matroid's reduced rows, with
-    the least rank kept per mask."""
-    merged: dict[int, int] = {}
-    for m in system:
-        for mask, r in _reduced_rows_matroid(m):
-            if mask not in merged or r < merged[mask]:
-                merged[mask] = r
-    return sorted(merged.items())
-
-
-def _reduced_rows_complex(c: Complex) -> list[tuple[int, int]]:
-    """(mask, rank) rows sufficient to cut Q(C) for a general complex."""
-    rows = {}
-    for v in range(c.n):
-        b = 1 << v
-        rows[b] = c.rank_of(b)
-    for s in range(1, 1 << c.n):
-        if s.bit_count() < 2:
+    Every singleton row is kept, and another S only when rho(S) < |S|, no
+    non-loop v outside S has rho(S + v) = rho(S) (a loop has rho(v) = 0;
+    without this exception S and S + loop drop each other), and no v in S
+    has rho(S - v) + rho(v) <= rho(S).  As rho is monotone with rho(empty)
+    = 0 and rho(v) <= 1 on Q and R, each dropped row follows, by induction
+    on (rho(S), loops in S, -non-loops in S), from smaller rows: the
+    singletons, S + v, or S - v and v (Edmonds, 1970).  Raises
+    CapExceeded above SWEEP_CAP subsets, before calling rho.
+    """
+    check_sweep(n)
+    r = [rho(s) for s in range(1 << n)]
+    nonloops = mask_of(v for v in range(n) if r[1 << v])
+    rows = []
+    for s in range(1, 1 << n):
+        rs = r[s]
+        if s & (s - 1) and (
+            rs >= s.bit_count()
+            or any(r[s | 1 << v] == rs for v in iter_bits(nonloops & ~s))
+            or any(r[s & ~(1 << v)] + r[1 << v] <= rs for v in iter_bits(s))
+        ):
             continue
-        r = c.rank_of(s)
-        if r >= s.bit_count():
-            continue
-        reducible = False
-        for v in iter_bits(s):
-            if c.rank_of(s & ~(1 << v)) + c.rank_of(1 << v) <= r:
-                reducible = True
-                break
-        if not reducible:
-            rows[s] = r
-    return sorted(rows.items())
+        rows.append((s, rs))
+    return rows
 
 
 def vertices(z: PolytopeRef) -> list[tuple[Fraction, ...]]:
@@ -135,17 +123,13 @@ def vertices(z: PolytopeRef) -> list[tuple[Fraction, ...]]:
 
     P-kind: the face indicator vectors (exactly the vertices of a
     convex hull of 0/1 points).  Q/R-kind: double description over the
-    reduced constraint system.
+    rows _rank_rows keeps of x(S) <= rho(S).
     """
     if z.kind == "P":
         return [_indicator(z.n, f) for f in z.complex_.faces()]
     if z.n > VERTICES_MAX_N:
         raise CapExceeded(f"vertex enumeration limited to n <= {VERTICES_MAX_N}")
-    if z.kind == "Q":
-        rows = _reduced_rows_complex(z.complex_)
-    else:
-        rows = _system_rows(z.system)
-    return _dd_vertices(z.n, rows)
+    return _dd_vertices(z.n, _rank_rows(z.n, _rho(z)))
 
 
 def _indicator(n: int, mask: int) -> tuple[Fraction, ...]:
@@ -278,10 +262,10 @@ def ratio_rq_via_matchings(system: MatroidSystem):
 
     R(L_U) is R(L) cut to the points whose support lies in U, and R(L)
     is closed downwards, so nu*(L_U) = max 1.x over R(L_U) equals
-    max 1_U.x over R(L): one row set, _system_rows(system), serves
-    every U.  A skipped U has nu*(L_U) = 0 as well: rank 0 in the
-    intersection complex makes every v in U a loop of some M_i, whose
-    singleton row caps x_v at 0.
+    max 1_U.x over R(L): one row set, the rank rows of rho = min_i r_i,
+    serves every U.  A skipped U has nu*(L_U) = 0 as well: rank 0 in
+    the intersection complex makes every v in U a loop of some M_i, so
+    rho(v) = 0 and v's singleton row caps x_v at 0.
     """
     c = system.intersection_complex()
     amat, bvec = _system_lp(system)
@@ -290,8 +274,7 @@ def ratio_rq_via_matchings(system: MatroidSystem):
         nu = c.rank_of(u)
         if nu == 0:
             continue
-        indicator = [ONE if (u >> v) & 1 else ZERO for v in range(system.n)]
-        nu_star, _, _ = solve_max_slack(amat, bvec, indicator)
+        nu_star, _, _ = solve_max_slack(amat, bvec, _indicator(system.n, u))
         v = nu_star / nu
         if v > best:
             best = v
@@ -302,16 +285,13 @@ def ratio_rq_via_matchings(system: MatroidSystem):
 
 
 def _system_lp(system: MatroidSystem) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """(A, b) with R(L) = {x >= 0 : Ax <= b}, on the reduced rows."""
-    rows = _system_rows(system)
-    amat = [
-        [ONE if (mask >> v) & 1 else ZERO for v in range(system.n)] for mask, _ in rows
-    ]
-    return amat, [Fraction(r) for _, r in rows]
+    """(A, b) with R(L) = {x >= 0 : Ax <= b}, on the rows of _rank_rows."""
+    rows = _rank_rows(system.n, _rho(PolytopeRef.R(system)))
+    return [_indicator(system.n, mask) for mask, _ in rows], [Fraction(r) for _, r in rows]
 
 
 def nu_star_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
-    """LP max w.x over R(L), solved on the reduced constraint rows."""
+    """LP max w.x over R(L), solved on the rows of _rank_rows."""
     w = check_weights(w, system.n)
     amat, bvec = _system_lp(system)
     value, _, _ = solve_max_slack(amat, bvec, w)
@@ -464,6 +444,8 @@ def _smallest_multicover(edges, demands: list[int], t: list[int], spent: int, be
 
 def hyper_w_star(h: Hypergraph) -> Fraction:
     """Fractional width: min total f with sum_T f(T)|T & S| >= 1 per edge."""
+    if any(e == 0 for e in h.edges):
+        raise EmptyEdge("fractional width undefined with an empty edge")
     m = len(h.edges)
     amat = []
     bvec = []

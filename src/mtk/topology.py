@@ -164,6 +164,8 @@ def expansions(c: Complex, h: Sequence[Fraction] | None = None) -> ExpansionReco
 
     delta_r uses rank only; delta and delta_h use min(eta_h, rank);
     h = None means the all-ones weighting, for which delta_h == delta.
+    As |S|/min(eta, rank) = max(|S|/eta, |S|/rank), in XRat arithmetic
+    too, delta = max(delta_r, delta_eta); the weighted delta_h sweeps.
     """
     if h is not None:
         h = check_weights(h, c.n)
@@ -172,18 +174,11 @@ def expansions(c: Complex, h: Sequence[Fraction] | None = None) -> ExpansionReco
     def eta(s: int):
         return _eta_of_induced(c, s, cache)
 
-    def eta_bar(s: int):
-        eta_s, rank_s = eta(s), c.rank_of(s)
-        return min(eta_s, rank_s)
-
     full = (1 << c.n) - 1
-    d_bar = max_ratio(eta_bar, full)
-    return ExpansionRecord(
-        delta_r=max_ratio(c.rank_of, full),
-        delta_eta=max_ratio(eta, full),
-        delta=d_bar,
-        delta_h=d_bar if h is None else max_ratio(eta_bar, full, h),
-    )
+    delta_r, delta_eta = max_ratio(c.rank_of, full), max_ratio(eta, full)
+    delta = max(delta_r, delta_eta)
+    delta_h = delta if h is None else max_ratio(lambda s: min(eta(s), c.rank_of(s)), full, h)
+    return ExpansionRecord(delta_r, delta_eta, delta, delta_h)
 
 
 @dataclass(frozen=True)

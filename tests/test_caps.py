@@ -32,7 +32,7 @@ from mtk.matroid import (
     UniformMatroid,
     check_matroid_axioms,
 )
-from mtk.polytopes import VERTICES_MAX_N, PolytopeRef, nu_w, psi, vertices
+from mtk.polytopes import VERTICES_MAX_N, PolytopeRef, nu_star_w, nu_w, psi, vertices
 from mtk.topology import HALL_MAX_SETS, expansions, topological_hall_check
 
 N = 21  # the least ground-set size whose 2^n subsets exceed SWEEP_CAP
@@ -111,6 +111,10 @@ def test_matroid_sweeps_refuse_past_the_cap():
         system.intersection_complex()
     with pytest.raises(CapExceeded):
         nu_w(system, (1,) * N)
+    with pytest.raises(CapExceeded):
+        psi(PolytopeRef.R(system), (1,) * N)
+    with pytest.raises(CapExceeded):
+        nu_star_w(system, (1,) * N)
 
 
 def test_ratio_sweeps_on_a_complex_refuse_past_the_cap():

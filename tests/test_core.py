@@ -22,7 +22,7 @@ from mtk.core import (
 )
 from mtk.errors import EmptyEdge
 from mtk.verify import _rand_matroid_once, rand_graph, rand_hypergraph, rand_system
-from sweep_oracle import complex_by_sweep
+from sweep_oracle import complex_by_sweep, min_nonfaces_by_sweep
 from test_extval import KINDS as MATROID_KINDS
 from test_topology import join  # the join oracle behind the eta(A*B) test
 
@@ -310,6 +310,50 @@ def test_min_nonfaces_antichain_and_reconstruction():
         for s in range(1 << n):
             covered = any(e & ~s == 0 for e in nf.edges)
             assert c.is_face(s) == (not covered)
+
+
+def test_min_nonfaces_matches_the_sweep():
+    rng = random.Random(29)
+    complexes = [constructions.canned("PnotQpartition").complex_, Complex(0), Complex(3)]
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        complexes.append(independence_complex(rand_hypergraph(rng, n, 2 * n, 1, 4)))
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        faces = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
+        complexes.append(Complex(n, faces))
+    for kind in MATROID_KINDS:
+        for _ in range(8):
+            complexes.append(_rand_matroid_once(rng, rng.randint(1, 8), kind).to_complex())
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        complexes.append(rand_system(rng, n, rng.randint(2, 3), loopless=False).intersection_complex())
+    isolated = 0  # complexes with a vertex in no face: a one-element non-face
+    for c in complexes:
+        nf = min_nonfaces(c)
+        assert nf == min_nonfaces_by_sweep(c)
+        isolated += any(e.bit_count() == 1 for e in nf.edges)
+    assert isolated >= 5
+
+
+class CountingComplex(Complex):
+    """A complex that counts how often is_face is asked."""
+
+    def is_face(self, s):
+        object.__setattr__(self, "asked", getattr(self, "asked", 0) + 1)
+        return super().is_face(s)
+
+
+def test_min_nonfaces_asks_far_fewer_than_every_subset():
+    # the search asks only the faces' one-element extensions, and a
+    # rejected one's one-element-smaller subsets
+    base = constructions.canned("PnotQpartition").complex_
+    c = CountingComplex(base.n, base.maximal_faces)
+    assert min_nonfaces(c) == min_nonfaces_by_sweep(base)
+    assert c.asked < (1 << c.n) // 16
+    path = CountingComplex(16, [[v, v + 1] for v in range(15)])
+    assert len(min_nonfaces(path).edges) == 16 * 15 // 2 - 15
+    assert path.asked < (1 << 16) // 64
 
 
 def test_join_examples():

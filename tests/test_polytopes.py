@@ -10,7 +10,7 @@ import pytest
 
 from mtk.constructions import canned
 from mtk.core import Complex, Hypergraph, iter_bits
-from mtk.errors import DomainError
+from mtk.errors import DomainError, EmptyEdge
 from mtk.extval import INF
 from mtk.matroid import (
     GenPartitionMatroid,
@@ -22,11 +22,13 @@ from mtk import polytopes
 from mtk.polytopes import (
     PolytopeRef,
     _dd_vertices,
-    _reduced_rows_complex,
-    _system_rows,
+    _rank_rows,
+    _rho,
     hyper_numbers,
+    hyper_nu_star_w,
     hyper_nu_w,
     hyper_tau_w,
+    hyper_w_star,
     matroidal_numbers,
     member,
     nu_star_w,
@@ -47,6 +49,7 @@ from mtk.verify import (
 
 from dd_oracle import dd_vertices_fraction
 from lp_oracle import brute_optimum
+from rows_oracle import reduced_rows_complex, system_rows
 
 F = Fraction
 ONE = F(1)
@@ -267,6 +270,64 @@ def test_vertices_match_brute_force():
     assert done >= 20
 
 
+def _rows(z):
+    return _rank_rows(z.n, _rho(z))
+
+
+def _rank_rows_systems(rng, count):
+    """Seeded systems for the row differentials: n <= 8, k = 1..3, the five
+    kinds in turn, a loop by restriction in every third system, and a
+    partition system every fourth."""
+    kinds = itertools.cycle(KINDS)
+    systems = []
+    for t in range(count):
+        n = rng.randint(1, 8 if t % 5 == 0 else 6)
+        k = rng.randint(1, 3)
+        if t % 4 == 3:
+            systems.append(rand_system(rng, n, k, partition=True))
+            continue
+        ms = [_rand_matroid_once(rng, n, next(kinds)) for _ in range(k)]
+        if t % 3 == 0:
+            ms[0] = RestrictionMatroid(ms[0], ms[0].full & ~(1 << rng.randrange(n)))
+        systems.append(MatroidSystem(ms))
+    return systems
+
+
+def test_rank_rows_cut_the_polytopes_of_the_old_row_builders():
+    # one row builder for Q and R against the three it replaced: the same
+    # vertex sets, never more Q rows (they keep a subset of the old
+    # ones), and the same nu* from the LP on either row set
+    from mtk.lp import solve_max_slack
+
+    rng = random.Random(70)
+    looped = partition = 0
+    for system in _rank_rows_systems(rng, 150):
+        n = system.n
+        c = system.intersection_complex()
+        q_rows, old_q = _rows(PolytopeRef.Q(c)), reduced_rows_complex(c)
+        r_rows, old_r = _rows(PolytopeRef.R(system)), system_rows(system)
+        assert set(q_rows) <= set(old_q)
+        assert set(_dd_vertices(n, q_rows)) == set(_dd_vertices(n, old_q))
+        assert set(_dd_vertices(n, r_rows)) == set(_dd_vertices(n, old_r))
+        assert set(vertices(PolytopeRef.R(system))) == set(_dd_vertices(n, old_r))
+        w = rand_weights(rng, n)
+        amat = [[F((mask >> v) & 1) for v in range(n)] for mask, _ in old_r]
+        want, _, _ = solve_max_slack(amat, [F(r) for _, r in old_r], list(w))
+        assert nu_star_w(system, w) == want
+        looped += any(m.loops() for m in system)
+        partition += all(m.kind == "gen_partition" and set(m.caps) == {1} for m in system)
+    assert looped >= 50 and partition >= 30
+
+
+def test_rank_rows_keep_the_singletons_and_skip_loops_in_the_closure_test():
+    # x0 is a loop of rho = min(r1, r2): S = {1, 2} and S + 0 have the same
+    # rank, and only the loop-free {1, 2} may cut x1 + x2 <= 1
+    system = MatroidSystem([UniformMatroid(1, 3), GenPartitionMatroid(3, [[0], [1, 2]], [0, 2])])
+    rows = _rows(PolytopeRef.R(system))
+    assert rows == [(0b001, 0), (0b010, 1), (0b100, 1), (0b110, 1)]
+    assert set(vertices(PolytopeRef.R(system))) == {(0, 0, 0), (0, 1, 0), (0, 0, 1)}
+
+
 def test_integer_dd_matches_the_fraction_oracle():
     # the same vertices in the same order, on R rows and Q rows; loops
     # give zero singleton bounds, so the box has repeated points.  The
@@ -278,11 +339,11 @@ def test_integer_dd_matches_the_fraction_oracle():
     for t in range(120):
         n = rng.randint(1, 6)
         system = rand_system(rng, n, rng.randint(1, 3), loopless=t % 3 == 0)
-        cases.append((n, _system_rows(system)))
-        cases.append((n, _reduced_rows_complex(system.intersection_complex())))
+        cases.append((n, _rows(PolytopeRef.R(system))))
+        cases.append((n, _rows(PolytopeRef.Q(system.intersection_complex()))))
     for n in (7, 7, 8, 8):
-        cases.append((n, _system_rows(rand_system(rng, n, rng.randint(2, 3)))))
-    cases.append((5, _reduced_rows_complex(canned("md_lower", n=5).complex_)))
+        cases.append((n, _rows(PolytopeRef.R(rand_system(rng, n, rng.randint(2, 3))))))
+    cases.append((5, _rows(PolytopeRef.Q(canned("md_lower", n=5).complex_))))
     for n, rows in cases:
         zero_bounds += any(r == 0 and m.bit_count() == 1 for m, r in rows)
         assert _dd_vertices(n, rows) == dd_vertices_fraction(n, rows)
@@ -645,6 +706,17 @@ def test_hyper_numbers_examples():
     weighted = hyper_numbers(single, (F(3, 2),))
     assert weighted.nu == weighted.nu_star == F(3, 2)
     assert weighted.tau == 2  # integral cover needs ceiling
+
+
+def test_an_empty_edge_has_no_fractional_matching_or_width():
+    h = Hypergraph(2, [0, [0, 1]])
+    with pytest.raises(EmptyEdge):
+        hyper_nu_star_w(h, (1, 1))
+    with pytest.raises(EmptyEdge):
+        hyper_w_star(h)
+    with pytest.raises(EmptyEdge):
+        hyper_numbers(h)
+    assert hyper_w_star(Hypergraph(2, [[0, 1]])) == F(1, 2)
 
 
 def test_hyper_chain_random():

@@ -14,7 +14,7 @@ from mtk.core import (
     mask_of,
     matching_complex,
 )
-from mtk.extval import EPS, INF
+from mtk.extval import EPS, INF, max_ratio
 from mtk.matroid import UniformMatroid
 from mtk.topology import (
     eta_h,
@@ -204,6 +204,30 @@ def test_expansion_eps_and_infinity():
     # vertex in no face: rank 0 denominator gives infinity
     rec = expansions(Complex(2, [[0]]))
     assert rec.delta_r is INF
+
+
+def test_delta_is_the_larger_of_delta_r_and_delta_eta():
+    # |S|/min(eta, rank) = max(|S|/eta, |S|/rank) in XRat arithmetic, so
+    # delta needs no sweep of its own; the oracle is the min sweep, and
+    # the weighted delta_h at all-ones weights must agree with it too
+    rng = random.Random(31)
+    complexes = [Complex(2, [[0, 1]]), Complex(2, [[0]]), Complex(0), RP2]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        faces = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 5))]
+        complexes.append(Complex(n, faces))
+    kinds = set()
+    for c in complexes:
+        full = (1 << c.n) - 1
+        cache = {}
+        want = max_ratio(
+            lambda s: min(topology._eta_of_induced(c, s, cache), c.rank_of(s)), full
+        )
+        rec = expansions(c)
+        assert rec.delta == want and rec.delta_h == want
+        assert expansions(c, (1,) * c.n).delta_h == want
+        kinds.add("inf" if want is INF else "eps" if rec.delta_eta is EPS else "finite")
+    assert kinds == {"inf", "eps", "finite"}
 
 
 def test_homology_euler_characteristic_consistency():
