@@ -342,6 +342,9 @@ def cmd_ratio(args) -> int:
         c = system.intersection_complex()
         refs.update(P=PolytopeRef.P(c), Q=PolytopeRef.Q(c))
     val = polytopes.ratio(refs[bname], refs[aname])
+    if inst.weights:  # ratio reads no weights
+        ignored = ", ".join(sorted(inst.weights))
+        print(f"warning: ratio {args.pair!r} ignores weights {ignored}", file=sys.stderr)
     print(val)
     return 0
 

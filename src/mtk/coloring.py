@@ -1,8 +1,9 @@
 """Chromatic, list-chromatic, and fractional-chromatic computation.
 
 A coloring of a complex covers the ground set by faces; chi is the
-least number of faces needed.  min_cover is the one exact cover search:
-chi, matdim_upper, polytopes.tau_w and meshulam.gamma_e_graph call it.
+least number of faces needed.  min_cover is the one exact cover search,
+with a demand per element: chi, matdim_upper, polytopes.tau_w,
+polytopes.hyper_tau_w and meshulam.gamma_e_graph call it.
 chi_list and ab_check quantify over equal-size list systems, listed up
 to renaming colors; by Hall's theorem only systems on fewer than b*n
 colors (b = 1 for chi_list) can fail, so no others are listed.
@@ -49,18 +50,24 @@ LIST_MAX_N = 8  # largest n chi_list enumerates list systems for
 MATDIM_MAX_N = 6  # matdim_exact is refused above this ground-set size
 
 
-def min_cover(options, target: int) -> tuple[int, list[int]]:
-    """A cheapest cover of the mask target by options, (mask, cost) pairs
-    with integer costs >= 0: returns (cost, the masks chosen).
+def min_cover(options, demand: Sequence[int]) -> tuple[int, list[int]]:
+    """A cheapest multiset of options, (mask, cost) pairs with integer
+    costs >= 0, that puts each element v in at least demand[v] of them:
+    returns (cost, the masks chosen), a mask listed once per pick.
 
     An option is dropped first when a kept one covers a superset of its
-    part of target for no more cost.  Branch and bound on the uncovered
-    element with the fewest options, trying the cheapest option first
-    and the widest among equal costs; the bound is the cost spent plus
-    ceil(|uncovered| x the least cost per element).  Raises Uncolorable
-    when some element of target lies in no option, and DomainError on a
-    negative cost.
+    part of the demanded elements for no more cost.  Branch and bound on
+    the element still demanded with the fewest options, trying the
+    cheapest option first and the widest among equal costs; a later
+    branch never takes an option an earlier sibling took, so each
+    multiset is tried in one order.  The bound is the cost spent plus
+    ceil(demand left x the least cost per element), and max(demand)
+    copies of every kept option are an incumbent.  Raises Uncolorable
+    when an element of positive demand lies in no option, DomainError on
+    a negative cost, and CapExceeded when the picks outnumber the
+    interpreter's recursion limit, as a large demand can.
     """
+    target = mask_of(v for v, d in enumerate(demand) if d > 0)
     # In cost order, every kept option costs no more than the next one.
     kept = _undominated(
         options,
@@ -70,33 +77,46 @@ def min_cover(options, target: int) -> tuple[int, list[int]]:
     if kept and kept[0][1] < 0:  # the first option kept is the cheapest
         mask, cost = kept[0]
         raise DomainError(f"option costs must be non-negative: {mask:#b} costs {cost}")
-    by_elem = [[o for o in kept if (o[0] >> v) & 1] for v in range(target.bit_length())]
+    by_elem = [[o for o in kept if (o[0] >> v) & 1] for v in range(len(demand))]
     missing = [v for v in iter_bits(target) if not by_elem[v]]
     if missing:
         raise Uncolorable(f"element {missing[-1]} lies in no option")
-    best = [sum(cost for _, cost in kept) + 1, []]
-    _cover(kept, by_elem, target, 0, [], best)
+    best = [max([1, *demand]) * sum(cost for _, cost in kept) + 1, []]
+    extra = {v: d - 1 for v, d in enumerate(demand) if d > 1}
+    try:
+        _cover(kept, by_elem, target, extra, set(), 0, [], best)
+    except RecursionError:  # the search recurses once per pick
+        raise CapExceeded(f"a demand of {max(demand)} is past the recursion limit") from None
     return best[0], best[1]
 
 
-def _cover(kept, by_elem, uncov: int, spent: int, chosen: list[int], best: list):
-    """Branch and bound for min_cover; best is [cost, masks], improved in place."""
+def _cover(kept, by_elem, uncov: int, extra: dict, barred: set, spent: int, chosen, best):
+    """Branch and bound for min_cover; best is [cost, masks], improved in
+    place.  uncov holds the elements still demanded, each once, and each
+    u in extra extra[u] more times; no option in barred is taken in this
+    branch."""
     if uncov == 0:
         if spent < best[0]:
             best[0] = spent
             best[1] = chosen[:]
         return
-    left = uncov.bit_count()
+    left = uncov.bit_count() + sum(extra.values())
     bound = spent + min(
         -(-left * cost // (mask & uncov).bit_count()) for mask, cost in kept if mask & uncov
     )
     if bound >= best[0]:
         return
     v = min(iter_bits(uncov), key=lambda w: len(by_elem[w]))
-    for mask, cost in sorted(by_elem[v], key=lambda o: (o[1], -(o[0] & uncov).bit_count())):
+    for o in sorted(by_elem[v], key=lambda o: (o[1], -(o[0] & uncov).bit_count())):
+        if o in barred:
+            continue
+        mask, cost = o
+        again = mask_of(u for u, e in extra.items() if e and (mask >> u) & 1)  # owed one more
+        rest = {u: e - ((again >> u) & 1) for u, e in extra.items()}
         chosen.append(mask)
-        _cover(kept, by_elem, uncov & ~mask, spent + cost, chosen, best)
+        _cover(kept, by_elem, uncov & ~mask | again, rest, barred, spent + cost, chosen, best)
         chosen.pop()
+        barred = barred | {o}
 
 
 def chi(c: Complex) -> int:
@@ -109,7 +129,7 @@ def chi(c: Complex) -> int:
     missing = full & ~c.vertices_mask()
     if missing:
         raise Uncolorable(f"vertex {missing.bit_length() - 1} lies in no face")
-    return min_cover([(f, 1) for f in c.maximal_faces], full)[0]
+    return min_cover([(f, 1) for f in c.maximal_faces], [1] * c.n)[0]
 
 
 def delta_rank(m: Matroid, h: Sequence[Fraction] | None = None) -> Fraction | XRat:
@@ -452,7 +472,7 @@ def matdim_upper(c: Complex) -> tuple[int, list[GenPartitionMatroid]]:
     # minimum cover of E(nf) by matchings is chi of that complex, and
     # every edge is a matching on its own.
     mc = matching_complex(nf)
-    k, classes = min_cover([(f, 1) for f in mc.maximal_faces], (1 << mc.n) - 1)
+    k, classes = min_cover([(f, 1) for f in mc.maximal_faces], [1] * mc.n)
     full = (1 << c.n) - 1
     witnesses = []
     for cls in classes:

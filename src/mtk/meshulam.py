@@ -78,7 +78,7 @@ def gamma_e_graph(g: Hypergraph):
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
     try:
-        return min_cover([(nbr[u] | nbr[v], 1) for u, v in ends], (1 << g.n) - 1)[0]
+        return min_cover([(nbr[u] | nbr[v], 1) for u, v in ends], [1] * g.n)[0]
     except Uncolorable:
         return INF
 

@@ -324,22 +324,13 @@ def nu_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
 
 
 def tau_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
-    """Minimum total size of an integral cover.
-
-    Integral covers with demands at most one are exactly choices of one
-    spanned set per matroid covering every positive-weight element, by
-    the level-set decomposition of integral vectors; larger demands are
-    out of scope here.
-    """
+    """Minimum total size of an integral cover, the integer program whose
+    relaxation tau_star_w solves: min sum of r_i(F) y_i(F) over integers
+    y_i(F) >= 0 on the flats of each matroid, with the flats containing
+    v of total y at least w_v, so at least ceil(w_v), for every v."""
     w = check_weights(w, system.n)
-    demands = 0
-    for v in range(system.n):
-        if w[v] > 1:
-            raise CapExceeded("integral covers supported for w <= 1 only")
-        if w[v] > 0:
-            demands |= 1 << v
-    cost, _ = min_cover([(f, m.rank(f)) for m in system for f in m.flats()], demands)
-    return Fraction(cost)
+    options = [(f, m.rank(f)) for m in system for f in m.flats()]
+    return Fraction(min_cover(options, [math.ceil(x) for x in w])[0])
 
 
 @dataclass(frozen=True)
@@ -413,33 +404,15 @@ def _heaviest_matching(edges, w: tuple[Fraction, ...], i: int, used: int, val: F
 
 
 def hyper_tau_w(h: Hypergraph, w: Sequence[Fraction]) -> Fraction:
-    """Min size of an integral cover with multiplicities: t[e] >= ceil(w_e)."""
+    """Min total of integral vertex multiplicities t with sum of t(v), v in
+    e, at least ceil(w_e) for every edge e: a min_cover of the edges by
+    vertex stars at cost 1."""
     w = check_weights(w, len(h.edges))
-    demands = [math.ceil(x) for x in w]
-    if any(d > 0 and e == 0 for d, e in zip(demands, h.edges)):
+    demand = [math.ceil(x) for x in w]
+    if any(d > 0 and e == 0 for d, e in zip(demand, h.edges)):
         raise Infeasible("empty edge with positive demand")
-    # sum(demands) is attained by one vertex of each edge, so one more
-    # is an incumbent every optimum beats.
-    best = [sum(demands) + 1]
-    _smallest_multicover(h.edges, demands, [0] * h.n, 0, best)
-    return Fraction(best[0])
-
-
-def _smallest_multicover(edges, demands: list[int], t: list[int], spent: int, best: list[int]):
-    """Branch and bound for hyper_tau_w over the multiplicities t."""
-    if spent >= best[0]:
-        return
-    i = next(
-        (i for i, e in enumerate(edges) if sum(t[v] for v in iter_bits(e)) < demands[i]),
-        -1,
-    )
-    if i < 0:
-        best[0] = spent
-        return
-    for v in iter_bits(edges[i]):
-        t[v] += 1
-        _smallest_multicover(edges, demands, t, spent + 1, best)
-        t[v] -= 1
+    stars = [(mask_of(i for i, e in enumerate(h.edges) if (e >> v) & 1), 1) for v in range(h.n)]
+    return Fraction(min_cover(stars, demand)[0])
 
 
 def hyper_w_star(h: Hypergraph) -> Fraction:

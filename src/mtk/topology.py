@@ -189,12 +189,14 @@ class HallRecord:
 
 
 def topological_hall_check(c: Complex, subsets: list[int]) -> HallRecord:
-    """Check the homological Hall hypothesis and search for a rainbow face.
+    """Check the homological Hall hypothesis and look for a rainbow face.
 
     Hypothesis: eta_h(C[union of V_i, i in I]) >= |I| for every
     non-empty I.  Conclusion: a choice function phi with phi(i) in V_i
     and image a face.  The asserted implication is hypothesis =>
-    conclusion.
+    conclusion.  Such a phi exists iff some maximal face F meets every
+    V_i; the witness is the least tuple of picks, the least over those F
+    of the lowest vertex of F & V_i for each i.
     """
     m = len(subsets)
     if m > HALL_MAX_SETS:
@@ -209,29 +211,16 @@ def topological_hall_check(c: Complex, subsets: list[int]) -> HallRecord:
         if eta < imask.bit_count():
             hypothesis = False
             break
-    witness = _rainbow_face(c, subsets, set(), 0, 0, ())
+    witness = min(
+        (
+            tuple(next(iter_bits(f & s)) for s in subsets)
+            for f in c.maximal_faces
+            if all(f & s for s in subsets)
+        ),
+        default=None,
+    )
     return HallRecord(
         hypothesis=hypothesis,
         conclusion=witness is not None,
         witness=witness,
     )
-
-
-def _rainbow_face(
-    c: Complex, subsets: list[int], seen: set, i: int, image: int, picks: tuple
-) -> tuple[int, ...] | None:
-    """Picks for subsets[i:] that extend `picks`, whose vertices make up
-    `image`, to a rainbow face; seen holds the (i, image) already failed."""
-    if i == len(subsets):
-        return picks
-    key = (i, image)
-    if key in seen:
-        return None
-    seen.add(key)
-    for v in iter_bits(subsets[i]):
-        nxt = image | (1 << v)
-        if c.is_face(nxt):
-            got = _rainbow_face(c, subsets, seen, i + 1, nxt, picks + (v,))
-            if got is not None:
-                return got
-    return None

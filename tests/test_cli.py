@@ -127,6 +127,17 @@ def test_cli_ratio(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_cli_ratio_names_the_weights_it_ignores(tmp_path, capsys):
+    out = tmp_path / "t3.json"
+    raw = instance_to_dict(canned("truncated_plane", q=2))
+    raw["weights"] = {"w": ["1"] * 7, "h": ["2"] * 7}
+    out.write_text(json.dumps(raw))
+    assert main(["ratio", str(out), "--pair", "R:P"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "2"
+    assert captured.err == "warning: ratio 'R:P' ignores weights h, w\n"
+
+
 def test_cli_ratio_refuses_a_bad_pair_before_reading_the_file(monkeypatch, tmp_path, capsys):
     def parse(path):
         raise AssertionError("instance parsed before the pair was checked")
@@ -305,6 +316,17 @@ def test_cli_invariants_names_the_weight_keys_it_ignores(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert main(["invariants", str(path), "--what", "numbers"]) == 0
     assert "ignore weights h" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_demand_too_deep_to_search_with_exit_2(tmp_path, capsys):
+    # one unit pick per search level, so w = 5000 passes the recursion limit
+    path = tmp_path / "deep.json"
+    raw = {"hypergraph": {"n": 2, "edges": [[0, 1]]}, "weights": {"w": ["5000"]}}
+    path.write_text(json.dumps(raw))
+    assert main(["invariants", str(path), "--what", "hyper_numbers"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a demand of 5000 is past the recursion limit\n"
 
 
 def test_cli_invariants_says_when_it_leaves_matdim_exact_out(tmp_path, capsys):

@@ -90,13 +90,14 @@ def test_min_cover_matches_the_cheapest_subset():
         n = rng.randint(0, 6)
         options = [(rng.randrange(1 << n), rng.randint(0, 3)) for _ in range(rng.randint(0, 8))]
         target = (1 << n) - 1 if rng.random() < 0.5 else rng.randrange(1 << n)
+        demand = [(target >> v) & 1 for v in range(n)]
         want = _cheapest_subset(options, target)
         if want is None:
             uncoverable += 1
             with pytest.raises(Uncolorable):
-                min_cover(options, target)
+                min_cover(options, demand)
             continue
-        cost, chosen = min_cover(options, target)
+        cost, chosen = min_cover(options, demand)
         assert cost == want, (options, target)
         union = 0
         for mask in chosen:
@@ -105,6 +106,46 @@ def test_min_cover_matches_the_cheapest_subset():
         assert len(set(chosen)) == len(chosen)
         assert sum(min(c for m, c in options if m == mask) for mask in chosen) == cost
     assert 0 < uncoverable < 300
+
+
+def _cheapest_multiset(options, demand):
+    """The least total cost of a multiset of options that puts each
+    element v in at least demand[v] of them, or None: every multiset of
+    at most sum(demand) options, enough since a cheapest multiset with no
+    pick to spare puts each pick on an element met exactly."""
+    best = None
+    for r in range(sum(demand) + 1):
+        for sub in itertools.combinations_with_replacement(options, r):
+            cost = sum(c for _, c in sub)
+            if best is not None and cost >= best:
+                continue
+            if all(sum((mask >> v) & 1 for mask, _ in sub) >= d for v, d in enumerate(demand)):
+                best = cost
+    return best
+
+
+def test_min_cover_meets_demands_like_the_cheapest_multiset():
+    rng = random.Random(31)
+    repeated = uncoverable = 0
+    for _ in range(200):
+        n = rng.randint(0, 4)
+        options = [(rng.randrange(1 << n), rng.randint(0, 3)) for _ in range(rng.randint(0, 5))]
+        demand = [rng.randint(0, 2) for _ in range(n)]
+        want = _cheapest_multiset(options, demand)
+        if want is None:
+            uncoverable += 1
+            with pytest.raises(Uncolorable):
+                min_cover(options, demand)
+            continue
+        cost, chosen = min_cover(options, demand)
+        assert cost == want, (options, demand)
+        assert all(sum((mask >> v) & 1 for mask in chosen) >= d for v, d in enumerate(demand))
+        assert sum(min(c for m, c in options if m == mask) for mask in chosen) == cost
+        repeated += len(set(chosen)) < len(chosen)
+    assert 0 < uncoverable < 200
+    assert repeated >= 10
+    # a mask is listed once per pick
+    assert min_cover([(0b11, 2), (0b01, 1)], [3, 1]) == (4, [0b11, 0b01, 0b01])
 
 
 def test_chi_of_a_matroid_is_its_ceiled_expansion_number():
@@ -126,7 +167,7 @@ def test_chi_of_intersections_matches_the_cheapest_subset():
 
 def test_min_cover_refuses_a_negative_cost():
     with pytest.raises(DomainError):
-        min_cover([(0b11, 1), (0b01, -1)], 0b11)
+        min_cover([(0b11, 1), (0b01, -1)], [1, 1])
 
 
 def test_chi_matroid_examples():
@@ -752,7 +793,8 @@ def test_chi_search_leaves_no_reference_cycles():
     gc.disable()
     try:
         assert chi(c) == 3
-        assert min_cover([(f, 1) for f in c.maximal_faces], 0b11111)[0] == 3
+        assert min_cover([(f, 1) for f in c.maximal_faces], [1] * 5)[0] == 3
+        assert min_cover([(f, 1) for f in c.maximal_faces], [2, 1, 1, 3, 1])[0] == 4
         assert chi_list_number(cycle4) == (2, 2)
         assert chi_list_number(cycle4, budget=20) == (2, 4)
         assert ab_check(cycle4, 3, 1, "choosable")

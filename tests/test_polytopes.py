@@ -1,7 +1,9 @@
 """P/Q/R membership, gauges, vertices, ratios, and weighted numbers."""
 
+import functools
 import gc
 import itertools
+import math
 import random
 from operator import le
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 
 from mtk.constructions import canned
 from mtk.core import Complex, Hypergraph, iter_bits
-from mtk.errors import DomainError, EmptyEdge
+from mtk.errors import CapExceeded, DomainError, EmptyEdge, Infeasible
 from mtk.extval import INF
 from mtk.matroid import (
     GenPartitionMatroid,
@@ -18,7 +20,7 @@ from mtk.matroid import (
     MatroidSystem,
     UniformMatroid,
 )
-from mtk import polytopes
+from mtk import coloring, polytopes
 from mtk.polytopes import (
     PolytopeRef,
     _dd_vertices,
@@ -50,6 +52,7 @@ from mtk.verify import (
 from dd_oracle import dd_vertices_fraction
 from lp_oracle import brute_optimum
 from rows_oracle import reduced_rows_complex, system_rows
+from search_oracle import hyper_tau_by_multicover
 
 F = Fraction
 ONE = F(1)
@@ -676,6 +679,39 @@ def test_tau_w_matches_direct_brute_force():
         assert nums.tau == best
 
 
+def _brute_tau_w(system, w):
+    """min sum of r_i(F) over multisets of flats F of the matroids i that
+    put each v in at least ceil(w_v) of them, by recursion on the demands
+    still open, taking one flat that meets them at a time."""
+    flats = [(f, m.rank(f)) for m in system for f in m.flats()]
+
+    @functools.cache
+    def cost(need):
+        if not any(need):
+            return 0
+        return min(
+            r + cost(tuple(max(d - ((f >> v) & 1), 0) for v, d in enumerate(need)))
+            for f, r in flats
+            if any(d and (f >> v) & 1 for v, d in enumerate(need))
+        )
+
+    return cost(tuple(math.ceil(x) for x in w))
+
+
+def test_tau_w_matches_a_brute_force_over_integral_flat_covers():
+    rng = random.Random(59)
+    above_one = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        system = rand_system(rng, n, rng.randint(1, 3), loopless=False)
+        w = tuple(F(rng.randint(0, 9), 3) for _ in range(n))  # w <= 3
+        tau = tau_w(system, w)
+        assert tau == _brute_tau_w(system, w), (system, w)
+        assert tau_star_w(system, w) <= tau
+        above_one += max(w) > 1
+    assert above_one >= 75
+
+
 def test_partition_system_hypergraph_bridge():
     # for L = L(H) the matroidal numbers coincide with the hypergraph's:
     # nu*_w(L) = nu*_w(H) and nu_w(L) = nu_w(H), edge i <-> element i
@@ -731,6 +767,55 @@ def test_hyper_chain_random():
         w = rand_weights(rng, len(h.edges))
         nums = hyper_numbers(h, w)
         assert nums.nu <= nums.nu_star <= nums.tau
+
+
+def test_hyper_tau_w_matches_the_multicover_oracle():
+    # n <= 7, at most 8 edges and demands up to 7; an empty edge has
+    # demand 0, which the oracle cannot meet otherwise
+    rng = random.Random(62)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        edges = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.1:
+            edges.append([])
+        h = Hypergraph(n, edges)
+        w = [F(rng.randint(0, 21), 3) if e else 0 for e in h.edges]
+        assert hyper_tau_w(h, w) == hyper_tau_by_multicover(h, [math.ceil(x) for x in w]), (h, w)
+    with pytest.raises(Infeasible):
+        hyper_tau_w(Hypergraph(2, [0, [0, 1]]), (F(1, 2), 1))
+
+
+def test_hyper_tau_w_answers_large_demands_in_few_search_calls(monkeypatch):
+    # a bound that counts demand left, not elements left, makes the first
+    # two a short dive (the C4 takes about 16,000 calls without it); the
+    # triangle's first dive is not optimal, and it ends only because each
+    # multiset of stars is tried in one order
+    calls = []
+    search = coloring._cover
+
+    def counted(*args):
+        calls.append(1)
+        assert len(calls) <= 3000  # fail at once rather than search for hours
+        return search(*args)
+
+    monkeypatch.setattr(coloring, "_cover", counted)
+    assert hyper_tau_w(Hypergraph(2, [[0, 1]]), (50,)) == 50
+    assert len(calls) <= 300
+    calls.clear()
+    c4 = Hypergraph(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+    assert hyper_tau_w(c4, (7, 7, 7, 7)) == 14
+    assert len(calls) <= 300
+    calls.clear()
+    triangle = Hypergraph(3, [[0, 1], [1, 2], [0, 2]])
+    assert hyper_tau_w(triangle, (50, 50, 50)) == 75
+
+
+def test_a_demand_past_the_recursion_limit_is_a_cap_error():
+    with pytest.raises(CapExceeded, match="demand of 5000"):
+        hyper_tau_w(Hypergraph(2, [[0, 1]]), (5000,))
+    system = MatroidSystem([UniformMatroid(1, 2)])
+    with pytest.raises(CapExceeded, match="demand of 5000"):
+        tau_w(system, (5000, 1))
 
 
 def test_integral_searches_leave_no_reference_cycles():

@@ -1,7 +1,8 @@
-"""Every public module-level function and class in src/mtk, and every
-public method of a public class, is referenced somewhere in the package
-outside its own definition: code that only tests call belongs under
-tests/."""
+"""Every module-level function and class in src/mtk, private ones too,
+and every public method of a public class, is referenced somewhere in
+the package outside its own definition: code that only tests call
+belongs under tests/, and a recursive helper's calls to itself do not
+count as a use."""
 
 import ast
 from collections import Counter
@@ -21,33 +22,40 @@ def _references(node) -> Counter:
     )
 
 
-def _public_definitions(tree):
-    """(qualified name, node) for the public functions and classes of a
-    module and the public methods of its public classes."""
+def _definitions(tree):
+    """(qualified name, node) for the functions and classes of a module
+    and the public methods of its public classes."""
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         yield node.name, node
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item
 
 
-def unreferenced_public_names() -> list[str]:
-    trees = {
-        p.stem: ast.parse(p.read_text())
-        for p in sorted(PACKAGE.glob("*.py"))
-        if p.name != "__init__.py"
-    }
+def unreferenced_names(trees: dict) -> list[str]:
+    """module.name for each definition in trees, module -> ast, that no
+    code outside its own body reads."""
     total = sum((_references(tree) for tree in trees.values()), Counter())
     return sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
-        for name, node in _public_definitions(tree)
+        for name, node in _definitions(tree)
         if total[node.name] == _references(node)[node.name]
     )
 
 
 def test_every_public_name_is_used_inside_the_package():
-    assert unreferenced_public_names() == []
+    trees = {
+        p.stem: ast.parse(p.read_text())
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    assert unreferenced_names(trees) == []
+
+
+def test_a_private_helper_that_only_calls_itself_is_unused():
+    source = "def _walk(n):\n    return _walk(n - 1)\n\n\ndef _used():\n    return 1\n\n\n_used()\n"
+    assert unreferenced_names({"m": ast.parse(source)}) == ["m._walk"]

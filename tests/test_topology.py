@@ -24,6 +24,7 @@ from mtk.topology import (
     topological_hall_check,
 )
 from mtk.verify import rand_graph, rand_matroid, run_suite
+from search_oracle import rainbow_face
 from snf_oracle import snf_diagonal as snf_oracle
 
 
@@ -349,6 +350,21 @@ def test_topological_hall():
             assert c.is_face(image)
             assert all((subsets[i] >> v) & 1 for i, v in enumerate(picks))
     assert implications >= 5
+
+
+def test_hall_witness_is_the_least_rainbow_face_of_the_search():
+    # overlapping and empty V_i, and m = 0, on seeded complexes
+    rng = random.Random(25)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        c = Complex(n, [rng.randrange(1 << n) for _ in range(rng.randint(1, 5))])
+        subsets = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
+        rec = topological_hall_check(c, subsets)
+        assert rec.witness == rainbow_face(c, subsets), (c, subsets)
+        assert rec.conclusion == (rec.witness is not None)
+        found += rec.conclusion
+    assert 100 < found < 400
 
 
 def test_topological_hall_suite_decides_instances_meeting_the_hypothesis(monkeypatch):
