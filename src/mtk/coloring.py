@@ -6,7 +6,10 @@ with a demand per element: chi, matdim_upper, polytopes.tau_w,
 polytopes.hyper_tau_w and meshulam.gamma_e_graph call it.
 chi_list and ab_check quantify over equal-size list systems, listed up
 to renaming colors; by Hall's theorem only systems on fewer than b*n
-colors (b = 1 for chi_list) can fail, so no others are listed.
+colors (b = 1 for chi_list) can fail, so no others are listed.  Each
+system is decided by one iterative b-fold search on a table of the
+complex's faces, built once per call; its first descent is the greedy
+coloring, which colors most systems.
 chi_star is the weighted fractional relaxation, solved as an exact LP
 over maximal-face columns.  matdim, the least number of matroids whose
 intersection is a complex, is bounded and computed here as chi of
@@ -236,43 +239,67 @@ def _extend_systems(need, left: int, fresh: int, rest, s: int, budget: list[int]
             mult += 1
 
 
-def _b_fold_colorable(c: Complex, system, b: int) -> bool:
+def _face_table(c: Complex) -> bytearray:
+    """face[s] == 1 iff the mask s is a face of c."""
+    face = bytearray(1 << c.n)
+    for s in c.faces():
+        face[s] = 1
+    return face
+
+
+def _b_fold_colorable(face: bytearray, system, b: int) -> bool:
     """Is there a b-fold coloring respecting a canonical system of lists?
 
-    system: tuple of (vertex-mask F, multiplicity), one color instance
-    per unit of multiplicity.  Each vertex takes b distinct instances
-    whose F contains it, and every instance's class must be a face.
-    Instances of one group whose classes agree are interchangeable, so
-    at each pick only the first of them is tried.
+    face: the face table of a complex on n vertices (_face_table), so
+    len(face) == 2**n.  system: tuple of (vertex-mask F, multiplicity),
+    one color instance per unit of multiplicity.  Each vertex takes b
+    distinct instances whose F contains it, and every instance's class
+    must stay a face.  One depth-first search with an explicit stack of
+    picks: vertex v takes its instances in increasing order, each the
+    first that fits, and a dead end pops the last pick and resumes past
+    it, so the first descent is the greedy coloring.  Instances of one
+    group whose classes agree are interchangeable, so an instance is
+    skipped when an earlier one of its group, at or after the pick's
+    start, has its class.
     """
-    groups = [fmask for fmask, _ in system]
-    classes = [[0] * mult for _, mult in system]
-    return c.n == 0 or _pick(c, groups, classes, b, 0, 0, 0, b)
-
-
-def _pick(c: Complex, groups, classes, b: int, v: int, g: int, i: int, left: int) -> bool:
-    """Give v its remaining `left` instances, from (g, i) onwards, and
-    every later vertex its b; classes[g][i] is instance (g, i)'s class."""
-    if left == 0:
-        return v + 1 == c.n or _pick(c, groups, classes, b, v + 1, 0, 0, b)
-    bit = 1 << v
-    for gi in range(g, len(groups)):
-        if not (groups[gi] >> v) & 1:
+    n = len(face).bit_length() - 1
+    masks: list[int] = []  # each instance's F
+    first: list[int] = []  # the first instance of each instance's group
+    for fmask, mult in system:
+        first += [len(masks)] * mult
+        masks += [fmask] * mult
+    m = len(masks)
+    cls = [0] * m  # each instance's class
+    picks: list[int] = []  # the instances taken, b per vertex in vertex order
+    v = start = j = 0  # the vertex picking, its pick's start, the next instance to try
+    bit = 1
+    while v < n:
+        while j < m:
+            cj = cls[j]
+            if masks[j] & bit and face[cj | bit]:
+                lo = first[j]
+                if lo == j or cj not in cls[max(lo, start) : j]:
+                    break
+            j += 1
+        else:  # dead end: undo the last pick and try past it
+            if not picks:
+                return False
+            j = picks.pop()
+            v = len(picks) // b
+            bit = 1 << v
+            cls[j] ^= bit
+            start = picks[-1] + 1 if len(picks) % b else 0
+            j += 1
             continue
-        inst = classes[gi]
-        tried: set[int] = set()
-        for ii in range(i if gi == g else 0, len(inst)):
-            cls = inst[ii]
-            if cls in tried:
-                continue
-            tried.add(cls)
-            nxt = cls | bit
-            if c.is_face(nxt):
-                inst[ii] = nxt
-                if _pick(c, groups, classes, b, v, gi, ii + 1, left - 1):
-                    return True
-                inst[ii] = cls
-    return False
+        cls[j] |= bit
+        picks.append(j)
+        if len(picks) % b:
+            start = j = j + 1
+        else:
+            v += 1
+            bit <<= 1
+            start = j = 0
+    return True
 
 
 def _first_uncolorable(c: Complex, p: int, b: int, budget: int):
@@ -296,8 +323,9 @@ def _first_uncolorable(c: Complex, p: int, b: int, budget: int):
     #    so every color class has at least 2 vertices.
     # The argument of 3 does not carry over to b >= 2, so b-fold systems
     # keep single-vertex classes.
+    face = _face_table(c)
     for system in _canonical_systems(c.n, p, b * c.n - 1, budget, singletons=b > 1):
-        if not _b_fold_colorable(c, system, b):
+        if not _b_fold_colorable(face, system, b):
             return system
     return None
 
@@ -306,13 +334,16 @@ def chi_list(c: Complex, p: int, budget: int = LIST_ENUM_BUDGET):
     """True iff every size-p list system admits a c-respecting coloring.
 
     Returns (verdict, witness): witness is a bad canonical system when
-    the verdict is False.  Raises CapExceeded past n = LIST_MAX_N or
-    past `budget` enumeration nodes.
+    the verdict is False.  Raises ValueError on p < 0 or budget < 0, and
+    CapExceeded past n = LIST_MAX_N or past `budget` enumeration nodes.
     """
+    if p < 0 or budget < 0:
+        raise ValueError(f"need p >= 0 and budget >= 0, got p={p}, budget={budget}")
     full = (1 << c.n) - 1
     if c.vertices_mask() != full or chi(c) > p:
-        # p colors on every vertex: a coloring would cover by p faces
-        return False, ((full, p),)
+        # p colors on every vertex: a coloring would cover by p faces;
+        # the one size-0 system is empty
+        return False, ((full, p),) if p else ()
     # With p >= n and all singletons present, a system of distinct reps
     # always exists: lists are size p >= n, so Hall's condition holds.
     if p >= c.n:
@@ -331,8 +362,10 @@ def chi_list_number(c: Complex, budget: int = LIST_ENUM_BUDGET) -> tuple[int, in
     (p, p).  A size the node budget cannot decide gives (p, n): every
     smaller size failed, and size n is choosable by the SDR shortcut.
     Past chi_list's cap n <= LIST_MAX_N no size below n can be searched,
-    and the CapExceeded propagates.
+    and the CapExceeded propagates.  Raises ValueError on budget < 0.
     """
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     p = chi(c)
     while True:
         try:
@@ -451,7 +484,7 @@ def ab_check(c: Complex, a: int, b: int, mode: str) -> bool:
         raise ValueError("need a >= b >= 1")
     if a > 6 or b > 3 or c.n > 6:
         raise CapExceeded("ab_check limited to a <= 6, b <= 3, n <= 6")
-    if not _b_fold_colorable(c, (((1 << c.n) - 1, a),), b):
+    if not _b_fold_colorable(_face_table(c), (((1 << c.n) - 1, a),), b):
         return False
     return mode == "colorable" or _first_uncolorable(c, a, b, LIST_ENUM_BUDGET) is None
 

@@ -4,11 +4,14 @@
 covering each of n vertices exactly p times, trying masks in ascending
 order with no bound on the number of colors, and raises CapExceeded past
 `budget` nodes; `first_uncolorable` searches those systems for one with
-no b-fold coloring.  Tests check the Hall-bounded generator and search
-of `mtk.coloring` against them.
+no b-fold coloring.  `pick_colorable(c, system, b)` is the recursive
+b-fold search that the face-table search of `mtk.coloring` replaced: it
+asks `Complex.is_face` at every pick and keeps a set of tried classes
+per group.  Tests check the Hall-bounded generator and search of
+`mtk.coloring` against them.
 """
 
-from mtk.coloring import _b_fold_colorable
+from mtk.coloring import _b_fold_colorable, _face_table
 from mtk.core import iter_bits
 from mtk.errors import CapExceeded
 
@@ -45,7 +48,47 @@ def _extend(full, out_deg, left, mask, chosen):
 def first_uncolorable(c, p, b, budget=10**7):
     """The first system of systems_by_mask(c.n, p, budget) with no
     b-fold coloring, or None."""
+    face = _face_table(c)
     for system in systems_by_mask(c.n, p, budget):
-        if not _b_fold_colorable(c, system, b):
+        if not _b_fold_colorable(face, system, b):
             return system
     return None
+
+
+def pick_colorable(c, system, b):
+    """Is there a b-fold coloring respecting a canonical system of lists?
+
+    system: tuple of (vertex-mask F, multiplicity), one color instance
+    per unit of multiplicity.  Each vertex takes b distinct instances
+    whose F contains it, and every instance's class must be a face.
+    Instances of one group whose classes agree are interchangeable, so
+    at each pick only the first of them is tried.
+    """
+    groups = [fmask for fmask, _ in system]
+    classes = [[0] * mult for _, mult in system]
+    return c.n == 0 or _pick(c, groups, classes, b, 0, 0, 0, b)
+
+
+def _pick(c, groups, classes, b, v, g, i, left):
+    """Give v its remaining `left` instances, from (g, i) onwards, and
+    every later vertex its b; classes[g][i] is instance (g, i)'s class."""
+    if left == 0:
+        return v + 1 == c.n or _pick(c, groups, classes, b, v + 1, 0, 0, b)
+    bit = 1 << v
+    for gi in range(g, len(groups)):
+        if not (groups[gi] >> v) & 1:
+            continue
+        inst = classes[gi]
+        tried = set()
+        for ii in range(i if gi == g else 0, len(inst)):
+            cls = inst[ii]
+            if cls in tried:
+                continue
+            tried.add(cls)
+            nxt = cls | bit
+            if c.is_face(nxt):
+                inst[ii] = nxt
+                if _pick(c, groups, classes, b, v, gi, ii + 1, left - 1):
+                    return True
+                inst[ii] = cls
+    return False

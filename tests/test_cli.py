@@ -521,6 +521,16 @@ def test_a_violation_payload_does_not_import_the_cli():
     )
 
 
+def test_python_dash_m_mtk_runs_the_cli():
+    src = str(Path(mtk.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtk", "--help"],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mtk ")
+
+
 def test_cli_verify_names_ignored_overrides(capsys):
     assert main(["verify", "matdim", "--seed", "1", "--max-n", "5"]) == 0
     assert "suite 'matdim' ignores max_n" in capsys.readouterr().err

@@ -23,6 +23,7 @@ from mtk.coloring import (
     ListColorFailure,
     _b_fold_colorable,
     _canonical_systems,
+    _face_table,
     _first_uncolorable,
     ab_check,
     chi,
@@ -43,7 +44,7 @@ from mtk.topology import expansions
 from mtk.verify import _rand_matroid_once, rand_matroid, rand_system
 
 from list_color_oracle import failure_by_sweep, lhs_function
-from list_oracle import first_uncolorable, systems_by_mask
+from list_oracle import first_uncolorable, pick_colorable, systems_by_mask
 from test_caps import TripwireComplex
 
 F = Fraction
@@ -244,6 +245,27 @@ def test_chi_list_examples():
     assert chi_list_number(Complex(0, [])) == (0, 0)
 
 
+def test_chi_list_refuses_negative_sizes_and_budgets():
+    c = Complex(2, [[0], [1]])
+    for bad in (dict(p=-1), dict(p=1, budget=-1), dict(p=-1, budget=-1)):
+        with pytest.raises(ValueError):
+            chi_list(c, **bad)
+    with pytest.raises(ValueError):
+        chi_list_number(c, budget=-5)
+    with pytest.raises(ValueError):  # refused before chi finds vertex 1 in no face
+        chi_list_number(Complex(2, [[0]]), budget=-5)
+    assert chi_list_number(c, budget=0) == (2, 2)  # p = n needs no enumeration
+
+
+def test_chi_list_of_size_zero_answers_with_the_empty_system():
+    # the only size-0 system gives no vertex a color
+    for c in (Complex(1, [[0]]), Complex(3, [[0, 1, 2]]), Complex(2, [[0]])):
+        ok, witness = chi_list(c, 0)
+        assert (ok, witness) == (False, ())
+        assert not _b_fold_colorable(_face_table(c), witness, 1)
+    assert chi_list(Complex(0, []), 0) == (True, None)
+
+
 def test_chi_list_equals_chi_on_matroids():
     rng = random.Random(43)
     for _ in range(12):
@@ -333,7 +355,7 @@ def test_chi_list_false_witnesses_are_uncolorable_systems():
         ok, witness = chi_list(c, p)
         if ok:
             continue
-        assert not _b_fold_colorable(c, witness, 1), (c, p, witness)
+        assert not _b_fold_colorable(_face_table(c), witness, 1), (c, p, witness)
         if c.vertices_mask() != (1 << c.n) - 1:
             routes.add("uncovered")
         else:
@@ -445,7 +467,7 @@ def test_chi_list_agrees_with_the_mask_oracle():
         got, witness = chi_list(c, p)
         assert got == want, (c, p)
         if not got:
-            assert not _b_fold_colorable(c, witness, 1), (c, p, witness)
+            assert not _b_fold_colorable(_face_table(c), witness, 1), (c, p, witness)
         verdicts.append((c.n, got))
     assert verdicts.count((6, False)) >= 4, verdicts
     assert set(verdicts) >= {(n, v) for n in (2, 3, 4) for v in (True, False)}
@@ -468,7 +490,7 @@ def test_ab_choosable_agrees_with_the_mask_oracle():
         assert ab_check(c, a, b, "choosable") == want, (c, a, b)
         if not want and c.vertices_mask() == (1 << c.n) - 1:
             witness = _first_uncolorable(c, a, b, LIST_ENUM_BUDGET)
-            assert not _b_fold_colorable(c, witness, b), (c, a, b, witness)
+            assert not _b_fold_colorable(_face_table(c), witness, b), (c, a, b, witness)
         verdicts.add((b, want))
     assert verdicts == {(b, v) for b in (1, 2, 3) for v in (True, False)}
     # K_{2,4} is not (3, 2)-colorable, so the system with every list
@@ -760,11 +782,55 @@ def test_b_fold_search_matches_brute_force_on_every_small_system():
             for b in range(1, a + 1):
                 for c in complexes:
                     for system in systems:
-                        assert _b_fold_colorable(c, system, b) == (
+                        assert _b_fold_colorable(_face_table(c), system, b) == (
                             brute_b_fold_colorable(c, system, b)
                         ), (c, system, b)
                         cases += 1
     assert cases == 3038
+
+
+def test_b_fold_search_matches_the_recursive_oracle():
+    # seeded complexes on up to 6 vertices, every system (Hall-bounded
+    # and not) up to a budget; the recursive oracle asks is_face at each
+    # pick, the face-table search reads the table
+    rng = random.Random(54)
+    seen = set()
+    cases = 0
+    for c in _small_complexes(rng, 40, 6):
+        face = _face_table(c)
+        for b in range(1, 4):
+            p = rng.randint(b, b + 1)
+            for max_colors in (b * c.n - 1, p * c.n):
+                for system in itertools.islice(
+                    _canonical_systems(c.n, p, max_colors, 10**6, b > 1), 200
+                ):
+                    got = _b_fold_colorable(face, system, b)
+                    assert got == pick_colorable(c, system, b), (c, system, b)
+                    seen.add((b, got))
+                    cases += 1
+    assert seen == {(b, v) for b in (1, 2, 3) for v in (True, False)}
+    assert cases == 15797
+
+
+def test_face_table_marks_exactly_the_faces():
+    rng = random.Random(55)
+    complexes = [Complex(0, []), Complex(3, []), Complex(4, [[0, 1, 2, 3]])]
+    complexes += _small_complexes(rng, 30, 8)
+    for c in complexes:
+        face = _face_table(c)
+        assert len(face) == 1 << c.n
+        assert [bool(f) for f in face] == [c.is_face(s) for s in range(1 << c.n)], c
+
+
+def test_list_search_reads_the_face_table_only():
+    # TripwireComplex raises on is_face: chi_list and ab_check must not ask it
+    k33 = Hypergraph(6, [[a, b] for a in (0, 1, 2) for b in (3, 4, 5)])
+    c = TripwireComplex(6, independence_complex(k33).maximal_faces)
+    ok, witness = chi_list(c, 2)
+    assert not ok and witness
+    assert chi_list_number(c) == (3, 3)
+    assert ab_check(c, 2, 1, "colorable")
+    assert not ab_check(c, 2, 1, "choosable")
 
 
 def test_ab_colorable_matches_face_multiset_search():
