@@ -11,9 +11,9 @@ system is decided by one iterative b-fold search on a table of the
 complex's faces, built once per call; its first descent is the greedy
 coloring, which colors most systems.
 chi_star is the weighted fractional relaxation, solved as an exact LP
-over maximal-face columns.  matdim, the least number of matroids whose
-intersection is a complex, is bounded and computed here as chi of
-derived complexes.
+on the support of the weights, one row per maximal trace of a face.
+matdim, the least number of matroids whose intersection is a complex,
+is bounded and computed here as chi of derived complexes.
 """
 
 from __future__ import annotations
@@ -163,20 +163,22 @@ def chi_matroid_restricted(m: Matroid, fmask: int):
 def chi_star(c: Complex, h: Sequence[Fraction]) -> Fraction:
     """Weighted fractional chromatic number, exact.
 
-    Solves max h.y subject to y[F] <= 1 over maximal faces F (the LP
-    dual); the dual values of that program are the face weights of an
-    optimal fractional coloring.  Raises Infeasible when some element
-    of positive weight lies in no face.
+    chi*(C, h) = chi*(C[U], h|U) for U = supp h, and the maximal faces
+    of C[U] are the maximal traces F & U.  So this solves max h.y
+    subject to y[T] <= 1 over those traces T, with one column per
+    element of U; the dual weights the traces, and each trace lifts to
+    a maximal face that contains it, which gives an optimal fractional
+    coloring of C.  Raises Infeasible when some element of positive
+    weight lies in no face.
     """
     h = check_weights(h, c.n)
-    covered = c.vertices_mask()
-    for v in range(c.n):
-        if h[v] > 0 and not (covered >> v) & 1:
-            raise Infeasible(f"element {v} has positive weight but no face")
-    faces = list(c.maximal_faces)
-    amat = [[ONE if (f >> v) & 1 else ZERO for v in range(c.n)] for f in faces]
-    bvec = [ONE] * len(faces)
-    value, _, _ = solve_max_slack(amat, bvec, h)
+    u = mask_of(v for v in range(c.n) if h[v])
+    for v in iter_bits(u & ~c.vertices_mask()):
+        raise Infeasible(f"element {v} has positive weight but no face")
+    support = list(iter_bits(u))
+    traces = Complex(c.n, [f & u for f in c.maximal_faces]).maximal_faces
+    amat = [[ONE if (t >> v) & 1 else ZERO for v in support] for t in traces]
+    value, _, _ = solve_max_slack(amat, [ONE] * len(traces), [h[v] for v in support])
     return value
 
 

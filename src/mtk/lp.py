@@ -12,6 +12,10 @@ Primal and dual are both read off the final tableau.  Column n + i is
 the slack of row i, and the reduced-cost row is y.A - c over all
 columns, so y_i is the reduced cost of row i's slack.
 
+Both entry points take every entry of A, b and c as an int or a
+Fraction and refuse anything else, floats and bools included, with a
+ValueError that names the entry; every value they return is a Fraction.
+
 Every optimal result is certified by `certify`: primal feasibility,
 dual feasibility and strong duality are re-checked exactly, and a
 failure raises CertificateError, also under `python -O`.
@@ -46,11 +50,12 @@ class LPProblem:
         """Rows are (coeffs, "<=", rhs) triples; sense must be "max"."""
         if sense != "max":
             raise ValueError(f"only packing LPs are solved: sense {sense!r}")
-        c = tuple(Fraction(x) for x in c)
+        c = _exact(c, "c")
+        rows = list(rows)
+        bvec = _exact([rhs for _, _, rhs in rows], "b")
         norm_rows = []
-        for coeffs, rel, rhs in rows:
-            coeffs = tuple(Fraction(x) for x in coeffs)
-            rhs = Fraction(rhs)
+        for i, ((coeffs, rel, _), rhs) in enumerate(zip(rows, bvec)):
+            coeffs = _exact(coeffs, f"A[{i}]")
             if len(coeffs) != len(c):
                 raise ValueError("row/objective dimension mismatch")
             if rel != "<=":
@@ -59,6 +64,22 @@ class LPProblem:
                 raise ValueError(f"only packing LPs are solved: rhs {rhs} < 0")
             norm_rows.append((coeffs, rhs))
         return LPProblem(c, tuple(norm_rows))
+
+
+def _exact(entries, name: str) -> tuple[Fraction, ...]:
+    """entries as a tuple of Fractions, after refusing with ValueError,
+    by name and index, an entry that is not an int or a Fraction (a
+    float is rarely the rational it was written as; bools are refused
+    too)."""
+    out = []
+    for j, x in enumerate(entries):
+        t = type(x)
+        if t is not Fraction:
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise ValueError(f"LP entries must be ints or Fractions: {name}[{j}] is {x!r}")
+            x = Fraction(x)
+        out.append(x)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -161,21 +182,27 @@ def solve_max_slack(
     bvec: list[Fraction],
     cvec: list[Fraction],
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """max c.x s.t. Ax <= b, x >= 0, on Fraction rows with b >= 0.
+    """max c.x s.t. Ax <= b, x >= 0, on int or Fraction entries with b >= 0.
 
-    Returns (value, x, y) with y the certified dual (y >= 0, y.A >= c,
-    y.b = value).  Raises ValueError on a row whose length is not
-    len(c), a b whose length is not the number of rows, a negative b or
-    an unbounded problem.
+    Returns (value, x, y) in Fractions, with y the certified dual
+    (y >= 0, y.A >= c, y.b = value).  Raises ValueError on an entry
+    that is not an int or a Fraction, a row whose length is not len(c),
+    a b whose length is not the number of rows, a negative b or an
+    unbounded problem.
     """
-    if any(len(a) != len(cvec) for a in amat):
-        raise ValueError("row/objective dimension mismatch")
+    cvec = _exact(cvec, "c")
+    bvec = _exact(bvec, "b")
     if len(bvec) != len(amat):
         raise ValueError("rhs/row count mismatch")
     if any(b < 0 for b in bvec):
         raise ValueError("only packing LPs are solved: some b < 0")
-    rows = tuple((tuple(a), b) for a, b in zip(amat, bvec))
-    res = _simplex(LPProblem(tuple(cvec), rows))
+    rows = []
+    for i, (a, b) in enumerate(zip(amat, bvec)):
+        a = _exact(a, f"A[{i}]")
+        if len(a) != len(cvec):
+            raise ValueError("row/objective dimension mismatch")
+        rows.append((a, b))
+    res = _simplex(LPProblem(cvec, tuple(rows)))
     if res.status != "optimal":
         raise ValueError(res.status)
     return res.objective, list(res.primal), list(res.dual)

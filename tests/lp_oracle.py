@@ -1,14 +1,38 @@
-"""A vertex-enumeration LP oracle that shares no code with the simplex.
+"""LP oracles for the tests.
 
-`brute_optimum` solves small LPs over x >= 0 with "<=" and ">=" rows by
-trying every choice of n tight constraints, so tests can check both
-sides of an LP-duality pair, covering LPs included, against it.
+`brute_optimum` shares no code with the simplex: it solves small LPs
+over x >= 0 with "<=" and ">=" rows by trying every choice of n tight
+constraints, so tests can check both sides of an LP-duality pair,
+covering LPs included, against it.
+
+`full_chi_star` is the fractional chromatic number by the LP over every
+element and every maximal face, with no restriction to the support of
+the weights; `coloring.chi_star` must agree with it.
 """
 
 import itertools
 from fractions import Fraction
 
+from mtk.errors import Infeasible
+from mtk.extval import check_weights
+from mtk.lp import solve_max_slack
+
 F = Fraction
+
+
+def full_chi_star(c, h):
+    """max h.y subject to y[F] <= 1 over the maximal faces F, one column
+    per element of the ground set.  Raises Infeasible when some element
+    of positive weight lies in no face."""
+    h = check_weights(h, c.n)
+    covered = c.vertices_mask()
+    for v in range(c.n):
+        if h[v] > 0 and not (covered >> v) & 1:
+            raise Infeasible(f"element {v} has positive weight but no face")
+    faces = list(c.maximal_faces)
+    amat = [[F(1) if (f >> v) & 1 else F(0) for v in range(c.n)] for f in faces]
+    value, _, _ = solve_max_slack(amat, [F(1)] * len(faces), h)
+    return value
 
 
 def brute_optimum(sense, c, rows, n):

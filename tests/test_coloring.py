@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mtk import coloring
+from mtk import coloring, constructions
 from mtk.core import (
     Complex,
     Hypergraph,
@@ -36,7 +36,7 @@ from mtk.coloring import (
     matroid_list_color,
     min_cover,
 )
-from mtk.errors import CapExceeded, DomainError, Uncolorable
+from mtk.errors import CapExceeded, DomainError, Infeasible, Uncolorable
 from mtk.extval import INF, max_ratio
 from mtk.matroid import DualMatroid, GenPartitionMatroid, GraphicMatroid, UniformMatroid
 from mtk.meshulam import gamma_e_graph
@@ -45,6 +45,7 @@ from mtk.verify import _rand_matroid_once, rand_matroid, rand_system
 
 from list_color_oracle import failure_by_sweep, lhs_function
 from list_oracle import first_uncolorable, pick_colorable, systems_by_mask
+from lp_oracle import full_chi_star
 from test_caps import TripwireComplex
 
 F = Fraction
@@ -231,6 +232,62 @@ def test_chi_star_examples():
 def test_chi_star_returns_fractional_coloring():
     c = Complex(5, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])  # C5 edges as faces
     assert chi_star(c, [1] * 5) == F(5, 2)
+
+
+_CANNED_CHI_STAR = [
+    ("ab", {"m": 3}), ("md_lower", {"n": 4}), ("md_lower", {"n": 6}),
+    ("lambdaPnotQ", {"k": 3}), ("lambdaPnotQ", {"k": 4}), ("PnotQpartition", {}),
+    ("truncated_plane", {"q": 2}), ("truncated_plane", {"q": 3}),
+    ("q_k", {"q": 2}), ("q_k", {"q": 3}),
+]
+
+
+def _chi_star_complexes(rng):
+    """Complexes of every matroid kind, intersection complexes (k <= 3,
+    n <= 7, loops allowed) and the canned complexes."""
+    for kind in ("uniform", "partition", "gen_partition", "graphic", "dual"):
+        for _ in range(6):
+            yield _rand_matroid_once(rng, rng.randint(1, 7), kind).to_complex()
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        yield rand_system(rng, n, rng.randint(2, 3), loopless=False).intersection_complex()
+    for name, params in _CANNED_CHI_STAR:
+        inst = constructions.canned(name, **params)
+        yield inst.complex_ or inst.system.intersection_complex()
+
+
+def _chi_star_or_infeasible(fn, c, h):
+    try:
+        return fn(c, h)
+    except Infeasible:
+        return Infeasible
+
+
+def test_chi_star_on_the_support_matches_the_full_face_lp():
+    rng = random.Random(32)
+    supports = set()
+    raised = 0
+    for c in _chi_star_complexes(rng):
+        for zeros in range(c.n + 1):
+            off = set(rng.sample(range(c.n), zeros))
+            h = [F(0) if v in off else F(rng.randint(1, 4), rng.randint(1, 3)) for v in range(c.n)]
+            got = _chi_star_or_infeasible(chi_star, c, h)
+            assert got == _chi_star_or_infeasible(full_chi_star, c, h), (c, h)
+            if got is Infeasible:
+                raised += 1
+            else:
+                supports.add("full" if zeros == 0 else "empty" if zeros == c.n else "partial")
+    assert supports == {"full", "partial", "empty"}
+    assert raised
+
+
+def test_chi_star_on_zero_weights_and_elements_in_no_face():
+    c = Complex(3, [0b011])  # element 2 lies in no face
+    for fn in (chi_star, full_chi_star):
+        assert fn(c, [0, 0, 0]) == 0
+        assert fn(c, [1, F(1, 2), 0]) == 1
+        with pytest.raises(Infeasible, match="element 2"):
+            fn(c, [0, 0, 1])
 
 
 def test_chi_list_examples():

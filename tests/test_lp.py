@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -62,6 +63,41 @@ def test_max_slack_refuses_mismatched_dimensions(amat, bvec, cvec, message):
     # as LPProblem.make does, not with an IndexError from inside the simplex
     with pytest.raises(ValueError, match=message):
         solve_max_slack(amat, bvec, cvec)
+
+
+@pytest.mark.parametrize(
+    "amat, bvec, cvec, entry",
+    [
+        ([[0.1, 1]], [1], [1, 1], "A[0][0] is 0.1"),
+        ([[True]], [1], [1], "A[0][0] is True"),
+        ([[1]], [1.0], [1], "b[0] is 1.0"),
+        ([[1, 0]], [1], [1, "1"], "c[1] is '1'"),
+    ],
+)
+def test_max_slack_takes_ints_and_fractions_only(amat, bvec, cvec, entry):
+    # a float is rarely the rational it was written as
+    with pytest.raises(ValueError, match=rf"ints or Fractions: {re.escape(entry)}"):
+        solve_max_slack(amat, bvec, cvec)
+
+
+@pytest.mark.parametrize(
+    "c, rows, entry",
+    [
+        ([0.1], [([1], "<=", 1)], "c[0] is 0.1"),
+        ([1], [([1], "<=", 1), ([1], "<=", False)], "b[1] is False"),
+        ([1, 1], [([1, F(1, 3)], "<=", 1), ([1, 0.5], "<=", 1)], "A[1][1] is 0.5"),
+    ],
+)
+def test_make_takes_ints_and_fractions_only(c, rows, entry):
+    with pytest.raises(ValueError, match=rf"ints or Fractions: {re.escape(entry)}"):
+        LPProblem.make("max", c, rows)
+
+
+def test_int_entries_come_back_as_fractions():
+    value, x, y = solve_max_slack([[1, 2], [F(1, 2), 1]], [1, 3], [1, 1])
+    assert all(type(v) is Fraction for v in [value, *x, *y])
+    p = LPProblem.make("max", [1, 1], [([1, 2], "<=", 1)])
+    assert all(type(v) is Fraction for v in (*p.c, *p.rows[0][0], p.rows[0][1]))
 
 
 def test_random_instances_against_vertex_brute_force():
