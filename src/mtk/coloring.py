@@ -3,7 +3,8 @@
 A coloring of a complex covers the ground set by faces; chi is the
 least number of faces needed.  min_cover is the one exact cover search,
 with a demand per element: chi, matdim_upper, polytopes.tau_w,
-polytopes.hyper_tau_w and meshulam.gamma_e_graph call it.
+polytopes.hyper_tau_w and meshulam.gamma_e_graph call it.  It keeps its
+open nodes on an explicit stack, so no demand is too deep to search.
 chi_list and ab_check quantify over equal-size list systems, listed up
 to renaming colors; by Hall's theorem only systems on fewer than b*n
 colors (b = 1 for chi_list) can fail, so no others are listed.  Each
@@ -65,10 +66,11 @@ def min_cover(options, demand: Sequence[int]) -> tuple[int, list[int]]:
     branch never takes an option an earlier sibling took, so each
     multiset is tried in one order.  The bound is the cost spent plus
     ceil(demand left x the least cost per element), and max(demand)
-    copies of every kept option are an incumbent.  Raises Uncolorable
-    when an element of positive demand lies in no option, DomainError on
-    a negative cost, and CapExceeded when the picks outnumber the
-    interpreter's recursion limit, as a large demand can.
+    copies of every kept option are an incumbent.  The open nodes sit on
+    an explicit stack, one per pick, and the search stops once the
+    incumbent meets the root's bound.  Raises Uncolorable when an
+    element of positive demand lies in no option, and DomainError on a
+    negative cost.
     """
     target = mask_of(v for v, d in enumerate(demand) if d > 0)
     # In cost order, every kept option costs no more than the next one.
@@ -84,42 +86,53 @@ def min_cover(options, demand: Sequence[int]) -> tuple[int, list[int]]:
     missing = [v for v in iter_bits(target) if not by_elem[v]]
     if missing:
         raise Uncolorable(f"element {missing[-1]} lies in no option")
-    best = [max([1, *demand]) * sum(cost for _, cost in kept) + 1, []]
+    best, chosen = max([1, *demand]) * sum(cost for _, cost in kept) + 1, []
+    floor = None  # the root's bound: no cover costs less
+    path: list[int] = []  # the mask each open node has taken last
+    stack: list[list] = []  # open nodes: [uncov, extra, spent, options left, barred]
+    # uncov holds the elements still demanded, each once, and each u in
+    # extra extra[u] more times; no option in barred is taken below a node
     extra = {v: d - 1 for v, d in enumerate(demand) if d > 1}
-    try:
-        _cover(kept, by_elem, target, extra, set(), 0, [], best)
-    except RecursionError:  # the search recurses once per pick
-        raise CapExceeded(f"a demand of {max(demand)} is past the recursion limit") from None
-    return best[0], best[1]
+    uncov, spent, barred = target, 0, set()
+    while True:
+        if uncov == 0:
+            if spent < best:
+                best, chosen = spent, path[:]
+                if best == floor:
+                    break
+        else:
+            bound, left = _branching(kept, by_elem, uncov, extra, spent, best, barred)
+            floor = bound if floor is None else floor
+            stack.append([uncov, extra, spent, left, barred])
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            break
+        node = stack[-1]
+        uncov, extra, spent, left, barred = node
+        o = left.pop()
+        node[4] = barred | {o}
+        mask, cost = o
+        again = mask_of(u for u, e in extra.items() if e and (mask >> u) & 1)  # owed one more
+        extra = {u: e - ((again >> u) & 1) for u, e in extra.items()}
+        uncov, spent = uncov & ~mask | again, spent + cost
+        path[len(stack) - 1 :] = [mask]
+    return best, chosen
 
 
-def _cover(kept, by_elem, uncov: int, extra: dict, barred: set, spent: int, chosen, best):
-    """Branch and bound for min_cover; best is [cost, masks], improved in
-    place.  uncov holds the elements still demanded, each once, and each
-    u in extra extra[u] more times; no option in barred is taken in this
-    branch."""
-    if uncov == 0:
-        if spent < best[0]:
-            best[0] = spent
-            best[1] = chosen[:]
-        return
+def _branching(kept, by_elem, uncov: int, extra: dict, spent: int, best: int, barred: set):
+    """One node of min_cover's search: its bound, and the options not in
+    barred that it tries, the first to try last; no options once the
+    bound reaches best."""
     left = uncov.bit_count() + sum(extra.values())
     bound = spent + min(
         -(-left * cost // (mask & uncov).bit_count()) for mask, cost in kept if mask & uncov
     )
-    if bound >= best[0]:
-        return
+    if bound >= best:
+        return bound, []
     v = min(iter_bits(uncov), key=lambda w: len(by_elem[w]))
-    for o in sorted(by_elem[v], key=lambda o: (o[1], -(o[0] & uncov).bit_count())):
-        if o in barred:
-            continue
-        mask, cost = o
-        again = mask_of(u for u, e in extra.items() if e and (mask >> u) & 1)  # owed one more
-        rest = {u: e - ((again >> u) & 1) for u, e in extra.items()}
-        chosen.append(mask)
-        _cover(kept, by_elem, uncov & ~mask | again, rest, barred, spent + cost, chosen, best)
-        chosen.pop()
-        barred = barred | {o}
+    order = sorted(by_elem[v], key=lambda o: (o[1], -(o[0] & uncov).bit_count()))
+    return bound, [o for o in reversed(order) if o not in barred]
 
 
 def chi(c: Complex) -> int:
@@ -178,8 +191,7 @@ def chi_star(c: Complex, h: Sequence[Fraction]) -> Fraction:
     support = list(iter_bits(u))
     traces = Complex(c.n, [f & u for f in c.maximal_faces]).maximal_faces
     amat = [[ONE if (t >> v) & 1 else ZERO for v in support] for t in traces]
-    value, _, _ = solve_max_slack(amat, [ONE] * len(traces), [h[v] for v in support])
-    return value
+    return solve_max_slack(amat, [ONE] * len(traces), [h[v] for v in support])[0]
 
 
 # -- list coloring --------------------------------------------------------

@@ -12,9 +12,10 @@ Primal and dual are both read off the final tableau.  Column n + i is
 the slack of row i, and the reduced-cost row is y.A - c over all
 columns, so y_i is the reduced cost of row i's slack.
 
-Both entry points take every entry of A, b and c as an int or a
-Fraction and refuse anything else, floats and bools included, with a
-ValueError that names the entry; every value they return is a Fraction.
+An `LPProblem` takes every entry of A, b and c as an int or a Fraction
+and refuses anything else, floats and bools included, with a ValueError
+that names the entry, however it is built; both entry points build one,
+so every value they return is a Fraction.
 
 Every optimal result is certified by `certify`: primal feasibility,
 dual feasibility and strong duality are re-checked exactly, and a
@@ -40,30 +41,39 @@ Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, rhs) of a "<=" row
 
 @dataclass(frozen=True)
 class LPProblem:
-    """max c.x subject to coeffs.x <= rhs for every row, x >= 0, rhs >= 0."""
+    """max c.x subject to coeffs.x <= rhs for every row, x >= 0, rhs >= 0.
+
+    Construction takes every entry as an int or a Fraction and keeps it
+    as a Fraction; it raises ValueError on any other entry, on a row
+    whose length is not len(c) and on a negative rhs.
+    """
 
     c: tuple[Fraction, ...]
     rows: tuple[Row, ...]
+
+    def __post_init__(self):
+        c = _exact(self.c, "c")
+        rows = tuple(self.rows)
+        bvec = _exact([rhs for _, rhs in rows], "b")
+        amat = [_exact(coeffs, f"A[{i}]") for i, (coeffs, _) in enumerate(rows)]
+        if any(len(a) != len(c) for a in amat):
+            raise ValueError("row/objective dimension mismatch")
+        for i, rhs in enumerate(bvec):
+            if rhs < 0:
+                raise ValueError(f"only packing LPs are solved: b[{i}] is {rhs} < 0")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "rows", tuple(zip(amat, bvec)))
 
     @staticmethod
     def make(sense, c, rows) -> "LPProblem":
         """Rows are (coeffs, "<=", rhs) triples; sense must be "max"."""
         if sense != "max":
             raise ValueError(f"only packing LPs are solved: sense {sense!r}")
-        c = _exact(c, "c")
         rows = list(rows)
-        bvec = _exact([rhs for _, _, rhs in rows], "b")
-        norm_rows = []
-        for i, ((coeffs, rel, _), rhs) in enumerate(zip(rows, bvec)):
-            coeffs = _exact(coeffs, f"A[{i}]")
-            if len(coeffs) != len(c):
-                raise ValueError("row/objective dimension mismatch")
+        for _, rel, _ in rows:
             if rel != "<=":
                 raise ValueError(f"only packing LPs are solved: relation {rel!r}")
-            if rhs < 0:
-                raise ValueError(f"only packing LPs are solved: rhs {rhs} < 0")
-            norm_rows.append((coeffs, rhs))
-        return LPProblem(c, tuple(norm_rows))
+        return LPProblem(c, tuple((coeffs, rhs) for coeffs, _, rhs in rows))
 
 
 def _exact(entries, name: str) -> tuple[Fraction, ...]:
@@ -190,19 +200,9 @@ def solve_max_slack(
     a b whose length is not the number of rows, a negative b or an
     unbounded problem.
     """
-    cvec = _exact(cvec, "c")
-    bvec = _exact(bvec, "b")
     if len(bvec) != len(amat):
         raise ValueError("rhs/row count mismatch")
-    if any(b < 0 for b in bvec):
-        raise ValueError("only packing LPs are solved: some b < 0")
-    rows = []
-    for i, (a, b) in enumerate(zip(amat, bvec)):
-        a = _exact(a, f"A[{i}]")
-        if len(a) != len(cvec):
-            raise ValueError("row/objective dimension mismatch")
-        rows.append((a, b))
-    res = _simplex(LPProblem(cvec, tuple(rows)))
+    res = _simplex(LPProblem(cvec, tuple(zip(amat, bvec))))
     if res.status != "optimal":
         raise ValueError(res.status)
     return res.objective, list(res.primal), list(res.dual)

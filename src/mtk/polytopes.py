@@ -294,8 +294,7 @@ def nu_star_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
     """LP max w.x over R(L), solved on the rows of _rank_rows."""
     w = check_weights(w, system.n)
     amat, bvec = _system_lp(system)
-    value, _, _ = solve_max_slack(amat, bvec, w)
-    return value
+    return solve_max_slack(amat, bvec, w)[0]
 
 
 def tau_star_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
@@ -306,10 +305,8 @@ def tau_star_w(system: MatroidSystem, w: Sequence[Fraction]) -> Fraction:
     optimal cover.  Every flat is a row, so this is a different LP from
     nu_star_w's with the same optimum."""
     w = check_weights(w, system.n)
-    rows = []
-    for m in system:
-        for f in m.flats():
-            rows.append(([(f >> v) & 1 for v in range(system.n)], "<=", m.rank(f)))
+    n = system.n
+    rows = [([(f >> v) & 1 for v in range(n)], "<=", m.rank(f)) for m in system for f in m.flats()]
     return solve(LPProblem.make("max", w, rows)).objective
 
 
@@ -372,35 +369,31 @@ def hyper_nu_star_w(h: Hypergraph, w: Sequence[Fraction]) -> Fraction:
     w = check_weights(w, len(h.edges))
     if any(e == 0 for e in h.edges):
         raise EmptyEdge("fractional matching undefined with an empty edge")
-    amat = []
-    bvec = []
-    for v in range(h.n):
-        amat.append([ONE if (e >> v) & 1 else ZERO for e in h.edges])
-        bvec.append(ONE)
-    value, _, _ = solve_max_slack(amat, bvec, w)
-    return value
+    amat = [[ONE if (e >> v) & 1 else ZERO for e in h.edges] for v in range(h.n)]
+    return solve_max_slack(amat, [ONE] * h.n, w)[0]
 
 
 def hyper_nu_w(h: Hypergraph, w: Sequence[Fraction]) -> Fraction:
-    """Max weight of a matching (integral fractional matching)."""
+    """Max weight of a matching (integral fractional matching), by branch
+    and bound over the edges with an explicit stack.  An edge that fits
+    is taken before it is left out, so the first descent is the greedy
+    matching; a node is cut when the edges left cannot beat the best."""
     w = check_weights(w, len(h.edges))
-    best = [ZERO]
-    _heaviest_matching(h.edges, w, 0, 0, ZERO, best)
-    return best[0]
-
-
-def _heaviest_matching(edges, w: tuple[Fraction, ...], i: int, used: int, val: Fraction, best: list[Fraction]):
-    """Branch and bound for hyper_nu_w; best[0] is the incumbent weight."""
-    if val > best[0]:
-        best[0] = val
-    if i == len(edges):
-        return
-    rest = sum((w[j] for j in range(i, len(edges)) if w[j] > 0), ZERO)
-    if val + rest <= best[0]:
-        return
-    _heaviest_matching(edges, w, i + 1, used, val, best)
-    if edges[i] & used == 0:
-        _heaviest_matching(edges, w, i + 1, used | edges[i], val + w[i], best)
+    edges = h.edges
+    rest = [ZERO] * (len(edges) + 1)  # rest[i]: the weight of edges i, i + 1, ...
+    for i in reversed(range(len(edges))):
+        rest[i] = rest[i + 1] + w[i]
+    best = ZERO
+    stack = [(0, 0, ZERO)]  # (the next edge, the vertices used, the weight taken)
+    while stack:
+        i, used, val = stack.pop()
+        best = max(best, val)
+        if i == len(edges) or val + rest[i] <= best:
+            continue
+        stack.append((i + 1, used, val))
+        if edges[i] & used == 0:
+            stack.append((i + 1, used | edges[i], val + w[i]))
+    return best
 
 
 def hyper_tau_w(h: Hypergraph, w: Sequence[Fraction]) -> Fraction:
@@ -419,15 +412,9 @@ def hyper_w_star(h: Hypergraph) -> Fraction:
     """Fractional width: min total f with sum_T f(T)|T & S| >= 1 per edge."""
     if any(e == 0 for e in h.edges):
         raise EmptyEdge("fractional width undefined with an empty edge")
-    m = len(h.edges)
-    amat = []
-    bvec = []
-    for i, s in enumerate(h.edges):
-        amat.append([Fraction((t & s).bit_count()) for t in h.edges])
-        bvec.append(ONE)
+    amat = [[Fraction((t & s).bit_count()) for t in h.edges] for s in h.edges]
     # Dual form: max sum g with sum_S g_S |T & S| <= 1 for every T.
-    value, _, _ = solve_max_slack(amat, bvec, [ONE] * m)
-    return value
+    return solve_max_slack(amat, [ONE] * len(h.edges), [ONE] * len(h.edges))[0]
 
 
 def hyper_numbers(h: Hypergraph, w: Sequence[Fraction] | None = None) -> HypergraphNumbers:

@@ -318,15 +318,15 @@ def test_cli_invariants_names_the_weight_keys_it_ignores(tmp_path, capsys):
     assert "ignore weights h" in capsys.readouterr().err
 
 
-def test_cli_refuses_a_demand_too_deep_to_search_with_exit_2(tmp_path, capsys):
-    # one unit pick per search level, so w = 5000 passes the recursion limit
+def test_cli_answers_a_demand_past_the_recursion_limit(tmp_path, capsys):
+    # one unit pick per search level, so w = 5000 takes 5000 levels
     path = tmp_path / "deep.json"
     raw = {"hypergraph": {"n": 2, "edges": [[0, 1]]}, "weights": {"w": ["5000"]}}
     path.write_text(json.dumps(raw))
-    assert main(["invariants", str(path), "--what", "hyper_numbers"]) == 2
+    assert main(["invariants", str(path), "--what", "hyper_numbers", "--report", "jsonl"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: a demand of 5000 is past the recursion limit\n"
+    assert json.loads(captured.out)["hyper_tau_w"] == "5000"
+    assert captured.err == ""
 
 
 def test_cli_invariants_says_when_it_leaves_matdim_exact_out(tmp_path, capsys):

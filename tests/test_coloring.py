@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mtk import coloring, constructions
+from mtk import coloring, constructions, meshulam, polytopes
 from mtk.core import (
     Complex,
     Hypergraph,
@@ -41,11 +41,13 @@ from mtk.extval import INF, max_ratio
 from mtk.matroid import DualMatroid, GenPartitionMatroid, GraphicMatroid, UniformMatroid
 from mtk.meshulam import gamma_e_graph
 from mtk.topology import expansions
-from mtk.verify import _rand_matroid_once, rand_matroid, rand_system
+from mtk.polytopes import hyper_tau_w, tau_w
+from mtk.verify import _rand_matroid_once, rand_graph, rand_hypergraph, rand_matroid, rand_system
 
 from list_color_oracle import failure_by_sweep, lhs_function
 from list_oracle import first_uncolorable, pick_colorable, systems_by_mask
 from lp_oracle import full_chi_star
+from search_oracle import recursive_min_cover
 from test_caps import TripwireComplex
 
 F = Fraction
@@ -148,6 +150,62 @@ def test_min_cover_meets_demands_like_the_cheapest_multiset():
     assert repeated >= 10
     # a mask is listed once per pick
     assert min_cover([(0b11, 2), (0b01, 1)], [3, 1]) == (4, [0b11, 0b01, 0b01])
+
+
+def _cover_or_refusal(search, options, demand):
+    try:
+        return search(options, demand)
+    except Uncolorable:
+        return "uncolorable"
+
+
+def test_min_cover_finds_the_recursive_search_optimum():
+    # the same first-found optimum, masks and their order included, as the
+    # recursive branch and bound the explicit stack replaced
+    rng = random.Random(33)
+    refused = 0
+    for _ in range(2400):
+        n = rng.randint(0, 7)
+        options = [(rng.randrange(1 << n), rng.randint(0, 3)) for _ in range(rng.randint(0, 8))]
+        union = mask_of(v for mask, _ in options for v in iter_bits(mask))
+        demand = [rng.randint(0, 3) if (union >> v) & 1 or rng.random() < 0.1 else 0 for v in range(n)]
+        want = _cover_or_refusal(recursive_min_cover, options, demand)
+        assert _cover_or_refusal(min_cover, options, demand) == want, (options, demand)
+        refused += want == "uncolorable"
+    assert 0 < refused < 400
+
+
+def test_min_cover_finds_the_recursive_search_optimum_for_its_callers(monkeypatch):
+    # chi, tau_w, hyper tau_w and gamma_E, each on the
+    # options and demands it builds
+    calls = []
+
+    def recorded(options, demand):
+        calls.append((list(options), list(demand)))
+        return min_cover(*calls[-1])
+
+    for module in (coloring, polytopes, meshulam):
+        monkeypatch.setattr(module, "min_cover", recorded)
+    rng = random.Random(34)
+    shapes = {"chi": 0, "tau_w": 0, "hyper_tau_w": 0, "gamma_e": 0}
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        system = rand_system(rng, n, rng.randint(1, 3))
+        h = rand_hypergraph(rng, n, 6)
+        cases = {
+            "chi": lambda: chi(system.intersection_complex()),
+            "tau_w": lambda: tau_w(system, [F(rng.randint(0, 9), 3) for _ in range(n)]),
+            "hyper_tau_w": lambda: hyper_tau_w(h, [rng.randint(0, 3) for _ in h.edges]),
+            "gamma_e": lambda: gamma_e_graph(rand_graph(rng, n, 0.5)),
+        }
+        for shape, call in cases.items():
+            before = len(calls)
+            call()
+            shapes[shape] += len(calls) - before
+    assert min(shapes.values()) >= 50, shapes
+    for options, demand in calls:
+        want = _cover_or_refusal(recursive_min_cover, options, demand)
+        assert _cover_or_refusal(min_cover, options, demand) == want, (options, demand)
 
 
 def test_chi_of_a_matroid_is_its_ceiled_expansion_number():

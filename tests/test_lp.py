@@ -42,9 +42,9 @@ def test_make_takes_inequalities_over_nonnegative_variables_only():
         LPProblem.make("max", [1], [([1], ">=", 1)])
     with pytest.raises(ValueError, match="sense 'min'"):
         LPProblem.make("min", [1], [([1], "<=", 1)])
-    with pytest.raises(ValueError, match="rhs -1 < 0"):
+    with pytest.raises(ValueError, match=r"b\[1\] is -1 < 0"):
         LPProblem.make("max", [1], [([1], "<=", 1), ([-1], "<=", -1)])
-    with pytest.raises(ValueError, match="some b < 0"):
+    with pytest.raises(ValueError, match=r"b\[0\] is -1 < 0"):
         solve_max_slack([[ONE]], [F(-1)], [ONE])
     with pytest.raises(ValueError, match="row/objective dimension mismatch"):
         LPProblem.make("max", [1, 1], [([1], "<=", 1)])
@@ -91,6 +91,20 @@ def test_max_slack_takes_ints_and_fractions_only(amat, bvec, cvec, entry):
 def test_make_takes_ints_and_fractions_only(c, rows, entry):
     with pytest.raises(ValueError, match=rf"ints or Fractions: {re.escape(entry)}"):
         LPProblem.make("max", c, rows)
+
+
+def test_a_problem_built_directly_takes_ints_and_fractions_only():
+    # the checks belong to LPProblem itself, not only to make
+    with pytest.raises(ValueError, match=r"ints or Fractions: c\[0\] is 0.1"):
+        solve(LPProblem((0.1,), (((1,), 1),)))
+
+
+def test_a_problem_built_directly_refuses_a_negative_rhs():
+    # a ValueError, not a CertificateError from the simplex's answer
+    with pytest.raises(ValueError, match=r"only packing LPs are solved: b\[0\] is -1 < 0"):
+        solve(LPProblem((1,), (((1,), -1),)))
+    with pytest.raises(ValueError, match="row/objective dimension mismatch"):
+        LPProblem((1, 1), (((1,), 1),))
 
 
 def test_int_entries_come_back_as_fractions():

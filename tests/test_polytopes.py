@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import random
+import time
 from operator import le
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 
 from mtk.constructions import canned
 from mtk.core import Complex, Hypergraph, iter_bits
-from mtk.errors import CapExceeded, DomainError, EmptyEdge, Infeasible
+from mtk.errors import DomainError, EmptyEdge, Infeasible
 from mtk.extval import INF
 from mtk.matroid import (
     GenPartitionMatroid,
@@ -52,7 +53,7 @@ from mtk.verify import (
 from dd_oracle import dd_vertices_fraction
 from lp_oracle import brute_optimum
 from rows_oracle import reduced_rows_complex, system_rows
-from search_oracle import hyper_tau_by_multicover
+from search_oracle import hyper_tau_by_multicover, recursive_hyper_nu_w
 
 F = Fraction
 ONE = F(1)
@@ -787,18 +788,18 @@ def test_hyper_tau_w_matches_the_multicover_oracle():
 
 def test_hyper_tau_w_answers_large_demands_in_few_search_calls(monkeypatch):
     # a bound that counts demand left, not elements left, makes the first
-    # two a short dive (the C4 takes about 16,000 calls without it); the
+    # two a short dive (the C4 takes about 16,000 nodes without it); the
     # triangle's first dive is not optimal, and it ends only because each
     # multiset of stars is tried in one order
     calls = []
-    search = coloring._cover
+    step = coloring._branching
 
     def counted(*args):
         calls.append(1)
         assert len(calls) <= 3000  # fail at once rather than search for hours
-        return search(*args)
+        return step(*args)
 
-    monkeypatch.setattr(coloring, "_cover", counted)
+    monkeypatch.setattr(coloring, "_branching", counted)
     assert hyper_tau_w(Hypergraph(2, [[0, 1]]), (50,)) == 50
     assert len(calls) <= 300
     calls.clear()
@@ -810,12 +811,40 @@ def test_hyper_tau_w_answers_large_demands_in_few_search_calls(monkeypatch):
     assert hyper_tau_w(triangle, (50, 50, 50)) == 75
 
 
-def test_a_demand_past_the_recursion_limit_is_a_cap_error():
-    with pytest.raises(CapExceeded, match="demand of 5000"):
-        hyper_tau_w(Hypergraph(2, [[0, 1]]), (5000,))
+def test_a_demand_past_the_recursion_limit_is_searched():
+    # one pick per search level, so 5000 levels: the search keeps them on
+    # a stack of its own, not the interpreter's
+    assert hyper_tau_w(Hypergraph(2, [[0, 1]]), (5000,)) == 5000
     system = MatroidSystem([UniformMatroid(1, 2)])
-    with pytest.raises(CapExceeded, match="demand of 5000"):
-        tau_w(system, (5000, 1))
+    assert tau_w(system, (5000, 1)) == 5000
+
+
+def _nested(depth: int, call):
+    """call() run under depth more interpreter frames."""
+    return _nested(depth - 1, call) if depth else call()
+
+
+def test_integral_searches_answer_at_any_stack_depth():
+    edge = Hypergraph(2, [[0, 1]])
+    assert _nested(150, lambda: hyper_tau_w(edge, (900,))) == 900
+    disjoint = Hypergraph(2400, [[2 * i, 2 * i + 1] for i in range(1200)])
+    start = time.perf_counter()
+    assert _nested(150, lambda: hyper_nu_w(disjoint, [1] * 1200)) == 1200
+    assert time.perf_counter() - start < 1  # the first descent is the greedy matching
+
+
+def test_hyper_nu_w_matches_the_recursive_search():
+    rng = random.Random(63)
+    empty = zero = 0
+    for _ in range(1200):
+        n = rng.randint(0, 7)
+        edges = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 9))]
+        h = Hypergraph(n, edges)
+        w = [F(rng.randint(0, 6), rng.randint(1, 3)) if rng.random() < 0.8 else 0 for _ in h.edges]
+        assert hyper_nu_w(h, w) == recursive_hyper_nu_w(h, w), (h, w)
+        empty += 0 in h.edges
+        zero += 0 in w
+    assert empty >= 100 and zero >= 300
 
 
 def test_integral_searches_leave_no_reference_cycles():
