@@ -28,6 +28,7 @@ from fractions import Fraction
 from .core import (
     Complex,
     _undominated,
+    check_sweep,
     iter_bits,
     mask_of,
     matching_complex,
@@ -50,7 +51,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 LIST_ENUM_BUDGET = 4_000_000
-LIST_MAX_N = 8  # largest n chi_list enumerates list systems for
 MATDIM_MAX_N = 6  # matdim_exact is refused above this ground-set size
 
 
@@ -254,7 +254,9 @@ def _extend_systems(need, left: int, fresh: int, rest, s: int, budget: list[int]
 
 
 def _face_table(c: Complex) -> bytearray:
-    """face[s] == 1 iff the mask s is a face of c."""
+    """face[s] == 1 iff the mask s is a face of c.  Raises CapExceeded
+    above SWEEP_CAP masks, before building the table."""
+    check_sweep(c.n)
     face = bytearray(1 << c.n)
     for s in c.faces():
         face[s] = 1
@@ -349,7 +351,8 @@ def chi_list(c: Complex, p: int, budget: int = LIST_ENUM_BUDGET):
 
     Returns (verdict, witness): witness is a bad canonical system when
     the verdict is False.  Raises ValueError on p < 0 or budget < 0, and
-    CapExceeded past n = LIST_MAX_N or past `budget` enumeration nodes.
+    CapExceeded past SWEEP_CAP vertex masks or past `budget` enumeration
+    nodes.
     """
     if p < 0 or budget < 0:
         raise ValueError(f"need p >= 0 and budget >= 0, got p={p}, budget={budget}")
@@ -362,8 +365,6 @@ def chi_list(c: Complex, p: int, budget: int = LIST_ENUM_BUDGET):
     # always exists: lists are size p >= n, so Hall's condition holds.
     if p >= c.n:
         return True, None
-    if c.n > LIST_MAX_N:
-        raise CapExceeded(f"chi_list search limited to n <= {LIST_MAX_N}")
     bad = _first_uncolorable(c, p, 1, budget)
     return bad is None, bad
 
@@ -373,10 +374,9 @@ def chi_list_number(c: Complex, budget: int = LIST_ENUM_BUDGET) -> tuple[int, in
     colorable.
 
     The search climbs p = chi, chi + 1, ...; the first choosable p gives
-    (p, p).  A size the node budget cannot decide gives (p, n): every
-    smaller size failed, and size n is choosable by the SDR shortcut.
-    Past chi_list's cap n <= LIST_MAX_N no size below n can be searched,
-    and the CapExceeded propagates.  Raises ValueError on budget < 0.
+    (p, p).  A size chi_list refuses, past its node budget or its face
+    table's sweep cap, gives (p, n): every smaller size failed, and size
+    n is choosable by the SDR shortcut.  Raises ValueError on budget < 0.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -385,8 +385,6 @@ def chi_list_number(c: Complex, budget: int = LIST_ENUM_BUDGET) -> tuple[int, in
         try:
             ok, _ = chi_list(c, p, budget)
         except CapExceeded:
-            if c.n > LIST_MAX_N:
-                raise
             return p, c.n
         if ok:
             return p, p

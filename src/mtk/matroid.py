@@ -9,10 +9,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .core import Complex, check_sweep, complex_of, iter_bits, mask_of
-from .errors import CapExceeded
-
-# check_matroid_axioms is refused above this ground-set size.
-AXIOMS_MAX_N = 12
 
 
 class Matroid:
@@ -205,8 +201,6 @@ class DualMatroid(Matroid):
 
 def check_matroid_axioms(c: Complex) -> bool:
     """True iff c is a matroid: its maximal faces pass basis exchange."""
-    if c.n > AXIOMS_MAX_N:
-        raise CapExceeded(f"axiom check limited to n <= {AXIOMS_MAX_N}")
     return _is_basis_family(set(c.maximal_faces))
 
 

@@ -24,8 +24,9 @@ from .matroid import MatroidSystem
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Vertex enumeration of Q and R is refused above this ground-set size.
-VERTICES_MAX_N = 8
+# Work the double description of Q and R may do: the box's 2^n points,
+# then per row the points kept so far plus the pairs it tests.
+DD_WORK_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,10 @@ def vertices(z: PolytopeRef) -> list[tuple[Fraction, ...]]:
 
     P-kind: the face indicator vectors (exactly the vertices of a
     convex hull of 0/1 points).  Q/R-kind: double description over the
-    rows _rank_rows keeps of x(S) <= rho(S).
+    rows _rank_rows keeps of x(S) <= rho(S), refused past DD_WORK_CAP.
     """
     if z.kind == "P":
         return [_indicator(z.n, f) for f in z.complex_.faces()]
-    if z.n > VERTICES_MAX_N:
-        raise CapExceeded(f"vertex enumeration limited to n <= {VERTICES_MAX_N}")
     return _dd_vertices(z.n, _rank_rows(z.n, _rho(z)))
 
 
@@ -149,7 +148,10 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
     polytope span an edge exactly when no third vertex is tight on every
     row they share, as the shared rows cut out the least face holding
     both.  Rows hold each mask at most once.  The singleton rows bound
-    the box, so the region is a polytope.
+    the box, so the region is a polytope.  Raises CapExceeded once its
+    work passes DD_WORK_CAP: the box's 2^n points, checked before any is
+    built, then per row the points so far plus the (inside, cut-off)
+    pairs it tests.
     """
     ubs = [None] * n
     for mask, r in rows:
@@ -164,6 +166,9 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
         (tuple(iter_bits(mask)), r) for mask, r in rows if mask.bit_count() != 1
     ]
 
+    work = 1 << n
+    if work > DD_WORK_CAP:
+        raise CapExceeded(f"2^{n} box points exceed the double description's cap {DD_WORK_CAP}")
     # Box vertices with tight bitmasks over the first 2n constraints.
     uniq: dict[tuple[int, ...], int] = {}
     for bits in range(1 << n):
@@ -182,11 +187,14 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
         # s has the sign of a.x - rhs: s = d (a.x - rhs)
         vals = [sum(p[v] for v in support) - rhs * p[n] for p, _ in verts]
         tights = [tight for _, tight in verts]
+        inside = [i for i, s in enumerate(vals) if s < 0]
         out = [j for j, s in enumerate(vals) if s > 0]
+        work += len(verts) + len(inside) * len(out)
+        if work > DD_WORK_CAP:
+            raise CapExceeded(f"double description work {work} exceeds its cap {DD_WORK_CAP}")
         newpts: dict[tuple[int, ...], int] = {}
-        for i, si in enumerate(vals):
-            if si >= 0:
-                continue  # on the new hyperplane or cut off
+        for i in inside:
+            si = vals[i]
             pi, ti = verts[i]
             for j in out:
                 pj, tj = verts[j]

@@ -31,7 +31,7 @@ from .core import (
     matching_complex,
     min_nonfaces,
 )
-from .errors import CertificateError, DomainError, Uncolorable
+from .errors import CapExceeded, CertificateError, DomainError, Uncolorable
 from .extval import INF, XRat
 from .matroid import (
     DualMatroid,
@@ -294,16 +294,11 @@ def suite_sharpness(rng=None) -> list[VerificationRecord]:
                 ok_m,
             )
         )
-        if system.n <= polytopes.VERTICES_MAX_N:
-            c = system.intersection_complex()
-            rp = polytopes.ratio(PolytopeRef.R(system), PolytopeRef.P(c))
-            records.append(
-                _rec("ex:truncatedPP/ratio_RP", inst.provenance, rp, Fraction(k - 1), "==")
-            )
-        else:
-            records.append(
-                _skip("ex:truncatedPP/ratio_RP", inst.provenance, note="n beyond vertex cap")
-            )
+        c = system.intersection_complex()
+        rp = polytopes.ratio(PolytopeRef.R(system), PolytopeRef.P(c))
+        records.append(
+            _rec("ex:truncatedPP/ratio_RP", inst.provenance, rp, Fraction(k - 1), "==")
+        )
     return records
 
 
@@ -612,17 +607,17 @@ def suite_list_bounds(
         partition = t % 2 == 0
         system = rand_system(rng, n, k, loopless=True, partition=partition)
         tag = f"#{t}(n={n},k={k},{'partition' if partition else 'general'})"
-        if n > coloring.LIST_MAX_N:
-            note = f"n > {coloring.LIST_MAX_N}, chi_list's cap on n"
-            records.append(_skip("thm:chiellCkchiC", tag, note=note))
-            continue
-        c = system.intersection_complex()
         try:
+            c = system.intersection_complex()
             chi_c = coloring.chi(c)
+            chi_is = [coloring.chi_matroid(m) for m in system]
+            lo, hi = coloring.chi_list_number(c, budget=budget)
         except Uncolorable:
             records.append(_skip("thm:chiellCkchiC", tag, note="uncoverable"))
             continue
-        chi_is = [coloring.chi_matroid(m) for m in system]
+        except CapExceeded as e:
+            records.append(_skip("thm:chiellCkchiC", tag, note=str(e)))
+            continue
         bounds = [
             ("thm:chiellCkchiC", k * chi_c),
             (
@@ -630,7 +625,6 @@ def suite_list_bounds(
                 (k if partition else 2 * k - 1) * max(chi_is),
             ),
         ]
-        lo, hi = coloring.chi_list_number(c, budget=budget)
         lhs = lo if lo == hi else f"[{lo},{hi}]"
         for claim, bound in bounds:
             if lo <= bound < hi:
@@ -852,13 +846,13 @@ def suite_ratio_rq(rng, count=12, max_n=6, max_k=3) -> list[VerificationRecord]:
         k = rng.randint(2, max_k)
         system = rand_system(rng, n, k, loopless=False)
         tag = f"#{t}(n={n},k={k})"
-        if n > polytopes.VERTICES_MAX_N:
-            note = f"n > {polytopes.VERTICES_MAX_N}, the vertex enumeration's cap on n"
-            records.append(_skip("thm:ratioRQ=ratio", tag, note=note))
+        try:
+            c = system.intersection_complex()
+            via_vertices = polytopes.ratio(PolytopeRef.R(system), PolytopeRef.Q(c))
+            via_thm = polytopes.ratio_rq_via_matchings(system)
+        except CapExceeded as e:
+            records.append(_skip("thm:ratioRQ=ratio", tag, note=str(e)))
             continue
-        c = system.intersection_complex()
-        via_vertices = polytopes.ratio(PolytopeRef.R(system), PolytopeRef.Q(c))
-        via_thm = polytopes.ratio_rq_via_matchings(system)
         records.append(_rec("thm:ratioRQ=ratio", tag, via_vertices, via_thm, "=="))
         if k == 3 and via_vertices is not INF:
             records.append(_rec("ryser3/RQ<=2", tag, via_vertices, 2, "<="))

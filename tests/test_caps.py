@@ -1,17 +1,18 @@
 """Every 2^n sweep refuses above SWEEP_CAP before doing any work, each
-ground-set limit refuses one element past its value, and every exported
-name resolves."""
+remaining limit refuses one past its value, searches once bounded by a
+ground-set size decide past it, and every exported name resolves."""
 
 import random
-import re
+import tracemalloc
 
 import pytest
 
 import mtk
-from mtk import coloring, verify
+from mtk import polytopes, verify
+from mtk.constructions import canned
 from mtk.coloring import (
-    LIST_MAX_N,
     MATDIM_MAX_N,
+    _face_table,
     chi_list_number,
     delta_rank,
     matdim_exact,
@@ -26,13 +27,12 @@ from mtk.core import (
 )
 from mtk.errors import CapExceeded
 from mtk.matroid import (
-    AXIOMS_MAX_N,
     Matroid,
     MatroidSystem,
     UniformMatroid,
     check_matroid_axioms,
 )
-from mtk.polytopes import VERTICES_MAX_N, PolytopeRef, nu_star_w, nu_w, psi, vertices
+from mtk.polytopes import DD_WORK_CAP, PolytopeRef, nu_star_w, nu_w, psi, vertices
 from mtk.topology import HALL_MAX_SETS, expansions, topological_hall_check
 
 N = 21  # the least ground-set size whose 2^n subsets exceed SWEEP_CAP
@@ -125,50 +125,78 @@ def test_ratio_sweeps_on_a_complex_refuse_past_the_cap():
         expansions(c)
 
 
+class FacelessComplex(TripwireComplex):
+    """A tripwire complex whose faces must never be listed either."""
+
+    def faces(self):
+        raise AssertionError("faces listed past the sweep cap")
+
+
+def test_face_table_refuses_past_the_cap_before_allocating():
+    c = FacelessComplex(N, [[0, 1]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            _face_table(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the table alone would take 2^21 bytes
+
+
 def test_ground_set_limits_refuse_one_past_their_value():
-    at = UniformMatroid(2, AXIOMS_MAX_N).to_complex()
-    assert check_matroid_axioms(at)
-    with pytest.raises(CapExceeded):
-        check_matroid_axioms(Complex(AXIOMS_MAX_N + 1, [[0, 1]]))
+    # basis exchange on the maximal faces sweeps nothing, so any n is decided
+    assert check_matroid_axioms(UniformMatroid(2, 13).to_complex())
+    assert not check_matroid_axioms(Complex(14, [[0, 1], [2]]))
 
     assert matdim_exact(UniformMatroid(2, MATDIM_MAX_N).to_complex()) == 1
     with pytest.raises(CapExceeded):
         matdim_exact(Complex(MATDIM_MAX_N + 1, [[0, 1]]))
 
-    box = Complex(VERTICES_MAX_N, [range(VERTICES_MAX_N)])
-    assert len(vertices(PolytopeRef.Q(box))) == 1 << VERTICES_MAX_N
-    with pytest.raises(CapExceeded):
-        vertices(PolytopeRef.Q(Complex(VERTICES_MAX_N + 1, [[0, 1]])))
-    system = MatroidSystem([UniformMatroid(1, VERTICES_MAX_N + 1)])
-    with pytest.raises(CapExceeded):
-        vertices(PolytopeRef.R(system))
+    # the double description's 2^n box points are checked against its
+    # work cap before any point is built
+    assert (1 << 17) <= DD_WORK_CAP < (1 << 18)
+    with pytest.raises(CapExceeded, match="2\\^18 box points"):
+        vertices(PolytopeRef.Q(Complex(18, [range(18)])))
 
     point = Complex(1, [[0]])
     assert topological_hall_check(point, [1] * HALL_MAX_SETS).hypothesis
     with pytest.raises(CapExceeded):
         topological_hall_check(TripwireComplex(1, [[0]]), [1] * (HALL_MAX_SETS + 1))
 
-    # chi = n - 1 is decided exactly at n = LIST_MAX_N; past it no size
-    # below n can be searched at all
-    line = [[0, 1]] + [[v] for v in range(2, LIST_MAX_N + 1)]
-    assert chi_list_number(Complex(LIST_MAX_N, line[:-1])) == (LIST_MAX_N - 1, LIST_MAX_N - 1)
-    with pytest.raises(CapExceeded):
-        chi_list_number(Complex(LIST_MAX_N + 1, line))
+    # chi = n - 1 = 8: size 8 is decided in full, and a walk past its node
+    # budget still brackets the least choosable size
+    line = Complex(9, [[0, 1]] + [[v] for v in range(2, 9)])
+    assert chi_list_number(line) == (8, 8)
+    assert chi_list_number(line, budget=2000) == (8, 9)
 
 
-def test_list_bounds_skips_an_instance_past_the_list_cap_before_any_search(monkeypatch):
-    real_chi = coloring.chi
+def test_dd_work_counts_the_points_and_pairs_of_each_row(monkeypatch):
+    # R of the q = 3 truncated plane: 2^9 box points, then 61,085 kept
+    # points and tested pairs over its rows
+    r = PolytopeRef.R(canned("truncated_plane", q=3).system)
+    monkeypatch.setattr(polytopes, "DD_WORK_CAP", 61_596)
+    with pytest.raises(CapExceeded, match="work 61597 exceeds its cap 61596"):
+        vertices(r)
+    monkeypatch.setattr(polytopes, "DD_WORK_CAP", 61_597)
+    assert vertices(r)
 
-    def chi(c, *args):
-        assert c.n <= LIST_MAX_N, "searched an instance past LIST_MAX_N"
-        return real_chi(c, *args)
 
-    monkeypatch.setattr(coloring, "chi", chi)
-    records = verify.suite_list_bounds(random.Random(3), count=10, max_n=10, budget=2000)
-    sizes = [re.search(r"n=(\d+)", r.instance) for r in records]
-    past = [r for r, n in zip(records, sizes) if n and int(n[1]) > LIST_MAX_N]
-    assert past and all(r.verdict == "skipped(cap)" for r in past)
-    assert len({r.instance for r in past}) == len(past)
+def test_list_bounds_skips_only_past_the_sweep_cap_after_drawing(monkeypatch):
+    drawn = []
+    real_rand_system = verify.rand_system
+
+    def rand_system(rng, n, k, **kw):
+        drawn.append(n)
+        return real_rand_system(rng, n, k, **kw)
+
+    monkeypatch.setattr(verify, "rand_system", rand_system)
+    records = verify.suite_list_bounds(random.Random(8), count=4, max_n=N, budget=2000)
+    assert drawn == [9, N, 7, 8]
+    skipped = [r for r in records if r.verdict == "skipped(cap)"]
+    assert [r.instance for r in skipped] == [f"#1(n={N},k=3,general)"]
+    assert skipped[0].witness == {"note": f"2^{N} subsets exceed the sweep cap {SWEEP_CAP}"}
+    assert records[-1].lhs == "6"  # both claims on each of the other three decided
 
 
 def test_every_exported_name_resolves():

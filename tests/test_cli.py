@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mtk
-from mtk import verify
+from mtk import polytopes, verify
 from mtk.cli import instance_from_dict, main, parse_instance
 from mtk.constructions import canned, instance_to_dict
 from mtk.errors import ParseError, ValidationError
@@ -118,6 +118,24 @@ def test_cli_chi_list_prints_a_bracket_past_the_search_cap(tmp_path, capsys):
     path.write_text('{"complex": {"n": 2, "maximal_faces": [[0], [1]]}}')
     assert main(["invariants", str(path), "--what", "chi_list", "--report", "jsonl"]) == 0
     assert json.loads(capsys.readouterr().out) == {"chi_list": "2"}
+
+
+def test_cli_chi_list_answers_on_nine_vertices(tmp_path, capsys):
+    # the list walk is bounded by its node budget, not by n
+    path = tmp_path / "c.json"
+    faces = [[0, 1]] + [[v] for v in range(2, 9)]
+    path.write_text(json.dumps({"complex": {"n": 9, "maximal_faces": faces}}))
+    assert main(["invariants", str(path), "--what", "chi_list", "--report", "jsonl"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"chi_list": "8"}
+
+
+def test_cli_accepts_an_explicit_matroid_on_thirteen_elements(tmp_path, capsys):
+    # basis exchange on the given bases sweeps nothing, so no n is refused
+    path = tmp_path / "m.json"
+    maximal = [[a, b] for a in range(13) for b in range(a + 1, 13)]
+    path.write_text(json.dumps({"matroids": [{"kind": "explicit", "n": 13, "maximal": maximal}]}))
+    assert main(["invariants", str(path), "--what", "chi", "--report", "jsonl"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"chi": "7"}
 
 
 def test_cli_ratio(tmp_path, capsys):
@@ -625,11 +643,14 @@ def test_ratio_rq_skips_past_the_vertex_cap_after_drawing(monkeypatch):
         return rand_system(rng, n, k, **kw)
 
     monkeypatch.setattr(verify, "rand_system", spy_rand_system)
+    # the 2^9 box points fit; the first row past the box does not
+    monkeypatch.setattr(polytopes, "DD_WORK_CAP", 1 << 9)
     records = verify.suite_ratio_rq(random.Random(1), max_n=9)
     assert drawn == [3, 4, 4, 5, 5, 9] * 2
     skipped = [r for r in records if r.verdict == "skipped(cap)"]
     assert [r.instance for r in skipped] == ["#5(n=9,k=3)", "#11(n=9,k=2)"]
-    assert skipped[0].witness == {"note": "n > 8, the vertex enumeration's cap on n"}
+    note = skipped[0].witness["note"]
+    assert re.fullmatch(r"double description work \d+ exceeds its cap 512", note)
     assert all(r.verdict == "holds" for r in records if r not in skipped)
 
 

@@ -491,9 +491,10 @@ def test_chi_list_number_brackets_the_exact_value():
         assert lo < hi or lo == exact
         open_brackets += lo < hi
     assert open_brackets
-    # past chi_list's cap on n no size below n can be searched
-    with pytest.raises(CapExceeded):
-        chi_list_number(Complex(9, [(1 << 9) - 1]))
+    # nine vertices are searched in full; past the face table's sweep cap
+    # no size below n can be, and the bracket is (chi, n)
+    assert chi_list_number(Complex(9, [(1 << 9) - 1])) == (1, 1)
+    assert chi_list_number(Complex(21, [(1 << 21) - 1])) == (1, 21)
 
 
 def test_chi_list_number_climbs_past_chi():

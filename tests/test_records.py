@@ -31,7 +31,7 @@ PINNED = {
     "pq-witnesses": "9d1bc9305c3bcc75cb4aa4f63a78b87e125ddeae68ad6b13d7b2bd36b57d9e64",
     "ratio-rq": "419d5ffa9805399a3f6a7e93ab4e2493fdad8c7f88a989bf4b9a4ceff37d5ba7",
     "seymour": "60a9a135613f3ce85df25620aca18e5b6a06cfe2c3361ea628a7e168bc9879d8",
-    "sharpness": "125903df2cfcb1d5320ad91880bc7b05eb107dc40cc2b646e7b682ecf91ce821",
+    "sharpness": "60664ab8ad7c2bf884dc201a6018e68af1922b2eb94d84fa581474d6a0cceef2",
     "topological-hall": "6858adcfd3a959b8d67896ad64c3f8f707b804a1ff9f4996e28cbf3b361c96ef",
     "whitney": "2a6515f090f43186e1118fdb4c90742b6e15972eeb4df5a21cf6430f6a2aaafb",
     "williams": "4a06b94e33e5f974154e4d3fed13d8963b9245f35a59f9f2364c022376bc0452",
