@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Complex, Hypergraph, _undominated, check_sweep, iter_bits, mask_of
+from .core import Complex, Hypergraph, check_sweep, iter_bits, mask_of
 from .coloring import chi_star, min_cover
 from .errors import CapExceeded, CertificateError, DomainError, EmptyEdge, Infeasible
 from .extval import INF, XRat, check_weights, max_ratio
@@ -128,6 +128,13 @@ def vertices(z: PolytopeRef) -> list[tuple[Fraction, ...]]:
     """
     if z.kind == "P":
         return [_indicator(z.n, f) for f in z.complex_.faces()]
+    return [v for v, _ in _qr_vertices(z)]
+
+
+def _qr_vertices(z: PolytopeRef) -> list[tuple[tuple[Fraction, ...], bool]]:
+    # the box depends on n alone, so it is refused before rho meets 2^n sets
+    if 1 << z.n > DD_WORK_CAP:
+        raise CapExceeded(f"2^{z.n} box points exceed the double description's cap {DD_WORK_CAP}")
     return _dd_vertices(z.n, _rank_rows(z.n, _rho(z)))
 
 
@@ -135,8 +142,8 @@ def _indicator(n: int, mask: int) -> tuple[Fraction, ...]:
     return tuple(ONE if (mask >> v) & 1 else ZERO for v in range(n))
 
 
-def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ...]]:
-    """Double description for {x >= 0, x[mask] <= r}; returns vertices.
+def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[tuple[Fraction, ...], bool]]:
+    """Double description for {x >= 0, x[mask] <= r}; returns (x, top) pairs.
 
     It runs in integers: each point x is kept as the primitive integer
     vector (p_0, ..., p_{n-1}, d) with x = p / d, d > 0 and gcd 1, so
@@ -147,11 +154,12 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
     "Double description method revisited", 1996): two vertices of a
     polytope span an edge exactly when no third vertex is tight on every
     row they share, as the shared rows cut out the least face holding
-    both.  Rows hold each mask at most once.  The singleton rows bound
-    the box, so the region is a polytope.  Raises CapExceeded once its
-    work passes DD_WORK_CAP: the box's 2^n points, checked before any is
-    built, then per row the points so far plus the (inside, cut-off)
-    pairs it tests.
+    both.  top says the vertex x lies below no other point of the region:
+    exactly when its tight rows other than x_v >= 0 cover the ground set.
+    Rows hold each mask at most once, and the singleton rows bound the
+    box.  Raises CapExceeded once its work passes DD_WORK_CAP: the box's
+    2^n points, then per row the points so far plus the (inside,
+    cut-off) pairs it tests.
     """
     ubs = [None] * n
     for mask, r in rows:
@@ -167,8 +175,6 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
     ]
 
     work = 1 << n
-    if work > DD_WORK_CAP:
-        raise CapExceeded(f"2^{n} box points exceed the double description's cap {DD_WORK_CAP}")
     # Box vertices with tight bitmasks over the first 2n constraints.
     uniq: dict[tuple[int, ...], int] = {}
     for bits in range(1 << n):
@@ -219,7 +225,11 @@ def _dd_vertices(n: int, rows: list[tuple[int, int]]) -> list[tuple[Fraction, ..
             for i, (p, tight) in enumerate(verts)
             if vals[i] <= 0
         ] + list(newpts.items())
-    return [tuple(Fraction(a, p[n]) for a in p[:n]) for p, _ in verts]
+    result = []
+    for p, tight in verts:
+        covered = mask_of(v for i in iter_bits(tight >> n) for v in cons[i][0])
+        result.append((tuple(Fraction(a, p[n]) for a in p[:n]), covered == (1 << n) - 1))
+    return result
 
 
 # -- ratios ---------------------------------------------------------------
@@ -229,9 +239,9 @@ def ratio(b: PolytopeRef, a: PolytopeRef) -> Fraction | XRat:
     """B:A = least t with tA containing B; max of the A-gauge over B's
     vertices.
 
-    P, Q and R are closed downwards, so each gauge is monotone on the
-    non-negative orthant, INF included: a vertex below another vertex
-    never raises the max, and only B's undominated vertices are tried.
+    Each gauge is convex, and monotone on the non-negative orthant (INF
+    included) as P, Q and R are closed downwards, so its max over B is
+    attained at a vertex below no other point of B: only these are tried.
     """
     if b.n != a.n:
         raise DomainError("dimension mismatch")
@@ -244,25 +254,14 @@ def ratio(b: PolytopeRef, a: PolytopeRef) -> Fraction | XRat:
 
 
 def _undominated_vertices(z: PolytopeRef) -> list[tuple[Fraction, ...]]:
-    """The vertices of z below no other vertex coordinatewise.
+    """The vertices of z below no other point of z coordinatewise.
 
-    On P these are the indicators of the maximal faces.  On Q and R each
-    vertex is taken as integer numerators over its common denominator
-    and pruned by core._undominated in order of decreasing coordinate
-    sum, which never puts a vertex after one it lies below.
+    On P these are the indicators of the maximal faces, on Q and R the
+    vertices _dd_vertices flags from their tight sets.
     """
     if z.kind == "P":
         return [_indicator(z.n, f) for f in z.complex_.maximal_faces]
-    forms = []
-    for v in vertices(z):
-        d = math.lcm(*(x.denominator for x in v))
-        forms.append(([x.numerator * (d // x.denominator) for x in v], d, v))
-    kept = _undominated(
-        forms,
-        lambda form: -Fraction(sum(form[0]), form[1]),
-        lambda form, k: all(a * k[1] <= b * form[1] for a, b in zip(form[0], k[0])),
-    )
-    return [v for _, _, v in kept]
+    return [v for v, top in _qr_vertices(z) if top]
 
 
 def ratio_rq_via_matchings(system: MatroidSystem):

@@ -8,9 +8,15 @@ row; `_dd_vertices` reads both from the tight sets alone.
 {x >= 0, x[mask] <= r} as Fraction tuples, in the order the method
 produces them: the box vertices, then for each further row the old
 vertices that satisfy it followed by the new ones cut on it.
+
+`undominated_pairwise(vs)` is the pairwise prune that
+`mtk.polytopes._undominated_vertices` used on Q and R before it read
+dominance off the tight sets: the points of vs below no other point of
+vs coordinatewise.
 """
 
 from fractions import Fraction
+from operator import le
 
 from mtk.core import iter_bits
 from mtk.topology import snf_diagonal
@@ -105,3 +111,7 @@ def _row_value(normal: tuple[int, ...], coords: tuple[Fraction, ...]) -> Fractio
 def _tight_rank_at_least(normals, common: int, need: int) -> bool:
     mat = [list(normals[i]) for i in iter_bits(common)]
     return sum(1 for d in snf_diagonal(mat) if d) >= need
+
+
+def undominated_pairwise(vs: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
+    return [v for v in vs if not any(v != w and all(map(le, v, w)) for w in vs)]

@@ -154,7 +154,7 @@ def test_ground_set_limits_refuse_one_past_their_value():
         matdim_exact(Complex(MATDIM_MAX_N + 1, [[0, 1]]))
 
     # the double description's 2^n box points are checked against its
-    # work cap before any point is built
+    # work cap before the rank rows are built
     assert (1 << 17) <= DD_WORK_CAP < (1 << 18)
     with pytest.raises(CapExceeded, match="2\\^18 box points"):
         vertices(PolytopeRef.Q(Complex(18, [range(18)])))
@@ -169,6 +169,29 @@ def test_ground_set_limits_refuse_one_past_their_value():
     line = Complex(9, [[0, 1]] + [[v] for v in range(2, 9)])
     assert chi_list_number(line) == (8, 8)
     assert chi_list_number(line, budget=2000) == (8, 9)
+
+
+class CountingUniform(UniformMatroid):
+    """A uniform matroid that counts the subsets its rank oracle is asked."""
+
+    def __init__(self, r, n):
+        super().__init__(r, n)
+        self.calls = 0
+
+    def _rank(self, s):
+        self.calls += 1
+        return super()._rank(s)
+
+
+def test_dd_box_is_refused_before_any_rank_call():
+    m = CountingUniform(3, 18)
+    with pytest.raises(CapExceeded, match="2\\^18 box points"):
+        vertices(PolytopeRef.R(MatroidSystem([m])))
+    assert m.calls == 0
+    # a box that fits goes on to the 2^n row sweep
+    m = CountingUniform(3, 9)
+    assert vertices(PolytopeRef.R(MatroidSystem([m])))
+    assert m.calls == 1 << 9
 
 
 def test_dd_work_counts_the_points_and_pairs_of_each_row(monkeypatch):

@@ -6,7 +6,6 @@ import itertools
 import math
 import random
 import time
-from operator import le
 from fractions import Fraction
 
 import pytest
@@ -50,7 +49,7 @@ from mtk.verify import (
     rand_weights_unit,
 )
 
-from dd_oracle import dd_vertices_fraction
+from dd_oracle import dd_vertices_fraction, undominated_pairwise
 from lp_oracle import brute_optimum
 from rows_oracle import reduced_rows_complex, system_rows
 from search_oracle import hyper_tau_by_multicover, recursive_hyper_nu_w
@@ -313,7 +312,7 @@ def test_rank_rows_cut_the_polytopes_of_the_old_row_builders():
         assert set(q_rows) <= set(old_q)
         assert set(_dd_vertices(n, q_rows)) == set(_dd_vertices(n, old_q))
         assert set(_dd_vertices(n, r_rows)) == set(_dd_vertices(n, old_r))
-        assert set(vertices(PolytopeRef.R(system))) == set(_dd_vertices(n, old_r))
+        assert set(vertices(PolytopeRef.R(system))) == {v for v, _ in _dd_vertices(n, old_r)}
         w = rand_weights(rng, n)
         amat = [[F((mask >> v) & 1) for v in range(n)] for mask, _ in old_r]
         want, _, _ = solve_max_slack(amat, [F(r) for _, r in old_r], list(w))
@@ -350,7 +349,7 @@ def test_integer_dd_matches_the_fraction_oracle():
     cases.append((5, _rows(PolytopeRef.Q(canned("md_lower", n=5).complex_))))
     for n, rows in cases:
         zero_bounds += any(r == 0 and m.bit_count() == 1 for m, r in rows)
-        assert _dd_vertices(n, rows) == dd_vertices_fraction(n, rows)
+        assert [v for v, _ in _dd_vertices(n, rows)] == dd_vertices_fraction(n, rows)
     assert zero_bounds >= 30
 
 
@@ -375,10 +374,6 @@ def test_ratio_examples():
     # single matroid: P = Q = R
     assert ratio(PolytopeRef.R(system), PolytopeRef.P(c)) == 1
     assert ratio(PolytopeRef.Q(c), PolytopeRef.P(c)) == 1
-
-
-def _undominated(vs):
-    return [v for v in vs if not any(v != w and all(map(le, v, w)) for w in vs)]
 
 
 def _max_gauge(a, vs):
@@ -425,10 +420,32 @@ def test_ratio_calls_psi_once_per_undominated_vertex(monkeypatch):
         if ratio(b, a) is INF:
             continue
         vs = vertices(b)
-        top = _undominated(vs)
+        top = undominated_pairwise(vs)
         assert sorted(map(tuple, calls)) == sorted(map(tuple, top))
         pruned += len(vs) - len(top)
     assert pruned > 0
+    # R:P of the q = 3 truncated plane: 784 of R's 938 vertices are tried
+    t3 = canned("truncated_plane", q=3).system
+    calls.clear()
+    assert ratio(PolytopeRef.R(t3), PolytopeRef.P(t3.intersection_complex())) == 3
+    assert len(calls) == len(set(calls)) == 784
+
+
+def test_tight_set_flags_keep_the_vertices_of_the_pairwise_prune():
+    # Q and R of seeded systems with n <= 6, loops allowed: the vertices
+    # _dd_vertices flags are those below no other vertex
+    rng = random.Random(71)
+    kept = pruned = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        system = rand_system(rng, n, rng.randint(1, 3), loopless=False)
+        for z in (PolytopeRef.Q(system.intersection_complex()), PolytopeRef.R(system)):
+            flagged = _dd_vertices(n, _rows(z))
+            top = undominated_pairwise([v for v, _ in flagged])
+            assert [v for v, flag in flagged if flag] == top
+            kept += len(top)
+            pruned += len(flagged) - len(top)
+    assert kept > 1000 and pruned > 500
 
 
 def test_ratio_rq_theorem_small_random():
